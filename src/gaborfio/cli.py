@@ -20,7 +20,8 @@ from . import __version__
 from .core import Grid, Signal, Weight, random_signal
 from .windows import make_window, WINDOW_KINDS
 from .frames import (GaborFrameSpec, enumerate_lattice, frame_bounds,
-                     is_frame, tighten, dual_window, analysis, LatticeError)
+                     is_frame, tighten, dual_window, analysis, LatticeError,
+                     NotAFrameError)
 from .phases import BUILTIN_PHASES, canonical_map
 from .fio import (make_fio, constant_symbol, bandlimited_symbol,
                   weighted_symbol, gabor_matrix, decay_envelope_fit,
@@ -135,10 +136,10 @@ def _build_symbol(cfg, grid, seed, errors):
     return None
 
 
-def _fail_config(errors):
+def _fail_config(errors, code=EXIT_CONFIG):
     json.dump({"errors": errors}, sys.stderr, indent=2)
     sys.stderr.write("\n")
-    return EXIT_CONFIG
+    return code
 
 
 # ---------------------------------------------------------------- output
@@ -467,14 +468,19 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     threads = _resolve_threads(args)
     runner = COMMANDS[args.command]
-    if threads > 0:
-        try:
-            from threadpoolctl import threadpool_limits
-            with threadpool_limits(limits=threads):
-                return runner(args)
-        except ImportError:
-            pass
-    return runner(args)
+    try:
+        if threads > 0:
+            try:
+                from threadpoolctl import threadpool_limits
+                with threadpool_limits(limits=threads):
+                    return runner(args)
+            except ImportError:
+                pass
+        return runner(args)
+    except NotAFrameError as exc:
+        return _fail_config([{"field": "lattice.generator",
+                              "error": f"not a frame: {exc}"}],
+                            EXIT_NOT_A_FRAME)
 
 
 if __name__ == "__main__":

@@ -259,7 +259,6 @@ class EnvelopeReport:
     bins: np.ndarray         # (K, 2d) displacement bin centers
     envelope: np.ndarray     # (K,) per-bin max of |G|
     l1_mass: float           # sum of envelope * m(u)
-    dominates: bool          # envelope >= |G| entrywise by construction
 
 
 def envelope_function_audit(G: GaborMatrix, phase: TamePhase,
@@ -284,16 +283,14 @@ def envelope_function_audit(G: GaborMatrix, phase: TamePhase,
     ge = phase.grad_eta(xp[None, :, :], eta[:, None, :])
     u = np.concatenate([etap[None, :, :] - gx, x[:, None, :] - ge], axis=-1)
     u = grid.wrap_coord(u)
-    keys = np.round(u / bin_width).astype(int)
-    flat_keys = keys.reshape(-1, 2 * d)
-    mag = np.abs(G.entries).reshape(-1)
-    buckets = {}
-    for key, v in zip(map(tuple, flat_keys), mag):
-        if v > buckets.get(key, -1.0):
-            buckets[key] = v
-    items = sorted(buckets.items())
-    centers = np.array([k for k, _ in items], dtype=float) * bin_width
-    env = np.array([v for _, v in items])
+    keys = np.round(u / bin_width).astype(int).reshape(-1, 2 * d)
+    # One row-major integer per bin key sorts like the key rows, and fast.
+    lo = keys.min(axis=0)
+    span = keys.max(axis=0) - lo + 1
+    flat, inverse = np.unique(np.ravel_multi_index(tuple((keys - lo).T), span),
+                              return_inverse=True)
+    env = np.zeros(flat.size)
+    np.maximum.at(env, inverse.reshape(-1), np.abs(G.entries).reshape(-1))
+    centers = (np.column_stack(np.unravel_index(flat, span)) + lo) * bin_width
     mass = float(np.sum(env * m(centers)))
-    return EnvelopeReport(bins=centers, envelope=env, l1_mass=mass,
-                          dominates=True)
+    return EnvelopeReport(bins=centers, envelope=env, l1_mass=mass)

@@ -1,10 +1,16 @@
 """Lattices, Gabor frames, canonical tight/dual windows, discrete modulation norms.
 
 A lattice is generated by an invertible 2d x 2d integer matrix A in grid
-units.  Commensurability with the torus (n A^{-1} integral) is required so
-that the enumerated point set is a finite subgroup of the phase-space
+units.  Commensurability with the torus (B = n A^{-1} integral) is required
+so that the enumerated point set is a finite subgroup of the phase-space
 torus; this group structure is what makes the frame operator commute with
 every pi(lambda) and the shifted-multiplier algebra exact.
+
+The points are A m mod n over the cosets m of Z^{2d} / B Z^{2d}.  With H
+the Hermite normal form of B (Cohen, A Course in Computational Algebraic
+Number Theory, 2.4) each coset has one representative 0 <= m_i < H_ii, so
+a point p is indexed arithmetically: the mixed-radix value of B p / n
+reduced modulo H, mapped by a rank array to lexicographic mod-n order.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +43,8 @@ class Lattice:
     A: np.ndarray           # generator, grid units, integer entries
     grid: Grid
     int_coords: np.ndarray  # (N, 2d) integer grid coordinates, symmetric reps
-    _index: dict = field(repr=False, default_factory=dict)
+    hnf: np.ndarray = field(repr=False)   # Hermite normal form of n A^{-1}
+    rank: np.ndarray = field(repr=False)  # mixed-radix value -> point index
 
     @property
     def npoints(self) -> int:
@@ -57,22 +64,49 @@ class Lattice:
         c = self.coords()[i]
         return PhasePoint(c[:d].copy(), c[d:].copy())
 
-    def index_of(self, int_coord) -> int:
-        """Index of a lattice point given integer grid coordinates (any rep)."""
-        key = tuple(int(v) for v in np.mod(np.asarray(int_coord), self.grid.n))
-        try:
-            return self._index[key]
-        except KeyError:
-            raise KeyError(f"{int_coord} is not a lattice point") from None
+    def indices_of(self, int_coords) -> np.ndarray:
+        """Indices of lattice points given integer grid coordinates (any rep).
 
-    def contains(self, int_coord) -> bool:
-        key = tuple(int(v) for v in np.mod(np.asarray(int_coord), self.grid.n))
-        return key in self._index
+        Vectorised over the leading axes of int_coords (..., 2d); raises
+        KeyError when a row is not a lattice point.
+        """
+        p = np.asarray(int_coords, dtype=np.int64)
+        n = self.grid.n
+        B = np.round(n * np.linalg.inv(self.A)).astype(np.int64)
+        Bp = p @ B.T
+        off = np.any(Bp % n, axis=-1)
+        if np.any(off):
+            raise KeyError(f"{p[off][0].tolist()} is not a lattice point")
+        m = Bp // n
+        H = self.hnf
+        for j in range(H.shape[0]):
+            m = m - (m[..., j] // H[j, j])[..., None] * H[:, j]
+        return self.rank[np.ravel_multi_index(tuple(np.moveaxis(m, -1, 0)),
+                                              np.diag(H))]
 
     def torus_norms(self) -> np.ndarray:
         """Torus-metric Euclidean norm |lambda| of every point."""
         w = self.grid.wrap_coord(self.coords())
         return np.sqrt(np.sum(w * w, axis=1))
+
+
+def _hermite_normal_form(B) -> np.ndarray:
+    """Lower-triangular Hermite normal form H = B U, U unimodular.
+
+    Per row, integer column operations (Euclid) clear the entries right of
+    the diagonal, make it positive and reduce the entries left of it."""
+    H = np.array(B, dtype=np.int64)
+    k = H.shape[0]
+    for i in range(k):
+        for j in range(i + 1, k):
+            while H[i, j]:
+                H[:, i] -= (H[i, i] // H[i, j]) * H[:, j]
+                H[:, [i, j]] = H[:, [j, i]]
+        if H[i, i] < 0:
+            H[:, i] *= -1
+        for j in range(i):
+            H[:, j] -= (H[i, j] // H[i, i]) * H[:, i]
+    return H
 
 
 def enumerate_lattice(A, grid: Grid) -> Lattice:
@@ -93,16 +127,14 @@ def enumerate_lattice(A, grid: Grid) -> Lattice:
         raise LatticeError(
             "lattice is incommensurate with the torus (n A^{-1} not integral)",
             suggestion=Ar.astype(int))
-    # Brute-force enumeration of A m mod n with deduplication.
-    axes = [np.arange(grid.n)] * td
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, td)
-    pts = np.mod(mesh @ Ai.T, grid.n)
-    pts = np.unique(pts, axis=0)
-    sym = np.asarray(grid.wrap_index(pts))
-    lat = Lattice(A=Ai, grid=grid, int_coords=sym)
-    lat._index = {tuple(int(v) for v in row): i
-                  for i, row in enumerate(np.mod(sym, grid.n))}
-    return lat
+    H = _hermite_normal_form(np.round(closure))
+    m = np.indices(np.diag(H)).reshape(td, -1).T     # mixed-radix order
+    pts = np.mod(m @ Ai.T, grid.n)
+    order = np.lexsort(pts.T[::-1])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return Lattice(A=Ai, grid=grid, int_coords=grid.wrap_index(pts[order]),
+                   hnf=H, rank=rank)
 
 
 def separable_lattice(a: int, b: int, grid: Grid) -> Lattice:
@@ -112,11 +144,11 @@ def separable_lattice(a: int, b: int, grid: Grid) -> Lattice:
     return enumerate_lattice(np.diag([a, b]), grid)
 
 
-def build_atoms(window: Signal, lattice: Lattice) -> np.ndarray:
-    """Matrix of frame atoms pi(lambda) g as columns, shape (n^d, N)."""
-    grid = lattice.grid
+def build_atoms(window: Signal, int_coords: np.ndarray) -> np.ndarray:
+    """Atoms pi(z) g at integer grid points z as columns, shape (n^d, N)."""
+    grid = window.grid
     n = grid.n
-    ic = np.mod(lattice.int_coords, n)
+    ic = np.mod(int_coords, n)
     d = grid.d
     j = np.arange(n)
     if d == 1:
@@ -124,7 +156,7 @@ def build_atoms(window: Signal, lattice: Lattice) -> np.ndarray:
         rolled = window.values[(j[:, None] - xs[None, :]) % n]
         phases = np.exp(TWO_PI * 1j * np.outer(j, ms) / n)
         return rolled * phases
-    atoms = np.empty((grid.size, lattice.npoints), dtype=complex)
+    atoms = np.empty((grid.size, ic.shape[0]), dtype=complex)
     garr = window.as_array()
     for i, (x0, x1, m0, m1) in enumerate(ic):
         shifted = np.roll(np.roll(garr, x0, axis=0), x1, axis=1)
@@ -155,7 +187,7 @@ class GaborFrameSpec:
     @property
     def atoms(self) -> np.ndarray:
         if self._atoms is None:
-            self._atoms = build_atoms(self.window, self.lattice)
+            self._atoms = build_atoms(self.window, self.lattice.int_coords)
         return self._atoms
 
     def with_window(self, window: Signal, normalize: bool = True) -> "GaborFrameSpec":
@@ -272,12 +304,9 @@ def warped_frame_check(window: Signal, lattice: Lattice,
     rounded = np.round(steps)
     displacement = float(np.max(np.abs(steps - rounded) * grid.h)) if steps.size else 0.0
     ic = np.asarray(grid.wrap_index(rounded.astype(int)))
-    warped = Lattice(A=lattice.A, grid=grid, int_coords=ic)
-    warped._index = {tuple(int(v) for v in row): i
-                     for i, row in enumerate(np.mod(ic, grid.n))}
     nrm = window.norm()
     w = Signal(window.grid, window.values / nrm)
-    G = build_atoms(w, warped)
+    G = build_atoms(w, ic)
     S = G @ G.conj().T
     evals = scipy.linalg.eigvalsh(0.5 * (S + S.conj().T))
     bounds = (float(max(evals[0], 0.0)), float(evals[-1]))

@@ -5,9 +5,15 @@ With a Parseval frame the finite algebra is exact: extracting the symbols
     a_nu(mu) = c_{nu,mu} <T pi(mu) g, pi(chi'(mu) + nu) g>
 
 over the whole lattice group and re-assembling sum_nu pi(nu) M_{a_nu}
-reproduces the dense operator matrix to machine precision.  Truncating
-the nu-sum to |nu| <= L gives the approximation whose error decay is
-measured by truncation_error_curve.
+reproduces the dense operator matrix to machine precision.  Each symbol
+is the Gabor matrix cross = A^H T A read along a shifted curve,
+a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu], and pi(nu) M_{a_nu} puts
+a_nu(mu) conj(c_{nu,mu}) back at the same entry.  Truncating the nu-sum
+to |nu| <= L is therefore a mask on the Gabor matrix,
+
+    T_L = A (cross o [|lambda - chi'(mu)| <= L]) A^H,
+
+and truncation_error_curve measures how fast ||T - T_L|| decays.
 """
 
 import warnings
@@ -44,9 +50,7 @@ def identity_warp_indices(spec: GaborFrameSpec) -> np.ndarray:
 
 def warp_indices(cm: CanonicalMap, spec: GaborFrameSpec) -> np.ndarray:
     """Lattice index of chi'(lambda) for every lattice point."""
-    lat = spec.lattice
-    table = chi_prime_table(cm, lat)
-    return np.array([lat.index_of(row) for row in table])
+    return spec.lattice.indices_of(chi_prime_table(cm, spec.lattice))
 
 
 def apply_multiplier(M: GaborMultiplier, f: Signal) -> Signal:
@@ -84,7 +88,8 @@ def multiplier_norm_check(M: GaborMultiplier, p: float, m: Weight,
     grid = spec.window.grid
     rng = np.random.default_rng(seed)
     win = m(lat.coords()[M.warp_idx]) / mtilde(lat.coords())
-    input_weight = Weight("custom", table=_coord_table(lat, win))
+    input_weight = Weight("custom", table=lambda z: win[lat.indices_of(
+        np.round(z / grid.h).astype(int))])
     best = 0.0
     for _ in range(probes):
         f = Signal(grid, rng.standard_normal(grid.size)
@@ -98,19 +103,6 @@ def multiplier_norm_check(M: GaborMultiplier, p: float, m: Weight,
     ratio = best / sup if sup > 0 else np.inf
     return MultiplierNormReport(empirical_norm=best, symbol_sup=sup,
                                 ratio=ratio, probes=probes)
-
-
-def _coord_table(lat, values):
-    """Weight table that looks up lattice points by coordinates."""
-    lookup = {tuple(np.round(c / lat.grid.h).astype(int) % lat.grid.n): v
-              for c, v in zip(lat.coords(), values)}
-
-    def table(z):
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        keys = np.round(z / lat.grid.h).astype(int) % lat.grid.n
-        return np.array([lookup[tuple(k)] for k in keys])
-
-    return table
 
 
 @dataclass
@@ -155,23 +147,16 @@ def extract_symbols(T: FioOperator, spec: GaborFrameSpec, cmap: CanonicalMap,
         warnings.warn("extract_symbols called with a non-Parseval frame spec",
                       stacklevel=2)
     lat = spec.lattice
-    grid = spec.window.grid
     atoms = spec.atoms
     cross = atoms.conj().T @ (fio_matrix(T) @ atoms)    # [lam, mu]
     chi_int = chi_prime_table(cmap, lat)                # (N, 2d)
-    warp_idx = np.array([lat.index_of(row) for row in chi_int])
-    norms = lat.torus_norms()
-    nu_indices = np.flatnonzero(norms <= nu_radius + 1e-12)
+    nu_indices = np.flatnonzero(lat.torus_norms() <= nu_radius + 1e-12)
     nu_int = lat.int_coords[nu_indices]
     c = commutation_factors(spec, nu_int, chi_int)
-    K, N = nu_indices.size, lat.npoints
-    a = np.empty((K, N), dtype=complex)
-    for k in range(K):
-        targets = chi_int + nu_int[k]
-        lam_idx = np.array([lat.index_of(row) for row in targets])
-        a[k] = c[k] * cross[lam_idx, np.arange(N)]
+    lam = lat.indices_of(chi_int[None, :, :] + nu_int[:, None, :])  # (K, N)
+    a = c * cross[lam, np.arange(lat.npoints)]
     return MultiplierSymbolTable(spec=spec, cmap=cmap, nu_indices=nu_indices,
-                                 a=a, c=c, warp_idx=warp_idx,
+                                 a=a, c=c, warp_idx=lat.indices_of(chi_int),
                                  nu_radius=float(nu_radius))
 
 
@@ -184,26 +169,22 @@ def assemble_truncated(tsym: MultiplierSymbolTable, spec: GaborFrameSpec,
                        L: float) -> np.ndarray:
     """Dense matrix of sum_{|nu| <= L} pi(nu) M_{a_nu}.
 
-    Uses pi(nu) pi(chi'(mu)) g = conj(c_{nu,mu}) pi(chi'(mu)+nu) g, so each
-    term is assembled from plain frame atoms without explicit shift matrices.
+    Uses pi(nu) pi(chi'(mu)) g = conj(c_{nu,mu}) pi(chi'(mu)+nu) g, so the
+    sum is A C A^H with C[chi'(mu)+nu, mu] = a_nu(mu) conj(c_{nu,mu}).
     """
     covers_group = tsym.nu_indices.size == spec.lattice.npoints
     if L > tsym.nu_radius + 1e-12 and not covers_group:
         raise ExtractionRadiusError(
             f"L={L} exceeds the extraction radius {tsym.nu_radius}")
     lat = spec.lattice
-    atoms = spec.atoms
+    keep = np.flatnonzero(tsym.nu_norms <= L + 1e-12)
     chi_int = lat.int_coords[tsym.warp_idx]
-    size = atoms.shape[0]
-    out = np.zeros((size, size), dtype=complex)
-    norms = tsym.nu_norms
-    Nidx = np.arange(lat.npoints)
-    for k in np.flatnonzero(norms <= L + 1e-12):
-        nu = lat.int_coords[tsym.nu_indices[k]]
-        lam_idx = np.array([lat.index_of(row) for row in chi_int + nu])
-        weights = tsym.a[k] * np.conj(tsym.c[k])
-        out += (atoms[:, lam_idx] * weights[None, :]) @ atoms.conj().T
-    return out
+    nu_int = lat.int_coords[tsym.nu_indices[keep]]
+    lam = lat.indices_of(chi_int[None, :, :] + nu_int[:, None, :])
+    C = np.zeros((lat.npoints, lat.npoints), dtype=complex)
+    C[lam, np.arange(lat.npoints)] = tsym.a[keep] * np.conj(tsym.c[keep])
+    atoms = spec.atoms
+    return atoms @ C @ atoms.conj().T
 
 
 def symbol_decay_points(tsym: MultiplierSymbolTable):
@@ -235,7 +216,8 @@ def truncation_error_curve(T: FioOperator, tsym: MultiplierSymbolTable,
     exact_p2 = (p == 2 and m.kind == "polynomial" and m.s == 0.0)
     if not exact_p2:
         win = m(lat.coords()[tsym.warp_idx])
-        input_weight = Weight("custom", table=_coord_table(lat, win))
+        input_weight = Weight("custom", table=lambda z: win[lat.indices_of(
+            np.round(z / lat.grid.h).astype(int))])
         rng = np.random.default_rng(seed)
         probes_f = [Signal(spec.window.grid,
                            rng.standard_normal(spec.window.grid.size)

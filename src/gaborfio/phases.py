@@ -11,7 +11,7 @@ Raw continuum outputs are kept unwrapped; torus wrapping is applied only
 when grid objects are built from them.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -129,7 +129,6 @@ class CanonicalMap:
     phase: TamePhase
     newton_tol: float = 1e-12
     max_iter: int = 50
-    lipschitz_estimate: float = field(default=0.0)
 
     def forward(self, z) -> np.ndarray:
         """chi(y, eta) = (x, xi), vectorized over rows of z (..., 2d)."""
@@ -326,12 +325,8 @@ def chi_prime_displacement_bound(lattice: Lattice) -> float:
 
 def chi_prime_multiplicity(cm: CanonicalMap, lattice: Lattice) -> int:
     """Max preimage count of chi' over the lattice (almost-injectivity report)."""
-    table = chi_prime_table(cm, lattice)
-    keys = [tuple(int(v) for v in row) for row in np.mod(table, lattice.grid.n)]
-    counts = {}
-    for k in keys:
-        counts[k] = counts.get(k, 0) + 1
-    return max(counts.values())
+    return int(np.bincount(
+        lattice.indices_of(chi_prime_table(cm, lattice))).max())
 
 
 @dataclass

@@ -70,6 +70,17 @@ def test_not_a_frame_exit_2(tmp_path):
     assert rep["verdicts"]["is_frame"] is False
 
 
+@pytest.mark.parametrize("command",
+                         ["decay-scan", "approximate", "dilation-demo"])
+def test_not_a_frame_exit_2_with_error_list(tmp_path, capsys, command):
+    doc = decay_cfg(gen=((16, 0), (0, 16)))            # 16 atoms in dim 64
+    doc["L_list"] = [1, 2, 4]
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    errs = json.loads(capsys.readouterr().err)["errors"]
+    assert errs and "not a frame" in errs[0]["error"]
+
+
 def test_decay_scan_success_and_csv(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", decay_cfg())
     out = str(tmp_path / "out")

@@ -189,10 +189,22 @@ def test_envelope_dominates_and_identity_reduction():
     T = make_fio(phase, constant_symbol(grid), grid)
     G = gabor_matrix(T, spec)
     rep = envelope_function_audit(G, phase, bin_width=0.25)
-    assert rep.dominates
     # identity phase: u = (eta'-eta, x-x'), so the bin at u covers the
     # cross-ambiguity of the window with itself at displacement u
     mag = np.abs(G.entries)
+    c = spec.lattice.coords()
+    x, eta = c[:, 0], c[:, 1]
+    u = np.stack([eta[None, :] - eta[:, None], x[:, None] - x[None, :]], -1)
+    keys = np.round(grid.wrap_coord(u) / 0.25).astype(int)      # [mu, lam]
+    bin_keys = [tuple(k) for k in np.round(rep.bins / 0.25).astype(int)]
+    assert bin_keys == sorted(set(bin_keys))           # lexicographic, unique
+    pos = {k: i for i, k in enumerate(bin_keys)}
+    inverse = np.array([[pos[tuple(k)] for k in row] for row in keys])
+    assert np.all(mag <= rep.envelope[inverse])
+    best = np.zeros(rep.envelope.size)
+    for i, v in zip(inverse.ravel(), mag.ravel()):
+        best[i] = max(best[i], v)
+    assert np.array_equal(best, rep.envelope)
     assert abs(np.max(rep.envelope) - np.max(mag)) < 1e-12
 
 

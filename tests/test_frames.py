@@ -47,10 +47,12 @@ def test_lattice_enumeration_and_index():
     lat = separable_lattice(4, 2, grid)
     assert lat.npoints == 4 * 8
     assert lat.density == 2.0
-    for i, row in enumerate(lat.int_coords):
-        assert lat.index_of(row) == i
-        assert lat.contains(row + np.array([grid.n, -grid.n]))
-    assert not lat.contains([1, 0])
+    idx = np.arange(lat.npoints)
+    assert np.array_equal(lat.indices_of(lat.int_coords), idx)
+    assert np.array_equal(
+        lat.indices_of(lat.int_coords + np.array([grid.n, -grid.n])), idx)
+    with pytest.raises(KeyError):
+        lat.indices_of([1, 0])
     assert np.all(lat.torus_norms() <= np.sqrt(2) * grid.span / 2 + 1e-12)
 
 

@@ -1,0 +1,125 @@
+"""Property tests of the lattice index algebra and the masked assembly.
+
+Each fast path is checked against a brute-force oracle kept here: the
+enumeration against all n^{2d} images A m mod n, the arithmetic index
+against set membership, and the masked assembly A (C o mask_L) A^H
+against the sum over shifts of pi(nu) M_{a_nu}, one matrix product each.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from gaborfio.core import Grid
+from gaborfio.frames import (GaborFrameSpec, enumerate_lattice,
+                             separable_lattice, tighten)
+from gaborfio.phases import dilation_phase, perturbed_phase, canonical_map
+from gaborfio.fio import bandlimited_symbol, make_fio
+from gaborfio.multiplier import (extract_symbols, assemble_truncated,
+                                 full_nu_radius)
+from gaborfio.windows import gaussian_window
+
+SETTINGS = settings(max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def commensurate_generators(draw):
+    """(A, grid) with A = U D V: U, V unimodular, D diagonal dividing n.
+
+    Every integer A with n A^{-1} integral has such a Smith form, so the
+    strategy reaches non-diagonal generators of every shape; half of the
+    draws keep U = V = I, a diagonal generator.
+    """
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([8, 12, 16, 24, 32] if d == 1 else [8, 12]))
+    td = 2 * d
+    divisors = [k for k in range(1, n + 1) if n % k == 0]
+    D = np.diag(draw(st.lists(st.sampled_from(divisors), min_size=td,
+                              max_size=td)))
+    A = D
+    if not draw(st.booleans()):
+        for side in (0, 1):
+            U = np.eye(td, dtype=int)
+            for i, j, k in draw(st.lists(
+                    st.tuples(st.integers(0, td - 1), st.integers(0, td - 1),
+                              st.integers(-2, 2)), max_size=4)):
+                if i != j:
+                    E = np.eye(td, dtype=int)
+                    E[i, j] = k
+                    U = U @ E
+            A = U @ A if side == 0 else A @ U
+    return A, Grid(n, d)
+
+
+def brute_force_points(A, n):
+    """Distinct A m mod n over all m in Z_n^{2d}, in lexicographic order."""
+    td = A.shape[0]
+    mesh = np.stack(np.meshgrid(*[np.arange(n)] * td, indexing="ij"),
+                    axis=-1).reshape(-1, td)
+    return np.unique(np.mod(mesh @ A.T, n), axis=0)
+
+
+@SETTINGS
+@given(commensurate_generators())
+def test_hnf_enumeration_matches_brute_force(gen):
+    A, grid = gen
+    lat = enumerate_lattice(A, grid)
+    oracle = brute_force_points(A, grid.n)
+    assert np.array_equal(np.mod(lat.int_coords, grid.n), oracle)
+    assert np.array_equal(lat.int_coords, grid.wrap_index(oracle))
+
+
+@SETTINGS
+@given(commensurate_generators(), st.integers(0, 2 ** 32 - 1))
+def test_indices_of_round_trip_membership_and_periodicity(gen, seed):
+    A, grid = gen
+    n, td = grid.n, 2 * grid.d
+    lat = enumerate_lattice(A, grid)
+    idx = np.arange(lat.npoints)
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(lat.indices_of(lat.int_coords), idx)
+    shifts = n * rng.integers(-3, 4, size=lat.int_coords.shape)
+    assert np.array_equal(lat.indices_of(lat.int_coords + shifts), idx)
+    members = {tuple(row) for row in np.mod(lat.int_coords, n)}
+    for p in rng.integers(-n, 2 * n, size=(8, td)):
+        if tuple(np.mod(p, n)) in members:
+            i = lat.indices_of(p)
+            assert np.array_equal(np.mod(lat.int_coords[i], n), np.mod(p, n))
+        else:
+            try:
+                lat.indices_of(p)
+            except KeyError:
+                continue
+            raise AssertionError(f"{p} is not a lattice point")
+
+
+def per_shift_sum(tsym, spec, L):
+    """sum_{|nu| <= L} pi(nu) M_{a_nu}, one atom product per shift."""
+    lat = spec.lattice
+    n = lat.grid.n
+    where = {tuple(row): i for i, row in enumerate(np.mod(lat.int_coords, n))}
+    atoms = spec.atoms
+    chi_int = lat.int_coords[tsym.warp_idx]
+    out = np.zeros((atoms.shape[0], atoms.shape[0]), dtype=complex)
+    for k in np.flatnonzero(tsym.nu_norms <= L + 1e-12):
+        nu = lat.int_coords[tsym.nu_indices[k]]
+        lam = [where[tuple(row)] for row in np.mod(chi_int + nu, n)]
+        weights = tsym.a[k] * np.conj(tsym.c[k])
+        out += (atoms[:, lam] * weights[None, :]) @ atoms.conj().T
+    return out
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(st.sampled_from([(16, 2, 2), (32, 4, 2), (32, 2, 4), (64, 4, 4)]),
+       st.sampled_from([dilation_phase(2.0), perturbed_phase(0.1)]),
+       st.integers(0, 2 ** 16))
+def test_masked_assembly_matches_per_shift_sum(config, phase, seed):
+    n, a, b = config
+    grid = Grid(n)
+    spec = tighten(GaborFrameSpec(gaussian_window(grid),
+                                  separable_lattice(a, b, grid)))
+    cm = canonical_map(phase)
+    T = make_fio(phase, bandlimited_symbol(grid, 2, seed=seed), grid, cm)
+    tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
+    for L in (0, 1, 2, 4, tsym.nu_radius):
+        masked = assemble_truncated(tsym, spec, L)
+        assert np.max(np.abs(masked - per_shift_sum(tsym, spec, L))) < 1e-13

@@ -54,7 +54,7 @@ def test_commutation_factor_consistency():
     for _ in range(100):
         i, j = rng.integers(0, lat.npoints, 2)
         chi, nu = lat.int_coords[i], lat.int_coords[j]
-        tgt = lat.int_coords[lat.index_of(chi + nu)]
+        tgt = lat.int_coords[lat.indices_of(chi + nu)]
         lhs = tf_shift(g, PhasePoint.make(tgt[0] * grid.h, tgt[1] * grid.h))
         mid = tf_shift(g, PhasePoint.make(chi[0] * grid.h, chi[1] * grid.h))
         rhs = tf_shift(mid, PhasePoint.make(nu[0] * grid.h, nu[1] * grid.h))
