@@ -164,6 +164,7 @@ def _provenance(args, cfg):
         "command": args.command,
         "seed": args.seed if args.seed is not None else cfg.get("seed", 0),
         "threads": _resolve_threads(args),
+        "threads_applied": args.threads_applied,
     }
 
 
@@ -205,7 +206,8 @@ def cmd_frame_check(args):
         write_report(os.path.join(out, "report.json"), cfg, {},
                      {"frame_bounds": [lo, hi]},
                      {"is_frame": False}, _provenance(args, cfg))
-        return EXIT_NOT_A_FRAME
+        raise NotAFrameError(f"lower frame bound vanishes (bounds {lo:.3g}, "
+                             f"{hi:.3g})")
     tight = tighten(spec)
     dual = dual_window(spec)
     rng = np.random.default_rng(seed)
@@ -468,14 +470,16 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     threads = _resolve_threads(args)
     runner = COMMANDS[args.command]
+    args.threads_applied = None   # the BLAS limit in force, None if none
     try:
         if threads > 0:
             try:
                 from threadpoolctl import threadpool_limits
-                with threadpool_limits(limits=threads):
-                    return runner(args)
             except ImportError:
-                pass
+                return runner(args)
+            with threadpool_limits(limits=threads):
+                args.threads_applied = threads
+                return runner(args)
         return runner(args)
     except NotAFrameError as exc:
         return _fail_config([{"field": "lattice.generator",

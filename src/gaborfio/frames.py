@@ -11,6 +11,20 @@ the Hermite normal form of B (Cohen, A Course in Computational Algebraic
 Number Theory, 2.4) each coset has one representative 0 <= m_i < H_ii, so
 a point p is indexed arithmetically: the mixed-radix value of B p / n
 reduced modulo H, mapped by a rank array to lexicographic mod-n order.
+
+The frame operator is block-diagonal (Walnut 1992; Strohmer 1998).  Let
+M = {m : (0, m) in Lambda} be the pure modulations.  Because Lambda is a
+group, the points over one translation x form a coset (x, m_x) + (0, M),
+and summing e^{2 pi i m.(j - k)/n} over M gives |M| or 0, so
+
+    S[j, k] = |M| sum_x G0[j, x] conj(G0[k, x])  if j - k annihilates M,
+    S[j, k] = 0                                  otherwise,
+
+with G0 one atom pi(x, m_x) g per distinct translation.  This holds for
+every commensurate lattice, separable or not, in any d: S splits into |M|
+blocks of size n^d / |M|, one per coset of the annihilator of M (rows j
+with equal j.m mod n for all m in M).  Frame bounds, S^{-1/2} g and
+S^{-1} g come from one batched eigendecomposition of these blocks.
 """
 
 from dataclasses import dataclass, field
@@ -179,6 +193,7 @@ class GaborFrameSpec:
         self.window = Signal(window.grid, window.values / scale)
         self.lattice = lattice
         self._atoms = None
+        self._blocks = None
         self._S = None
         self._eig = None
         self._tight = None
@@ -194,26 +209,56 @@ class GaborFrameSpec:
         return GaborFrameSpec(window, self.lattice, normalize=normalize)
 
 
+def _walnut_blocks(spec: GaborFrameSpec):
+    """Coset permutation and stacked diagonal blocks of the frame operator.
+
+    Returns (perm, blocks): the rows perm[k s:(k+1) s] are the k-th coset
+    of the annihilator of the pure modulations M, and blocks[k] is S on
+    those rows and columns, |M| G0 G0^H over one atom per translation.
+    """
+    if spec._blocks is None:
+        lat = spec.lattice
+        n, d = lat.grid.n, lat.grid.d
+        ic = np.mod(lat.int_coords, n)
+        M = ic[~np.any(ic[:, :d], axis=1), d:]
+        _, first = np.unique(ic[:, :d], axis=0, return_index=True)
+        G0 = build_atoms(spec.window, lat.int_coords[first])
+        j = np.indices((n,) * d).reshape(d, -1).T
+        _, label = np.unique((j @ M.T) % n, axis=0, return_inverse=True)
+        perm = np.argsort(label.ravel(), kind="stable")
+        G0b = G0[perm].reshape(M.shape[0], -1, G0.shape[1])
+        spec._blocks = perm, M.shape[0] * (G0b @ G0b.conj().transpose(0, 2, 1))
+    return spec._blocks
+
+
 def frame_operator(spec: GaborFrameSpec) -> np.ndarray:
-    """Dense frame operator S = sum_lambda pi(lambda) g (pi(lambda) g)^H."""
+    """Dense frame operator S = sum_lambda pi(lambda) g (pi(lambda) g)^H.
+
+    Scattered from the Walnut blocks; the frame computations below work on
+    the blocks and never form S.
+    """
     if spec._S is None:
-        G = spec.atoms
-        S = G @ G.conj().T
+        perm, blocks = _walnut_blocks(spec)
+        rows = perm.reshape(blocks.shape[:2])
+        S = np.zeros((perm.size, perm.size), dtype=complex)
+        S[rows[:, :, None], rows[:, None, :]] = blocks
         spec._S = 0.5 * (S + S.conj().T)
     return spec._S
 
 
 def _eigendecomposition(spec: GaborFrameSpec):
+    """(perm, w, V): one batched Hermitian eigendecomposition of the blocks."""
     if spec._eig is None:
-        spec._eig = scipy.linalg.eigh(frame_operator(spec))
+        perm, blocks = _walnut_blocks(spec)
+        spec._eig = (perm, *np.linalg.eigh(blocks))
     return spec._eig
 
 
 def frame_bounds(spec: GaborFrameSpec):
     """Extremal eigenvalues (A_lo, B_hi) of the frame operator."""
-    evals, _ = _eigendecomposition(spec)
-    lo = float(max(evals[0], 0.0))
-    hi = float(evals[-1])
+    _, evals, _ = _eigendecomposition(spec)
+    lo = float(max(evals.min(), 0.0))
+    hi = float(evals.max())
     return lo, hi
 
 
@@ -227,14 +272,23 @@ def is_parseval(spec: GaborFrameSpec, tol: float = 1e-8) -> bool:
     return abs(lo - 1.0) < tol and abs(hi - 1.0) < tol
 
 
+def _frame_power_window(spec: GaborFrameSpec, p: float) -> Signal:
+    """S^p g, blockwise V diag(w^p) V^H over the cosets."""
+    perm, w, V = _eigendecomposition(spec)
+    g = spec.window.values[perm].reshape(w.shape)
+    c = np.einsum("kji,kj->ki", V.conj(), g)
+    y = np.einsum("kij,kj->ki", V, w ** p * c)
+    out = np.empty(perm.size, dtype=complex)
+    out[perm] = y.ravel()
+    return Signal(spec.window.grid, out)
+
+
 def canonical_tight_window(spec: GaborFrameSpec) -> Signal:
     """Parseval window g_t = S^{-1/2} g via Hermitian eigendecomposition."""
     if spec._tight is None:
         if not is_frame(spec):
             raise NotAFrameError("lower frame bound vanishes; cannot tighten")
-        evals, vecs = _eigendecomposition(spec)
-        inv_sqrt = vecs @ np.diag(evals ** -0.5) @ vecs.conj().T
-        spec._tight = Signal(spec.window.grid, inv_sqrt @ spec.window.values)
+        spec._tight = _frame_power_window(spec, -0.5)
     return spec._tight
 
 
@@ -243,9 +297,7 @@ def dual_window(spec: GaborFrameSpec) -> Signal:
     if spec._dual is None:
         if not is_frame(spec):
             raise NotAFrameError("lower frame bound vanishes; no dual window")
-        S = frame_operator(spec)
-        spec._dual = Signal(spec.window.grid,
-                            np.linalg.solve(S, spec.window.values))
+        spec._dual = _frame_power_window(spec, -1.0)
     return spec._dual
 
 

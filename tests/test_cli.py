@@ -1,9 +1,15 @@
+import contextlib
+import hashlib
 import json
+import math
 import os
+import sys
+import types
 
+import numpy as np
 import pytest
 
-from gaborfio.cli import main
+from gaborfio.cli import main, _write_csv
 
 
 def write_cfg(tmp_path, name, doc):
@@ -70,8 +76,8 @@ def test_not_a_frame_exit_2(tmp_path):
     assert rep["verdicts"]["is_frame"] is False
 
 
-@pytest.mark.parametrize("command",
-                         ["decay-scan", "approximate", "dilation-demo"])
+@pytest.mark.parametrize("command", ["frame-check", "decay-scan",
+                                     "approximate", "dilation-demo"])
 def test_not_a_frame_exit_2_with_error_list(tmp_path, capsys, command):
     doc = decay_cfg(gen=((16, 0), (0, 16)))            # 16 atoms in dim 64
     doc["L_list"] = [1, 2, 4]
@@ -200,6 +206,36 @@ def test_threads_env_and_flag(tmp_path, monkeypatch):
     assert rep["provenance"]["threads"] == 1
 
 
+def test_threads_applied_null_without_threadpoolctl(tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)   # ImportError
+    cfg = write_cfg(tmp_path, "c.json", BASE)
+    assert main(["frame-check", "--config", cfg, "--out", str(tmp_path),
+                 "--threads", "1"]) == 0
+    prov = json.loads((tmp_path / "report.json").read_text())["provenance"]
+    assert prov["threads"] == 1 and prov["threads_applied"] is None
+
+
+def test_threads_applied_records_the_limit(tmp_path, monkeypatch):
+    seen = []
+
+    @contextlib.contextmanager
+    def threadpool_limits(limits=None):
+        seen.append(limits)
+        yield
+
+    fake = types.ModuleType("threadpoolctl")
+    fake.threadpool_limits = threadpool_limits
+    monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+    monkeypatch.delenv("GABORFIO_THREADS", raising=False)
+    cfg = write_cfg(tmp_path, "c.json", BASE)
+    for flags, applied in (([], None), (["--threads", "2"], 2)):
+        assert main(["frame-check", "--config", cfg, "--out", str(tmp_path),
+                     *flags]) == 0
+        prov = json.loads((tmp_path / "report.json").read_text())["provenance"]
+        assert prov["threads_applied"] == applied
+    assert seen == [2]
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", BASE)
     out = str(tmp_path / "out")
@@ -207,3 +243,40 @@ def test_seed_flag_overrides_config(tmp_path):
                  "--seed", "7"]) == 0
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
     assert rep["provenance"]["seed"] == 7
+
+
+# Golden bytes of the CSV writer, so a faster formatter can be checked for
+# byte identity: Python and numpy ints and floats, bool, negative zero,
+# subnormals, non-finite values and strings.
+CSV_EDGE_ROWS = [
+    (0, 1, -0.0, "a"),
+    (np.int64(7), True, 2 ** 60, "x y"),
+    (np.float64(0.1), 1 / 3, np.float32(0.1), "-0"),
+    (5e-324, np.float64(-2.2250738585072014e-308), -1e-310, "sub"),
+    (float("inf"), np.float64("-inf"), float("nan"), ""),
+]
+CSV_EDGE_TEXT = """i,a,b,s
+0,1,-0,a
+7,1,1.152921504606847e+18,x y
+0.10000000000000001,0.33333333333333331,0.10000000149011612,-0
+4.9406564584124654e-324,-2.2250738585072014e-308,-9.9999999999999694e-311,sub
+inf,-inf,nan,
+"""
+CSV_BULK_SHA256 = \
+    "8ba8aa50743516eccf19bb408b2f33a63114930581b1e6e54690f2ce0bf41cfc"
+
+
+def csv_bulk_rows():
+    """600 rows of exactly representable values (no libm calls)."""
+    for k in range(600):
+        yield (k, math.ldexp((k + 1) / 7.0 - 3.0, k % 100 - 50),
+               np.float64(math.ldexp(k, -1074)), -k / 3.0, f"r{k}")
+
+
+def test_write_csv_golden_bytes(tmp_path):
+    _write_csv(tmp_path / "edge.csv", ["i", "a", "b", "s"], CSV_EDGE_ROWS)
+    assert (tmp_path / "edge.csv").read_bytes() == CSV_EDGE_TEXT.encode()
+    _write_csv(tmp_path / "bulk.csv", ["k", "x", "sub", "neg", "s"],
+               csv_bulk_rows())
+    digest = hashlib.sha256((tmp_path / "bulk.csv").read_bytes()).hexdigest()
+    assert digest == CSV_BULK_SHA256

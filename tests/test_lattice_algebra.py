@@ -22,15 +22,16 @@ SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
 
 @st.composite
-def commensurate_generators(draw):
+def commensurate_generators(draw, sizes=((8, 12, 16, 24, 32), (8, 12))):
     """(A, grid) with A = U D V: U, V unimodular, D diagonal dividing n.
 
     Every integer A with n A^{-1} integral has such a Smith form, so the
     strategy reaches non-diagonal generators of every shape; half of the
-    draws keep U = V = I, a diagonal generator.
+    draws keep U = V = I, a diagonal generator.  sizes[d - 1] lists the
+    grid sizes n drawn for dimension d.
     """
     d = draw(st.sampled_from([1, 2]))
-    n = draw(st.sampled_from([8, 12, 16, 24, 32] if d == 1 else [8, 12]))
+    n = draw(st.sampled_from(sizes[d - 1]))
     td = 2 * d
     divisors = [k for k in range(1, n + 1) if n % k == 0]
     D = np.diag(draw(st.lists(st.sampled_from(divisors), min_size=td,
