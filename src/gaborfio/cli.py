@@ -3,7 +3,8 @@
 Subcommands: frame-check, decay-scan, approximate, dilation-demo,
 warp-frame.  Each run reads a JSON config, writes CSV data files plus a
 report.json into --out, and is deterministic given (config, seed): CSV
-bodies are byte-identical across reruns.
+bodies are byte-identical across reruns.  One builder checks every config
+field before any computation starts.
 
 Exit codes: 0 success, 1 config error, 2 not a frame, 3 insufficient
 decay range, 4 extraction-radius error.
@@ -11,21 +12,24 @@ decay range, 4 extraction-radius error.
 
 import argparse
 import json
+import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .core import Grid, Signal, Weight, random_signal
+from .core import Grid, Weight, random_signal
 from .windows import make_window, WINDOW_KINDS
 from .frames import (GaborFrameSpec, enumerate_lattice, frame_bounds,
-                     is_frame, tighten, dual_window, analysis, LatticeError,
-                     NotAFrameError)
+                     is_frame, tighten, dual_window, analysis,
+                     warped_frame_check, LatticeError, NotAFrameError)
 from .phases import BUILTIN_PHASES, canonical_map
 from .fio import (make_fio, constant_symbol, bandlimited_symbol,
                   weighted_symbol, gabor_matrix, decay_envelope_fit,
-                  transport_argmax_check, InsufficientDecayRangeError)
+                  transport_argmax_check, InsufficientDecayRangeError,
+                  MAX_DENSE_SIZE)
 from .multiplier import (extract_symbols, assemble_truncated,
                          truncation_error_curve, full_nu_radius,
                          ExtractionRadiusError)
@@ -39,101 +43,200 @@ EXIT_NOT_A_FRAME = 2
 EXIT_DECAY_RANGE = 3
 EXIT_EXTRACTION_RADIUS = 4
 
+# The subcommands that build the dense n^d x n^d FIO matrix.
+FIO_COMMANDS = ("decay-scan", "approximate", "dilation-demo")
+
+# What the config part constructors raise on a value they cannot use
+# (float(10**400) raises OverflowError, a symbol's N = 0 ZeroDivisionError).
+_BAD_VALUE = (ValueError, TypeError, ArithmeticError)
+
+SYMBOL_KINDS = {
+    "constant": lambda grid, seed, params: constant_symbol(
+        grid, complex(params.get("value", 1.0))),
+    "bandlimited": lambda grid, seed, params: bandlimited_symbol(
+        grid, float(params["N"]), seed=int(params.get("seed", seed))),
+    "weighted": lambda grid, seed, params: weighted_symbol(
+        grid, float(params["s"]), seed=int(params.get("seed", seed))),
+}
+
 
 # ---------------------------------------------------------------- config
 
-def _load_json(path, errors):
+class ConfigError(Exception):
+    """Every problem found in a config, as {"field", "error"} records."""
+
+    def __init__(self):
+        self.errors = []
+
+    def add(self, field, error):
+        """Record one problem; returns None, for the caller to return."""
+        self.errors.append({"field": field, "error": error})
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _load_json(path, problems):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
-        errors.append({"field": "--config", "error": str(exc)})
-    except json.JSONDecodeError as exc:
-        errors.append({"field": "--config", "error": f"invalid JSON: {exc}"})
-    return None
+        return problems.add("--config", str(exc))
+    except ValueError as exc:
+        return problems.add("--config", f"invalid JSON: {exc}")
+    return _object(cfg, "--config", problems)
 
 
-def _build_grid(cfg, errors):
-    g = cfg.get("grid", {})
-    n = g.get("n")
-    d = g.get("d", 1)
-    if not isinstance(n, int) or n < 8:
-        errors.append({"field": "grid.n", "error": "integer >= 8 required"})
+def _object(value, field, problems):
+    """value if it is a JSON object, else None and a problem for field."""
+    if isinstance(value, dict):
+        return value
+    return problems.add(field, "JSON object required")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value, field, problems, low=-math.inf, strict=False):
+    """value as a float if it is a finite number >= low (> low if strict)."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (value > low if strict else value >= low)):
+        return float(value)
+    return problems.add(field, f"a finite number {'>' if strict else '>='} "
+                               f"{low:g} required")
+
+
+def _resolve_seed(args, cfg, problems):
+    """The --seed flag, else the config's seed, else 0; 0 after a problem."""
+    field, seed = "--seed", args.seed
+    if seed is None:
+        field, seed = "seed", cfg.get("seed", 0)
+    if _is_int(seed) and seed >= 0:
+        return seed
+    problems.add(field, "non-negative integer required")
+    return 0
+
+
+def _build_grid(cfg, problems):
+    g = _object(cfg.get("grid", {}), "grid", problems)
+    if g is None:
         return None
-    if d not in (1, 2):
-        errors.append({"field": "grid.d", "error": "d must be 1 or 2"})
-        return None
+    n, d = g.get("n"), g.get("d", 1)
+    if not _is_int(n) or n < 8:
+        return problems.add("grid.n", "integer >= 8 required")
+    if not _is_int(d) or d not in (1, 2):
+        return problems.add("grid.d", "d must be 1 or 2")
     return Grid(n, d)
 
 
-def _build_window(cfg, grid, errors):
-    w = cfg.get("window", {})
-    kind = w.get("kind")
-    if kind not in WINDOW_KINDS:
-        errors.append({"field": "window.kind",
-                       "error": f"must be one of {sorted(WINDOW_KINDS)}"})
+def _build_kind(cfg, section, kinds, problems, *args, default=None):
+    """kinds[kind](*args, params) for a {"kind", "params"} config section."""
+    sec = _object(cfg.get(section, default or {}), section, problems)
+    if sec is None:
         return None
+    kind = sec.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        return problems.add(f"{section}.kind",
+                            f"must be one of {sorted(kinds)}")
+    params = _object(sec.get("params", {}), f"{section}.params", problems)
     try:
-        return make_window(grid, kind, w.get("params", {}))
-    except (ValueError, TypeError) as exc:
-        errors.append({"field": "window.params", "error": str(exc)})
-        return None
+        return None if params is None else kinds[kind](*args, params)
+    except KeyError as exc:
+        return problems.add(f"{section}.params", f"missing {exc}")
+    except _BAD_VALUE as exc:
+        return problems.add(f"{section}.params", str(exc))
 
 
-def _build_lattice(cfg, grid, errors):
-    lcfg = cfg.get("lattice", {})
-    gen = lcfg.get("generator")
-    units = lcfg.get("units", "grid")
-    if units != "grid":
-        errors.append({"field": "lattice.units",
-                       "error": "only 'grid' units are supported"})
+def _build_lattice(cfg, grid, problems):
+    lcfg = _object(cfg.get("lattice", {}), "lattice", problems)
+    if lcfg is None:
         return None
-    if gen is None:
-        errors.append({"field": "lattice.generator", "error": "required"})
-        return None
+    if lcfg.get("units", "grid") != "grid":
+        return problems.add("lattice.units", "only 'grid' units are supported")
+    if lcfg.get("generator") is None:
+        return problems.add("lattice.generator", "required")
+    return _enumerate(lcfg["generator"], grid, "lattice.generator", problems)
+
+
+def _enumerate(gen, grid, field, problems):
     try:
         return enumerate_lattice(np.asarray(gen, dtype=float), grid)
-    except (LatticeError, ValueError) as exc:
-        errors.append({"field": "lattice.generator", "error": str(exc)})
-        return None
+    except (LatticeError, *_BAD_VALUE) as exc:
+        return problems.add(field, f"{gen}: {exc}")
 
 
-def _build_phase(cfg, errors):
-    p = cfg.get("phase", {})
-    kind = p.get("kind")
-    if kind not in BUILTIN_PHASES:
-        errors.append({"field": "phase.kind",
-                       "error": f"must be one of {sorted(BUILTIN_PHASES)}"})
-        return None
-    try:
-        return BUILTIN_PHASES[kind](p.get("params", {}))
-    except (ValueError, TypeError) as exc:
-        errors.append({"field": "phase.params", "error": str(exc)})
-        return None
+def _configure(args):
+    """Load, build and validate the config of args.command before any work.
 
-
-def _build_symbol(cfg, grid, seed, errors):
-    s = cfg.get("symbol", {"kind": "constant"})
-    kind = s.get("kind")
-    params = s.get("params", {})
-    try:
-        if kind == "constant":
-            return constant_symbol(grid, complex(params.get("value", 1.0)))
-        if kind == "bandlimited":
-            return bandlimited_symbol(grid, float(params["N"]),
-                                      seed=int(params.get("seed", seed)))
-        if kind == "weighted":
-            return weighted_symbol(grid, float(params["s"]),
-                                   seed=int(params.get("seed", seed)))
-    except KeyError as exc:
-        errors.append({"field": "symbol.params", "error": f"missing {exc}"})
-        return None
-    except (ValueError, TypeError) as exc:
-        errors.append({"field": "symbol.params", "error": str(exc)})
-        return None
-    errors.append({"field": "symbol.kind",
-                   "error": "must be constant, bandlimited, or weighted"})
-    return None
+    Returns the parts the subcommand runs on as attributes; raises one
+    ConfigError with every problem found.
+    """
+    problems = ConfigError()
+    cfg = _load_json(args.config, problems)
+    if cfg is None:
+        raise problems
+    command = args.command
+    run = SimpleNamespace(cfg=cfg, seed=_resolve_seed(args, cfg, problems))
+    grid = run.grid = _build_grid(cfg, problems)
+    if grid and command in FIO_COMMANDS and (grid.d != 1
+                                             or grid.size > MAX_DENSE_SIZE):
+        # The dense FIO matrix exists only for d = 1, n <= MAX_DENSE_SIZE.
+        problems.add("grid", f"{command} needs d = 1 and n <= {MAX_DENSE_SIZE}")
+        grid = None
+    demo = command == "dilation-demo"
+    kinds = {"gaussian": WINDOW_KINDS["gaussian"]} if demo else WINDOW_KINDS
+    run.window = _build_kind(cfg, "window", kinds, problems, grid) if grid \
+        else None
+    run.lattice = _build_lattice(cfg, grid, problems) if grid else None
+    if command != "frame-check":
+        kinds = {"dilation": BUILTIN_PHASES["dilation"]} if demo \
+            else BUILTIN_PHASES
+        run.phase = _build_kind(cfg, "phase", kinds, problems)
+        if run.phase and grid and run.phase.d != grid.d:
+            problems.add("phase.params", f"phase is d = {run.phase.d}, "
+                                         f"grid is d = {grid.d}")
+    if command in ("decay-scan", "approximate"):
+        run.symbol = _build_kind(cfg, "symbol", SYMBOL_KINDS, problems, grid,
+                                 run.seed, default={"kind": "constant"}) \
+            if grid else None
+    if command == "decay-scan":
+        run.s_claim = _number(cfg.get("s_claim"), "s_claim", problems)
+    elif command == "approximate":
+        run.L_list = cfg.get("L_list")
+        if not isinstance(run.L_list, list) or len(run.L_list) < 3:
+            problems.add("L_list", "list of at least 3 numeric radii required")
+        else:
+            for L in run.L_list:
+                _number(L, "L_list", problems, low=0, strict=True)
+        run.nu_radius = cfg.get("nu_radius")   # None: every lattice shift
+        if run.nu_radius is not None:
+            run.nu_radius = _number(run.nu_radius, "nu_radius", problems, low=0)
+        run.p = _number(cfg.get("p", 2.0), "p", problems, low=1)
+        run.weight_s = _number(cfg.get("weight_s", 0.0), "weight_s", problems,
+                               low=0)
+    elif demo:
+        if run.phase:
+            run.s = _number(cfg["phase"].get("params", {}).get("s", 2.0),
+                            "phase.params.s", problems, low=0, strict=True)
+        A = run.lattice.A if run.lattice else np.zeros((2, 2))
+        if np.count_nonzero(A - np.diag(np.diag(A))):
+            problems.add("lattice.generator",
+                         "dilation-demo needs a separable diag(a, b) lattice")
+        run.nu_radius = _number(cfg.get("nu_radius", 3.0), "nu_radius",
+                                problems, low=0)
+    elif command == "warp-frame":
+        sweep = cfg.get("density_sweep", [])
+        if not isinstance(sweep, list):
+            sweep = problems.add("density_sweep",
+                                 "list of lattice generators required") or []
+        run.sweep = [_enumerate(gen, grid, "density_sweep", problems)
+                     for gen in sweep] if grid else []
+    if problems.errors:
+        raise problems
+    return run
 
 
 def _fail_config(errors, code=EXIT_CONFIG):
@@ -157,21 +260,14 @@ def _write_csv(path, header, rows):
                               else str(v) for v in row) + "\n")
 
 
-def _provenance(args, cfg):
-    return {
-        "package": "gaborfio",
-        "version": __version__,
-        "command": args.command,
-        "seed": args.seed if args.seed is not None else cfg.get("seed", 0),
-        "threads": _resolve_threads(args),
-        "threads_applied": args.threads_applied,
-    }
-
-
-def _resolve_seed(args, cfg):
-    if args.seed is not None:
-        return int(args.seed)
-    return int(cfg.get("seed", 0))
+def _report(args, run, slopes, norms, verdicts):
+    """Write report.json: the config, the results and the provenance."""
+    provenance = {"package": "gaborfio", "version": __version__,
+                  "command": args.command, "seed": run.seed,
+                  "threads": _resolve_threads(args),
+                  "threads_applied": args.threads_applied}
+    write_report(os.path.join(args.out, "report.json"), run.cfg, slopes,
+                 norms, verdicts, provenance)
 
 
 def _resolve_threads(args):
@@ -188,187 +284,104 @@ def _resolve_threads(args):
 
 # ---------------------------------------------------------------- commands
 
-def cmd_frame_check(args):
-    errors = []
-    cfg = _load_json(args.config, errors)
-    if cfg is None:
-        return _fail_config(errors)
-    grid = _build_grid(cfg, errors)
-    window = _build_window(cfg, grid, errors) if grid else None
-    lattice = _build_lattice(cfg, grid, errors) if grid else None
-    if errors:
-        return _fail_config(errors)
-    seed = _resolve_seed(args, cfg)
-    spec = GaborFrameSpec(window, lattice)
+def cmd_frame_check(args, run):
+    spec = GaborFrameSpec(run.window, run.lattice)
     lo, hi = frame_bounds(spec)
-    out = args.out
     if not is_frame(spec):
-        write_report(os.path.join(out, "report.json"), cfg, {},
-                     {"frame_bounds": [lo, hi]},
-                     {"is_frame": False}, _provenance(args, cfg))
+        _report(args, run, {}, {"frame_bounds": [lo, hi]}, {"is_frame": False})
         raise NotAFrameError(f"lower frame bound vanishes (bounds {lo:.3g}, "
                              f"{hi:.3g})")
     tight = tighten(spec)
     dual = dual_window(spec)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(run.seed)
     resid = 0.0
     for _ in range(20):
-        f = random_signal(grid, rng)
+        f = random_signal(run.grid, rng)
         c = analysis(f, tight)
         resid = max(resid, abs(float(np.sum(np.abs(c) ** 2)) - f.norm() ** 2)
                     / f.norm() ** 2)
-    idx = np.arange(grid.size)
-    _write_csv(os.path.join(out, "tight_window.csv"),
+    idx = np.arange(run.grid.size)
+    _write_csv(os.path.join(args.out, "tight_window.csv"),
                ["index", "re", "im"],
                zip(idx, tight.window.values.real, tight.window.values.imag))
-    _write_csv(os.path.join(out, "dual_window.csv"),
+    _write_csv(os.path.join(args.out, "dual_window.csv"),
                ["index", "re", "im"],
                zip(idx, dual.values.real, dual.values.imag))
     tlo, thi = frame_bounds(tight)
-    write_report(os.path.join(out, "report.json"), cfg, {},
-                 {"frame_bounds": [lo, hi], "tight_bounds": [tlo, thi],
-                  "parseval_residual": resid},
-                 {"is_frame": True, "parseval_ok": resid < 1e-8},
-                 _provenance(args, cfg))
+    _report(args, run, {},
+            {"frame_bounds": [lo, hi], "tight_bounds": [tlo, thi],
+             "parseval_residual": resid},
+            {"is_frame": True, "parseval_ok": resid < 1e-8})
     return EXIT_OK
 
 
-def cmd_decay_scan(args):
-    errors = []
-    cfg = _load_json(args.config, errors)
-    if cfg is None:
-        return _fail_config(errors)
-    grid = _build_grid(cfg, errors)
-    window = _build_window(cfg, grid, errors) if grid else None
-    lattice = _build_lattice(cfg, grid, errors) if grid else None
-    phase = _build_phase(cfg, errors)
-    seed = _resolve_seed(args, cfg) if cfg else 0
-    symbol = _build_symbol(cfg, grid, seed, errors) if grid else None
-    s_claim = cfg.get("s_claim")
-    if not isinstance(s_claim, (int, float)):
-        errors.append({"field": "s_claim", "error": "numeric s_claim required"})
-    if errors:
-        return _fail_config(errors)
-    spec = tighten(GaborFrameSpec(window, lattice))
-    cm = canonical_map(phase)
-    T = make_fio(phase, symbol, grid, cm)
+def cmd_decay_scan(args, run):
+    spec = tighten(GaborFrameSpec(run.window, run.lattice))
+    cm = canonical_map(run.phase)
+    T = make_fio(run.phase, run.symbol, run.grid, cm)
     G = gabor_matrix(T, spec)
-    out = args.out
     dists, bound = transport_argmax_check(G, cm)
+    transport = {"transport_max_dist": float(np.max(dists)),
+                 "transport_bound": bound}
     try:
-        rep = decay_envelope_fit(G, cm, float(s_claim))
+        rep = decay_envelope_fit(G, cm, run.s_claim)
     except InsufficientDecayRangeError as exc:
-        write_report(os.path.join(out, "report.json"), cfg, {},
-                     {"transport_max_dist": float(np.max(dists)),
-                      "transport_bound": bound},
-                     {"error": str(exc)}, _provenance(args, cfg))
+        _report(args, run, {}, transport, {"error": str(exc)})
         return EXIT_DECAY_RANGE
-    _write_csv(os.path.join(out, "decay_bins.csv"),
+    _write_csv(os.path.join(args.out, "decay_bins.csv"),
                ["distance", "max_abs_G"],
                [(np.exp(lx), np.exp(ly)) for lx, ly in rep.pairs])
-    write_report(os.path.join(out, "report.json"), cfg,
-                 {"envelope": rep.to_dict()},
-                 {"transport_max_dist": float(np.max(dists)),
-                  "transport_bound": bound},
-                 {"decay_ok": rep.verdict,
-                  "transport_ok": bool(np.max(dists) <= bound)},
-                 _provenance(args, cfg))
+    _report(args, run, {"envelope": rep.to_dict()}, transport,
+            {"decay_ok": rep.verdict,
+             "transport_ok": bool(np.max(dists) <= bound)})
     return EXIT_OK
 
 
-def cmd_approximate(args):
-    errors = []
-    cfg = _load_json(args.config, errors)
-    if cfg is None:
-        return _fail_config(errors)
-    grid = _build_grid(cfg, errors)
-    window = _build_window(cfg, grid, errors) if grid else None
-    lattice = _build_lattice(cfg, grid, errors) if grid else None
-    phase = _build_phase(cfg, errors)
-    seed = _resolve_seed(args, cfg) if cfg else 0
-    symbol = _build_symbol(cfg, grid, seed, errors) if grid else None
-    L_list = cfg.get("L_list")
-    if (not isinstance(L_list, list) or len(L_list) < 3
-            or not all(isinstance(L, (int, float)) for L in L_list)):
-        errors.append({"field": "L_list",
-                       "error": "list of at least 3 numeric radii required"})
-    if errors:
-        return _fail_config(errors)
-    spec = tighten(GaborFrameSpec(window, lattice))
-    cm = canonical_map(phase)
-    T = make_fio(phase, symbol, grid, cm)
-    nu_radius = float(cfg.get("nu_radius", full_nu_radius(spec)))
-    p = float(cfg.get("p", 2.0))
-    m = Weight("polynomial", float(cfg.get("weight_s", 0.0)))
-    out = args.out
+def cmd_approximate(args, run):
+    spec = tighten(GaborFrameSpec(run.window, run.lattice))
+    cm = canonical_map(run.phase)
+    T = make_fio(run.phase, run.symbol, run.grid, cm)
+    nu_radius = full_nu_radius(spec) if run.nu_radius is None else run.nu_radius
     try:
         tsym = extract_symbols(T, spec, cm, nu_radius)
-        curve, slope = truncation_error_curve(T, tsym, spec, L_list,
-                                              p=p, m=m, seed=seed)
+        curve, slope = truncation_error_curve(
+            T, tsym, spec, run.L_list, p=run.p,
+            m=Weight("polynomial", run.weight_s), seed=run.seed)
         full = assemble_truncated(tsym, spec, tsym.nu_radius)
     except ExtractionRadiusError as exc:
-        write_report(os.path.join(out, "report.json"), cfg, {}, {},
-                     {"error": str(exc)}, _provenance(args, cfg))
+        _report(args, run, {}, {}, {"error": str(exc)})
         return EXIT_EXTRACTION_RADIUS
     resid = float(np.max(np.abs(fio_matrix(T) - full)))
-    _write_csv(os.path.join(out, "truncation_error.csv"),
+    _write_csv(os.path.join(args.out, "truncation_error.csv"),
                ["L", "error"], curve)
     nonincr = all(curve[i + 1][1] <= curve[i][1] + 1e-10
                   for i in range(len(curve) - 1))
-    write_report(os.path.join(out, "report.json"), cfg,
-                 {"truncation_slope": slope},
-                 {"full_reconstruction_residual_max": resid},
-                 {"non_increasing": nonincr,
-                  "full_reconstruction_ok": resid < 1e-9},
-                 _provenance(args, cfg))
+    _report(args, run, {"truncation_slope": slope},
+            {"full_reconstruction_residual_max": resid},
+            {"non_increasing": nonincr,
+             "full_reconstruction_ok": resid < 1e-9})
     return EXIT_OK
 
 
-def cmd_dilation_demo(args):
-    errors = []
-    cfg = _load_json(args.config, errors)
-    if cfg is None:
-        return _fail_config(errors)
-    grid = _build_grid(cfg, errors)
-    window_cfg = cfg.get("window", {"kind": "gaussian"})
-    if window_cfg.get("kind") != "gaussian":
-        errors.append({"field": "window.kind",
-                       "error": "dilation-demo requires the gaussian window"})
-    phase_cfg = cfg.get("phase", {})
-    if phase_cfg.get("kind") != "dilation":
-        errors.append({"field": "phase.kind",
-                       "error": "dilation-demo requires the dilation phase"})
-    if grid is not None and grid.d != 1:
-        errors.append({"field": "grid.d", "error": "dilation-demo is d = 1"})
-    window = _build_window(cfg, grid, errors) if grid else None
-    lattice = _build_lattice(cfg, grid, errors) if grid else None
-    phase = _build_phase(cfg, errors)
-    if errors:
-        return _fail_config(errors)
-    s = float(phase_cfg.get("params", {}).get("s", 2.0))
-    A = np.asarray(lattice.A, dtype=float)
-    if np.max(np.abs(A - np.diag(np.diag(A)))) > 0:
-        return _fail_config([{"field": "lattice.generator",
-                              "error": "dilation-demo needs a separable "
-                                       "diag(a, b) lattice"}])
-    a_steps, b_steps = int(A[0, 0]), int(A[1, 1])
+def cmd_dilation_demo(args, run):
+    grid, lattice = run.grid, run.lattice
+    a_steps, b_steps = int(lattice.A[0, 0]), int(lattice.A[1, 1])
     alpha, beta = a_steps * grid.h, b_steps * grid.h
-    spec = tighten(GaborFrameSpec(window, lattice))
+    spec = tighten(GaborFrameSpec(run.window, lattice))
     # Calibrate the tight window against the unit Gaussian: at moderate
     # redundancy it is a scalar multiple rho of the window to ~1e-10.
     u = make_window(grid, "gaussian").values
     rho = float(np.real(np.vdot(u, spec.window.values)) / np.vdot(u, u).real)
-    cm = canonical_map(phase)
-    T = make_fio(phase, constant_symbol(grid), grid, cm)
-    nu_radius = float(cfg.get("nu_radius", 3.0))
-    tsym = extract_symbols(T, spec, cm, nu_radius)
+    cm = canonical_map(run.phase)
+    T = make_fio(run.phase, constant_symbol(grid), grid, cm)
+    tsym = extract_symbols(T, spec, cm, run.nu_radius)
     mu_int = lattice.int_coords
     nu_int = lattice.int_coords[tsym.nu_indices]
     k = mu_int[:, 0] / a_steps
     l = mu_int[:, 1] / b_steps
     kp = nu_int[:, 0] / a_steps
     lp = nu_int[:, 1] / b_steps
-    closed = dilation_symbol_closed_form(s, alpha, beta, k[None, :],
+    closed = dilation_symbol_closed_form(run.s, alpha, beta, k[None, :],
                                          l[None, :], kp[:, None], lp[:, None])
     numeric = tsym.a * grid.h / rho ** 2
     camp = np.abs(closed).ravel()
@@ -391,55 +404,34 @@ def cmd_dilation_demo(args):
     cr, nr = closed.ravel(), numeric.ravel()
     rows = [(kk[i], ll[i], kkp[i], llp[i], cr[i].real, cr[i].imag,
              nr[i].real, nr[i].imag, abs(nr[i] - cr[i])) for i in strong]
-    out = args.out
-    _write_csv(os.path.join(out, "dilation_symbols.csv"),
+    _write_csv(os.path.join(args.out, "dilation_symbols.csv"),
                ["k", "l", "kp", "lp", "closed_form_re", "closed_form_im",
                 "numeric_re", "numeric_im", "abs_err"], rows)
-    write_report(os.path.join(out, "report.json"), cfg, {},
-                 {"max_relative_error_99pct": max_rel,
-                  "commutation_modulus_deviation": c_mod_dev,
-                  "calibration_rho": rho},
-                 {"closed_form_ok": max_rel < 5e-2,
-                  "unimodular_ok": c_mod_dev < 1e-12},
-                 _provenance(args, cfg))
+    _report(args, run, {},
+            {"max_relative_error_99pct": max_rel,
+             "commutation_modulus_deviation": c_mod_dev,
+             "calibration_rho": rho},
+            {"closed_form_ok": max_rel < 5e-2,
+             "unimodular_ok": c_mod_dev < 1e-12})
     return EXIT_OK
 
 
-def cmd_warp_frame(args):
-    errors = []
-    cfg = _load_json(args.config, errors)
-    if cfg is None:
-        return _fail_config(errors)
-    grid = _build_grid(cfg, errors)
-    window = _build_window(cfg, grid, errors) if grid else None
-    lattice = _build_lattice(cfg, grid, errors) if grid else None
-    phase = _build_phase(cfg, errors)
-    if errors:
-        return _fail_config(errors)
-    from .frames import warped_frame_check
-    cm = canonical_map(phase)
-    rep = warped_frame_check(window, lattice, cm.forward)
-    sweep_cfg = cfg.get("density_sweep", [])
+def cmd_warp_frame(args, run):
+    cm = canonical_map(run.phase)
+    rep = warped_frame_check(run.window, run.lattice, cm.forward)
     sweep_rows = []
-    for gen in sweep_cfg:
-        try:
-            lat = enumerate_lattice(np.asarray(gen, dtype=float), grid)
-        except (LatticeError, ValueError) as exc:
-            return _fail_config([{"field": "density_sweep",
-                                  "error": f"{gen}: {exc}"}])
-        r = warped_frame_check(window, lat, cm.forward)
+    for lat in run.sweep:
+        r = warped_frame_check(run.window, lat, cm.forward)
         sweep_rows.append((lat.density, r.bounds[0], r.bounds[1]))
     sweep_rows.sort(key=lambda t: t[0])
-    out = args.out
-    _write_csv(os.path.join(out, "density_sweep.csv"),
+    _write_csv(os.path.join(args.out, "density_sweep.csv"),
                ["density", "A_lo", "B_hi"], sweep_rows)
     lo, hi = rep.bounds
-    write_report(os.path.join(out, "report.json"), cfg, {},
-                 {"warped_bounds": [lo, hi],
-                  "max_rounding_displacement": rep.max_rounding_displacement,
-                  "warped_density": rep.density},
-                 {"is_frame": bool(lo > 1e-10 * hi)},
-                 _provenance(args, cfg))
+    _report(args, run, {},
+            {"warped_bounds": [lo, hi],
+             "max_rounding_displacement": rep.max_rounding_displacement,
+             "warped_density": rep.density},
+            {"is_frame": bool(lo > 1e-10 * hi)})
     return EXIT_OK
 
 
@@ -472,15 +464,18 @@ def main(argv=None) -> int:
     runner = COMMANDS[args.command]
     args.threads_applied = None   # the BLAS limit in force, None if none
     try:
+        run = _configure(args)
         if threads > 0:
             try:
                 from threadpoolctl import threadpool_limits
             except ImportError:
-                return runner(args)
+                return runner(args, run)
             with threadpool_limits(limits=threads):
                 args.threads_applied = threads
-                return runner(args)
-        return runner(args)
+                return runner(args, run)
+        return runner(args, run)
+    except ConfigError as exc:
+        return _fail_config(exc.errors)
     except NotAFrameError as exc:
         return _fail_config([{"field": "lattice.generator",
                               "error": f"not a frame: {exc}"}],

@@ -241,20 +241,6 @@ def weight_eval(w: Weight, z: PhasePoint) -> float:
     return float(w(z.as_vector()))
 
 
-def check_moderate(m: Weight, v: Weight, n_samples: int = 1000,
-                   radius: float = 10.0, seed: int = 0):
-    """Sample the moderateness bound m(z+w) <= C v(z) m(w).
-
-    Returns the smallest sampled constant C.
-    """
-    rng = np.random.default_rng(seed)
-    dim = 2
-    z = rng.uniform(-radius, radius, size=(n_samples, dim))
-    w = rng.uniform(-radius, radius, size=(n_samples, dim))
-    ratio = m(z + w) / (v(z) * m(w))
-    return float(np.max(ratio))
-
-
 def random_signal(grid: Grid, rng) -> Signal:
     """Complex standard normal test signal."""
     vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)

@@ -180,12 +180,14 @@ def pair_distances(G: GaborMatrix, cmap: CanonicalMap) -> np.ndarray:
     output, unwrapped); the difference to lam is wrapped back to the
     torus before taking the Japanese bracket.
     """
-    lat = G.lattice
-    grid = lat.grid
-    imgs = cmap.forward(lat.coords())
-    diff = imgs[:, None, :] - lat.coords()[None, :, :]
-    wrapped = grid.wrap_coord(diff)
-    return np.sqrt(1.0 + np.sum(wrapped * wrapped, axis=-1))
+    return np.sqrt(1.0 + _squared_displacements(G.lattice, cmap))
+
+
+def _squared_displacements(lat: Lattice, cmap: CanonicalMap) -> np.ndarray:
+    """|chi(mu) - lam|^2 [mu, lam], the difference wrapped to the torus."""
+    diff = lat.grid.wrap_coord(cmap.forward(lat.coords())[:, None, :]
+                               - lat.coords()[None, :, :])
+    return np.sum(diff * diff, axis=-1)
 
 
 class InsufficientDecayRangeError(ValueError):
@@ -242,10 +244,8 @@ def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap,
     """
     lat = G.lattice
     grid = lat.grid
-    imgs = cmap.forward(lat.coords())
     mag = np.abs(G.entries)
-    diff = grid.wrap_coord(imgs[:, None, :] - lat.coords()[None, :, :])
-    alldists = np.sqrt(np.sum(diff * diff, axis=-1))
+    alldists = np.sqrt(_squared_displacements(lat, cmap))
     rowmax = np.max(mag, axis=1, keepdims=True)
     tied = mag >= (1.0 - tie_rtol) * rowmax
     dists = np.min(np.where(tied, alldists, np.inf), axis=1)

@@ -131,17 +131,23 @@ def enumerate_lattice(A, grid: Grid) -> Lattice:
         raise LatticeError(f"generator must be {td}x{td}")
     if abs(np.linalg.det(A)) < 1e-12:
         raise LatticeError("generator matrix is singular")
+    if not np.max(np.abs(A)) < 2 ** 53:
+        raise LatticeError("generator entries must be below 2**53")
     Ar = np.round(A)
     if np.max(np.abs(A - Ar)) > 1e-9:
         raise LatticeError("generator entries must be integers in grid units",
                            suggestion=Ar.astype(int))
     Ai = Ar.astype(int)
     closure = grid.n * np.linalg.inv(Ar)
-    if np.max(np.abs(closure - np.round(closure))) > 1e-9:
+    B = np.round(closure)
+    # The exact product also rejects huge entries, whose n A^{-1} rounds
+    # to a singular matrix within the tolerance.
+    if (np.max(np.abs(closure - B)) > 1e-9
+            or not np.array_equal(Ai @ B.astype(int), grid.n * np.eye(td))):
         raise LatticeError(
             "lattice is incommensurate with the torus (n A^{-1} not integral)",
             suggestion=Ar.astype(int))
-    H = _hermite_normal_form(np.round(closure))
+    H = _hermite_normal_form(B)
     m = np.indices(np.diag(H)).reshape(td, -1).T     # mixed-radix order
     pts = np.mod(m @ Ai.T, grid.n)
     order = np.lexsort(pts.T[::-1])
@@ -311,7 +317,7 @@ def tighten(spec: GaborFrameSpec) -> GaborFrameSpec:
 
 def analysis(f: Signal, spec: GaborFrameSpec) -> np.ndarray:
     """Coefficients <f, pi(lambda) g> over the lattice."""
-    return spec.atoms.conj().T @ f.values
+    return (f.values.conj() @ spec.atoms).conj()
 
 
 def synthesis(c: np.ndarray, spec: GaborFrameSpec) -> Signal:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Signal, Weight, TWO_PI
-from .frames import GaborFrameSpec, gabor_mod_norm, is_parseval
+from .frames import GaborFrameSpec, analysis, gabor_mod_norm, is_parseval
 from .phases import CanonicalMap, chi_prime_table
 from .fio import FioOperator, fio_matrix
 from .diagnostics import NormEstimate, loglog_fit, operator_norm
@@ -54,9 +54,8 @@ def warp_indices(cm: CanonicalMap, spec: GaborFrameSpec) -> np.ndarray:
 
 
 def apply_multiplier(M: GaborMultiplier, f: Signal) -> Signal:
-    atoms = M.spec.atoms
-    coeff = atoms.conj().T @ f.values
-    return Signal(f.grid, atoms[:, M.warp_idx] @ (M.a * coeff))
+    coeff = analysis(f, M.spec)
+    return Signal(f.grid, M.spec.atoms[:, M.warp_idx] @ (M.a * coeff))
 
 
 def multiplier_matrix(M: GaborMultiplier) -> np.ndarray:

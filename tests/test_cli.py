@@ -1,13 +1,17 @@
 import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import os
 import sys
+import tempfile
 import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gaborfio.cli import main, _write_csv
 
@@ -36,6 +40,12 @@ def decay_cfg(n=64, gen=((2, 0), (0, 2))):
         "s_claim": 4.0,
         "seed": 0,
     }
+
+
+def approximate_cfg():
+    doc = decay_cfg(gen=((4, 0), (0, 4)))
+    doc["L_list"] = [1, 2, 4, 8, 16]
+    return doc
 
 
 def test_frame_check_success(tmp_path):
@@ -116,9 +126,7 @@ def test_decay_scan_rerun_byte_identical(tmp_path):
 
 
 def test_approximate_success(tmp_path):
-    doc = decay_cfg(gen=((4, 0), (0, 4)))
-    doc["L_list"] = [1, 2, 4, 8, 16]
-    cfg = write_cfg(tmp_path, "c.json", doc)
+    cfg = write_cfg(tmp_path, "c.json", approximate_cfg())
     out = str(tmp_path / "out")
     assert main(["approximate", "--config", cfg, "--out", out]) == 0
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -138,16 +146,18 @@ def test_approximate_extraction_radius_exit_4(tmp_path):
                  "--out", str(tmp_path / "o")]) == 4
 
 
+DILATION_CFG = {
+    "grid": {"n": 256, "d": 1},
+    "window": {"kind": "gaussian"},
+    "lattice": {"generator": [[4, 0], [0, 4]]},
+    "phase": {"kind": "dilation", "params": {"s": 2.0}},
+    "nu_radius": 3.0,
+    "seed": 0,
+}
+
+
 def test_dilation_demo(tmp_path):
-    doc = {
-        "grid": {"n": 256, "d": 1},
-        "window": {"kind": "gaussian"},
-        "lattice": {"generator": [[4, 0], [0, 4]]},
-        "phase": {"kind": "dilation", "params": {"s": 2.0}},
-        "nu_radius": 3.0,
-        "seed": 0,
-    }
-    cfg = write_cfg(tmp_path, "c.json", doc)
+    cfg = write_cfg(tmp_path, "c.json", DILATION_CFG)
     out = str(tmp_path / "out")
     assert main(["dilation-demo", "--config", cfg, "--out", out]) == 0
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -171,17 +181,19 @@ def test_dilation_demo_rejects_non_gaussian(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+WARP_CFG = {
+    "grid": {"n": 64, "d": 1},
+    "window": {"kind": "gaussian"},
+    "lattice": {"generator": [[4, 0], [0, 8]]},
+    "phase": {"kind": "perturbed", "params": {"eps": 0.1}},
+    "density_sweep": [[[8, 0], [0, 8]], [[4, 0], [0, 8]],
+                      [[4, 0], [0, 4]]],
+    "seed": 0,
+}
+
+
 def test_warp_frame_with_density_sweep(tmp_path):
-    doc = {
-        "grid": {"n": 64, "d": 1},
-        "window": {"kind": "gaussian"},
-        "lattice": {"generator": [[4, 0], [0, 8]]},
-        "phase": {"kind": "perturbed", "params": {"eps": 0.1}},
-        "density_sweep": [[[8, 0], [0, 8]], [[4, 0], [0, 8]],
-                          [[4, 0], [0, 4]]],
-        "seed": 0,
-    }
-    cfg = write_cfg(tmp_path, "c.json", doc)
+    cfg = write_cfg(tmp_path, "c.json", WARP_CFG)
     out = str(tmp_path / "out")
     assert main(["warp-frame", "--config", cfg, "--out", out]) == 0
     rep = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -280,3 +292,128 @@ def test_write_csv_golden_bytes(tmp_path):
                csv_bulk_rows())
     digest = hashlib.sha256((tmp_path / "bulk.csv").read_bytes()).hexdigest()
     assert digest == CSV_BULK_SHA256
+
+
+# ------------------------------------------------ the contract on any config
+
+VALID_CFGS = {
+    "frame-check": BASE,
+    "decay-scan": decay_cfg(),
+    "approximate": approximate_cfg(),
+    "dilation-demo": DILATION_CFG,
+    "warp-frame": WARP_CFG,
+}
+D2_GRID = {"grid": {"n": 8, "d": 2},
+           "lattice": {"generator": np.diag([2, 2, 2, 2]).tolist()}}
+
+# (command, config, the field its error names): malformed configs that
+# must exit 1 with an error list, never with a traceback.
+MALFORMED = [
+    ("frame-check", dict(BASE, seed="abc"), "seed"),
+    ("frame-check", [BASE], "--config"),
+    ("frame-check", dict(BASE, grid="64"), "grid"),
+    ("frame-check", dict(BASE, window={"kind": "gaussian", "params": "wide"}),
+     "window.params"),
+    ("approximate", dict(approximate_cfg(), nu_radius="far"), "nu_radius"),
+    ("approximate", dict(approximate_cfg(), p="two"), "p"),
+    ("approximate", dict(approximate_cfg(), weight_s=-1), "weight_s"),
+    ("approximate", dict(approximate_cfg(), L_list=[0, 1, 2]), "L_list"),
+    ("decay-scan", dict(decay_cfg(), **D2_GRID), "grid"),
+    ("approximate", dict(approximate_cfg(), **D2_GRID), "grid"),
+    ("approximate", dict(approximate_cfg(), grid={"n": 1040, "d": 1},
+                         lattice={"generator": [[20, 0], [0, 20]]}), "grid"),
+    ("dilation-demo", dict(DILATION_CFG, nu_radius="far"), "nu_radius"),
+]
+
+
+def run_quietly(command, doc, *flags):
+    """main() on doc in a scratch directory; returns (exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out", tmp, *flags])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command,doc,field", MALFORMED)
+def test_malformed_config_exit_1_with_error_list(command, doc, field):
+    code, err = run_quietly(command, doc)
+    assert code == 1
+    assert field in {e["field"] for e in json.loads(err)["errors"]}
+
+
+@pytest.mark.parametrize("command", ["decay-scan", "approximate",
+                                     "dilation-demo"])
+@pytest.mark.parametrize("grid", [{"n": 8, "d": 2}, {"n": 1040, "d": 1}])
+def test_dense_fio_guard_runs_before_the_lattice(command, grid, monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("lattice enumerated")
+    monkeypatch.setattr("gaborfio.cli.enumerate_lattice", no_lattice)
+    code, err = run_quietly(command, dict(VALID_CFGS[command], grid=grid))
+    assert code == 1
+    assert json.loads(err)["errors"] == [
+        {"field": "grid", "error": f"{command} needs d = 1 and n <= 1024"}]
+
+
+def test_seed_flag_must_be_non_negative():
+    code, err = run_quietly("frame-check", BASE, "--seed", "-1")
+    assert code == 1 and json.loads(err)["errors"][0]["field"] == "--seed"
+
+
+BAD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(["", "x", "2"]),
+    st.integers(-3, 3),
+    st.sampled_from([-1e300, 0.5, 1e300, 10 ** 400, math.inf, math.nan]),
+    st.lists(st.integers(-1, 8), max_size=3), st.just({}),
+    st.just([[1, 0], [0, 1]]))
+
+
+def value_slots(doc):
+    """(container, key) of every value nested in a config."""
+    for key, value in (doc.items() if isinstance(doc, dict)
+                       else enumerate(doc)):
+        yield doc, key
+        if isinstance(value, (dict, list)):
+            yield from value_slots(value)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid test config at n <= 32 with up to three values broken."""
+    command = draw(st.sampled_from(sorted(VALID_CFGS)))
+    doc = copy.deepcopy(VALID_CFGS[command])
+    doc["grid"]["n"] = draw(st.sampled_from([8, 16, 24, 32]))
+    for _ in range(draw(st.integers(0, 3))):
+        slots = list(value_slots(doc))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(draw(BAD_VALUES))
+    if draw(st.integers(0, 19)) == 0:
+        doc = copy.deepcopy(draw(BAD_VALUES))   # not an object at all
+    return command, doc
+
+
+def with_examples(cases):
+    def decorate(test):
+        for command, doc, _ in cases:
+            test = example(case=(command, doc))(test)
+        return test
+    return decorate
+
+
+@with_examples(MALFORMED)
+@settings(max_examples=100, deadline=None)
+@given(case=mutated_configs())
+def test_every_config_ends_in_a_documented_exit(case):
+    code, err = run_quietly(*case)
+    assert code in (0, 1, 2, 3, 4)
+    if code in (1, 2):
+        errors = json.loads(err)["errors"]
+        assert errors and all(set(e) == {"field", "error"} for e in errors)

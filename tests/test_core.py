@@ -4,7 +4,7 @@ import pytest
 from gaborfio.core import (Grid, Signal, PhasePoint, Weight, translate,
                            modulate, tf_shift, tf_shift_inverse,
                            commutation_phase, stft, inner, random_signal,
-                           check_moderate, GridRepresentabilityError)
+                           GridRepresentabilityError)
 
 NS = [16, 32, 64]
 SEEDS = [0, 1, 2]
@@ -121,9 +121,3 @@ def test_weight_polynomial_and_custom():
     bad = Weight("custom", table=lambda z: -np.ones(len(np.atleast_2d(z))))
     with pytest.raises(ValueError):
         bad(z)
-
-
-def test_polynomial_weight_is_self_moderate():
-    v1 = Weight("polynomial", 1.0)
-    c = check_moderate(v1, v1)
-    assert c < 3.0   # v_s is v_s-moderate with a modest constant
