@@ -2,7 +2,7 @@
 
 from .core import (Grid, Signal, PhasePoint, Weight, translate, modulate,
                    tf_shift, tf_shift_inverse, commutation_phase, stft,
-                   weight_eval, inner, random_signal,
+                   inner, random_signal,
                    GridRepresentabilityError)
 from .frames import (Lattice, GaborFrameSpec, enumerate_lattice,
                      separable_lattice, frame_operator, frame_bounds,

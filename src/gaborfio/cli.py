@@ -7,7 +7,8 @@ bodies are byte-identical across reruns.  One builder checks every config
 field before any computation starts.
 
 Exit codes: 0 success, 1 config error, 2 not a frame, 3 insufficient
-decay range, 4 extraction-radius error.
+decay range, 4 extraction-radius error, 5 the canonical map's Newton
+solve diverged.
 """
 
 import argparse
@@ -25,7 +26,7 @@ from .windows import make_window, WINDOW_KINDS
 from .frames import (GaborFrameSpec, enumerate_lattice, frame_bounds,
                      is_frame, tighten, dual_window, analysis,
                      warped_frame_check, LatticeError, NotAFrameError)
-from .phases import BUILTIN_PHASES, canonical_map
+from .phases import BUILTIN_PHASES, canonical_map, NewtonDivergenceError
 from .fio import (make_fio, constant_symbol, bandlimited_symbol,
                   weighted_symbol, gabor_matrix, decay_envelope_fit,
                   transport_argmax_check, InsufficientDecayRangeError,
@@ -42,6 +43,7 @@ EXIT_CONFIG = 1
 EXIT_NOT_A_FRAME = 2
 EXIT_DECAY_RANGE = 3
 EXIT_EXTRACTION_RADIUS = 4
+EXIT_NEWTON_DIVERGENCE = 5
 
 # The subcommands that build the dense n^d x n^d FIO matrix.
 FIO_COMMANDS = ("decay-scan", "approximate", "dilation-demo")
@@ -480,6 +482,9 @@ def main(argv=None) -> int:
         return _fail_config([{"field": "lattice.generator",
                               "error": f"not a frame: {exc}"}],
                             EXIT_NOT_A_FRAME)
+    except NewtonDivergenceError as exc:
+        return _fail_config([{"field": "phase", "error": str(exc)}],
+                            EXIT_NEWTON_DIVERGENCE)
 
 
 if __name__ == "__main__":

@@ -237,10 +237,6 @@ class Weight:
         return vals
 
 
-def weight_eval(w: Weight, z: PhasePoint) -> float:
-    return float(w(z.as_vector()))
-
-
 def random_signal(grid: Grid, rng) -> Signal:
     """Complex standard normal test signal."""
     vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)

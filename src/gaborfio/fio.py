@@ -5,6 +5,12 @@ fhat(eta_m) h^d is the plain Riemann sum over the frequency grid, with
 fhat the unitary DFT read in symmetric frequency order.  At desk scale
 (n^d <= 1024) the dense matrix of T is cheap and doubles as the oracle
 for every norm measurement.
+
+The decay and transport tests compare every |G[mu, lam]| with the torus
+distance |chi(mu) - lam|.  That distance is never held as an N x N x 2d
+tensor: it is the sum of one (n, N) table per phase-space axis,
+wrap(chi_a(mu) - x_j)^2, gathered at each lam's grid index, and it is
+read in one pass over blocks of rows of G, about 8 MB each.
 """
 
 from dataclasses import dataclass
@@ -170,7 +176,7 @@ def gabor_matrix(T: FioOperator, spec: GaborFrameSpec) -> GaborMatrix:
     atoms = spec.atoms
     cross = atoms.conj().T @ (fio_matrix(T) @ atoms)   # [lam, mu]
     return GaborMatrix(lattice=spec.lattice, window=spec.window,
-                       entries=cross.T.copy())
+                       entries=cross.T)
 
 
 def pair_distances(G: GaborMatrix, cmap: CanonicalMap) -> np.ndarray:
@@ -180,14 +186,44 @@ def pair_distances(G: GaborMatrix, cmap: CanonicalMap) -> np.ndarray:
     output, unwrapped); the difference to lam is wrapped back to the
     torus before taking the Japanese bracket.
     """
-    return np.sqrt(1.0 + _squared_displacements(G.lattice, cmap))
+    blocks = _squared_distance_blocks(*_distance_tables(G.lattice, cmap))
+    return np.concatenate([np.sqrt(1.0 + d2) for _, d2 in blocks], axis=1).T
 
 
-def _squared_displacements(lat: Lattice, cmap: CanonicalMap) -> np.ndarray:
-    """|chi(mu) - lam|^2 [mu, lam], the difference wrapped to the torus."""
-    diff = lat.grid.wrap_coord(cmap.forward(lat.coords())[:, None, :]
-                               - lat.coords()[None, :, :])
-    return np.sum(diff * diff, axis=-1)
+# Bytes of one float64 block of |chi(mu) - lam|^2.
+_BLOCK_BYTES = 8 * 2 ** 20
+
+
+def _distance_tables(lat: Lattice, cmap: CanonicalMap):
+    """Per-axis tables wrap(chi_a(mu) - x_j)^2 [j, mu], and each lam's j.
+
+    Every lattice coordinate p h equals grid.coords()[p mod n] bit for
+    bit, so |chi(mu) - lam|^2, the difference wrapped to the torus, is
+    the sum over axes a of table_a[j_a(lam), mu] with j_a = p_a mod n.
+    """
+    grid = lat.grid
+    x = grid.coords()
+    tables = []
+    for chi_a in cmap.forward(lat.coords()).T:
+        w = grid.wrap_coord(chi_a[None, :] - x[:, None])
+        tables.append(w * w)
+    return tables, np.mod(lat.int_coords, grid.n).T
+
+
+def _squared_distance_blocks(tables, cols):
+    """Yield (mus, d2), d2[lam, i] = |chi(mu_i) - lam|^2 for mu_i in mus.
+
+    The blocks are [lam, mu] like A^H T A in gabor_matrix, and hold about
+    _BLOCK_BYTES each.
+    """
+    N = cols.shape[1]
+    step = max(1, _BLOCK_BYTES // (8 * N))
+    for start in range(0, N, step):
+        mus = slice(start, start + step)
+        d2 = tables[0][:, mus][cols[0]]
+        for table, col in zip(tables[1:], cols[1:]):
+            d2 += table[:, mus][col]
+        yield mus, d2
 
 
 class InsufficientDecayRangeError(ValueError):
@@ -202,22 +238,27 @@ def decay_envelope_fit(G: GaborMatrix, cmap: CanonicalMap, s_claim: float,
     maxima of |G| are fitted by least squares on log-log axes.  Restricting
     to [2, r_max/2] excludes the diagonal bins (r close to 1) and the
     torus-wrap end (r close to r_max), where the envelope is meaningless.
+    One pass over the distance blocks finds r_max, a second bins them.
     """
-    r = pair_distances(G, cmap)
-    mag = np.abs(G.entries)
-    r_max = float(np.max(r))
+    cross = G.entries.T   # [lam, mu]
+    tables = _distance_tables(G.lattice, cmap)
+    # sqrt(1 + .) is monotone, so this is the largest r, bit for bit.
+    d2_max = max(float(np.max(d2)) for _, d2 in
+                 _squared_distance_blocks(*tables))
+    r_max = float(np.sqrt(1.0 + d2_max))
     lo, hi = 2.0, r_max / 2.0
     if hi <= lo:
         raise InsufficientDecayRangeError(
             f"usable distance range [2, {hi:.3g}] is empty")
     edges = np.exp(np.linspace(np.log(lo), np.log(hi), nbins + 1))
-    pts = []
-    for k in range(nbins):
-        sel = (r >= edges[k]) & (r < edges[k + 1])
-        if not np.any(sel):
-            continue
-        pts.append((np.exp(0.5 * (np.log(edges[k]) + np.log(edges[k + 1]))),
-                    float(np.max(mag[sel]))))
+    binmax = np.full(nbins, -1.0)   # below every |G|: -1 marks an empty bin
+    for mus, d2 in _squared_distance_blocks(*tables):
+        r = np.sqrt(1.0 + d2)
+        inside = (r >= edges[0]) & (r < edges[-1])
+        k = np.searchsorted(edges, r[inside], side="right") - 1
+        np.maximum.at(binmax, k, np.abs(cross[:, mus][inside]))
+    pts = [(np.exp(0.5 * (np.log(edges[k]) + np.log(edges[k + 1]))),
+            float(binmax[k])) for k in range(nbins) if binmax[k] >= 0]
     if len(pts) < 4:
         raise InsufficientDecayRangeError(
             f"only {len(pts)} usable distance bins; need at least 4")
@@ -244,14 +285,15 @@ def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap,
     """
     lat = G.lattice
     grid = lat.grid
-    mag = np.abs(G.entries)
-    alldists = np.sqrt(_squared_displacements(lat, cmap))
-    rowmax = np.max(mag, axis=1, keepdims=True)
-    tied = mag >= (1.0 - tie_rtol) * rowmax
-    dists = np.min(np.where(tied, alldists, np.inf), axis=1)
+    cross = G.entries.T   # [lam, mu]
+    d2_min = np.empty(lat.npoints)
+    for mus, d2 in _squared_distance_blocks(*_distance_tables(lat, cmap)):
+        mag = np.abs(cross[:, mus])
+        tied = mag >= (1.0 - tie_rtol) * np.max(mag, axis=0)
+        d2_min[mus] = np.min(np.where(tied, d2, np.inf), axis=0)
     A_cont = lat.A * grid.h
     bound = float(np.sqrt(2 * grid.d) * np.linalg.norm(A_cont, 2) + 1.0)
-    return dists, bound
+    return np.sqrt(d2_min), bound
 
 
 @dataclass

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .core import Grid, Signal, Weight, PhasePoint, TWO_PI
+from .core import Grid, Signal, Weight, TWO_PI
 
 NOT_A_FRAME_RTOL = 1e-10
 
@@ -72,11 +72,6 @@ class Lattice:
     def coords(self) -> np.ndarray:
         """Continuum coordinates, shape (N, 2d)."""
         return self.int_coords * self.grid.h
-
-    def point(self, i: int) -> PhasePoint:
-        d = self.grid.d
-        c = self.coords()[i]
-        return PhasePoint(c[:d].copy(), c[d:].copy())
 
     def indices_of(self, int_coords) -> np.ndarray:
         """Indices of lattice points given integer grid coordinates (any rep).
@@ -139,11 +134,14 @@ def enumerate_lattice(A, grid: Grid) -> Lattice:
                            suggestion=Ar.astype(int))
     Ai = Ar.astype(int)
     closure = grid.n * np.linalg.inv(Ar)
+    # n A^{-1} is integral iff A B = n I for the rounded B, checked in
+    # Python integers: a float tolerance on the inverse, whose error grows
+    # with cond(A), rejected valid generators such as the unimodular
+    # [[55, -134], [-16, 39]].
     B = np.round(closure)
-    # The exact product also rejects huge entries, whose n A^{-1} rounds
-    # to a singular matrix within the tolerance.
-    if (np.max(np.abs(closure - B)) > 1e-9
-            or not np.array_equal(Ai @ B.astype(int), grid.n * np.eye(td))):
+    if not (np.all(np.abs(B) < 2 ** 53) and np.array_equal(
+            Ai.astype(object) @ B.astype(np.int64).astype(object),
+            grid.n * np.eye(td, dtype=np.int64))):
         raise LatticeError(
             "lattice is incommensurate with the torus (n A^{-1} not integral)",
             suggestion=Ar.astype(int))

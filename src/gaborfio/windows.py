@@ -28,13 +28,17 @@ def bspline_window(grid: Grid, order: int = 3) -> Signal:
 
 
 def _cardinal_bspline(t, order):
-    # B_1 = indicator of [0, 1); B_k by the Cox-de Boor recursion.
-    t = np.asarray(t, dtype=float)
-    if order == 1:
-        return ((t >= 0) & (t < 1)).astype(float)
-    prev = _cardinal_bspline(t, order - 1)
-    prev_shift = _cardinal_bspline(t - 1.0, order - 1)
-    return (t * prev + (order - t) * prev_shift) / (order - 1)
+    # B_1 = indicator of [0, 1); B_k(t) = (t B_{k-1}(t) + (k - t)
+    # B_{k-1}(t - 1)) / (k - 1) (Cox-de Boor), built bottom-up over the
+    # shifts t, t - 1, t - 2, ... in O(order^2) array operations.
+    shifts = [np.asarray(t, dtype=float)]
+    for _ in range(order - 1):
+        shifts.append(shifts[-1] - 1.0)
+    table = [((s >= 0) & (s < 1)).astype(float) for s in shifts]
+    for k in range(2, order + 1):
+        table = [(s * table[i] + (k - s) * table[i + 1]) / (k - 1)
+                 for i, s in enumerate(shifts[:order - k + 1])]
+    return table[0]
 
 
 def box_window(grid: Grid, halfwidth: float = 0.5) -> Signal:

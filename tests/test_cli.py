@@ -204,6 +204,18 @@ def test_warp_frame_with_density_sweep(tmp_path):
     assert lows == sorted(lows)   # lower bound non-decreasing with density
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_newton_divergence_exit_5_with_error_list(tmp_path, capsys):
+    # A valid config whose phase overflows: chi cannot be inverted.
+    doc = dict(WARP_CFG, phase={"kind": "chirp", "params": {"c": 1e300}})
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    assert main(["warp-frame", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 5
+    errs = json.loads(capsys.readouterr().err)["errors"]
+    assert [e["field"] for e in errs] == ["phase"]
+    assert "Newton iteration did not converge" in errs[0]["error"]
+
+
 def test_threads_env_and_flag(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "c.json", BASE)
     monkeypatch.setenv("GABORFIO_THREADS", "2")
@@ -413,7 +425,7 @@ def with_examples(cases):
 @given(case=mutated_configs())
 def test_every_config_ends_in_a_documented_exit(case):
     code, err = run_quietly(*case)
-    assert code in (0, 1, 2, 3, 4)
-    if code in (1, 2):
+    assert code in (0, 1, 2, 3, 4, 5)
+    if code in (1, 2, 5):
         errors = json.loads(err)["errors"]
         assert errors and all(set(e) == {"field", "error"} for e in errors)

@@ -7,6 +7,7 @@ against the sum over shifts of pi(nu) M_{a_nu}, one matrix product each.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaborfio.core import Grid
@@ -22,15 +23,16 @@ SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
 
 @st.composite
-def commensurate_generators(draw, sizes=((8, 12, 16, 24, 32), (8, 12))):
+def commensurate_generators(draw, sizes=((8, 12, 16, 24, 32), (8, 12)),
+                            dims=(1, 2)):
     """(A, grid) with A = U D V: U, V unimodular, D diagonal dividing n.
 
     Every integer A with n A^{-1} integral has such a Smith form, so the
     strategy reaches non-diagonal generators of every shape; half of the
-    draws keep U = V = I, a diagonal generator.  sizes[d - 1] lists the
-    grid sizes n drawn for dimension d.
+    draws keep U = V = I, a diagonal generator.  The dimension d is drawn
+    from dims, and sizes[d - 1] lists the grid sizes n drawn for it.
     """
-    d = draw(st.sampled_from([1, 2]))
+    d = draw(st.sampled_from(dims))
     n = draw(st.sampled_from(sizes[d - 1]))
     td = 2 * d
     divisors = [k for k in range(1, n + 1) if n % k == 0]
@@ -67,6 +69,18 @@ def test_hnf_enumeration_matches_brute_force(gen):
     oracle = brute_force_points(A, grid.n)
     assert np.array_equal(np.mod(lat.int_coords, grid.n), oracle)
     assert np.array_equal(lat.int_coords, grid.wrap_index(oracle))
+
+
+@pytest.mark.parametrize("A, grid", [
+    ([[55, -134], [-16, 39]], Grid(32)),
+    ([[39, 95], [94, 229]], Grid(8)),
+    ([[1, 0, 0, 0], [0, 351, 0, -150], [0, 0, 1, 0], [0, -482, 0, 206]],
+     Grid(12, 2))])
+def test_ill_conditioned_generators_are_commensurate(A, grid):
+    # n A^{-1} is integral here, but its float inverse is off by > 1e-9.
+    lat = enumerate_lattice(np.array(A), grid)
+    assert np.array_equal(np.mod(lat.int_coords, grid.n),
+                          brute_force_points(np.array(A), grid.n))
 
 
 @SETTINGS
