@@ -8,7 +8,8 @@ field before any computation starts.
 
 Exit codes: 0 success, 1 config error, 2 not a frame, 3 insufficient
 decay range, 4 extraction-radius error, 5 the canonical map's Newton
-solve diverged.
+solve diverged.  On exits 1, 2 and 5 stderr is one JSON object: the
+error list, plus the warnings the run raised, if any.
 """
 
 import argparse
@@ -16,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,6 +49,10 @@ EXIT_NEWTON_DIVERGENCE = 5
 
 # The subcommands that build the dense n^d x n^d FIO matrix.
 FIO_COMMANDS = ("decay-scan", "approximate", "dilation-demo")
+
+# The most complex entries (1 GiB) of the largest dense array a run may
+# allocate; see _largest_array.
+MAX_DENSE_ENTRIES = 2 ** 26
 
 # What the config part constructors raise on a value they cannot use
 # (float(10**400) raises OverflowError, a symbol's N = 0 ZeroDivisionError).
@@ -152,7 +158,7 @@ def _build_kind(cfg, section, kinds, problems, *args, default=None):
         return problems.add(f"{section}.params", str(exc))
 
 
-def _build_lattice(cfg, grid, problems):
+def _build_lattice(cfg, grid, command, problems):
     lcfg = _object(cfg.get("lattice", {}), "lattice", problems)
     if lcfg is None:
         return None
@@ -160,12 +166,38 @@ def _build_lattice(cfg, grid, problems):
         return problems.add("lattice.units", "only 'grid' units are supported")
     if lcfg.get("generator") is None:
         return problems.add("lattice.generator", "required")
-    return _enumerate(lcfg["generator"], grid, "lattice.generator", problems)
+    return _enumerate(lcfg["generator"], grid, command, "lattice.generator",
+                      problems)
 
 
-def _enumerate(gen, grid, field, problems):
+def _largest_array(command, grid, npoints):
+    """Complex entries of the largest dense array command allocates.
+
+    The n^d x N atoms; n^{2d} bounds the Walnut blocks of the frame
+    operator and is warp-frame's Gram matrix; the FIO subcommands hold
+    the N x N Gabor matrix.
+    """
+    sizes = [grid.size * npoints, grid.size ** 2]
+    if command in FIO_COMMANDS:
+        sizes.append(npoints ** 2)
+    return max(sizes)
+
+
+def _enumerate(gen, grid, command, field, problems):
+    """The lattice of gen, once its point count N = n^{2d} / |det A| passes
+    the size cap; enumerate_lattice names any other problem."""
     try:
-        return enumerate_lattice(np.asarray(gen, dtype=float), grid)
+        A = np.asarray(gen, dtype=float)
+        det = abs(np.linalg.det(A)) if A.shape == (2 * grid.d,) * 2 else 0.0
+        if 1 <= det < math.inf:   # an integer for any valid generator
+            entries = _largest_array(command, grid,
+                                     grid.size ** 2 / round(det))
+            if entries > MAX_DENSE_ENTRIES:
+                return problems.add(
+                    field, f"{gen}: {command} would allocate a dense array "
+                           f"of {entries:.4g} complex entries, above "
+                           f"{MAX_DENSE_ENTRIES}")
+        return enumerate_lattice(A, grid)
     except (LatticeError, *_BAD_VALUE) as exc:
         return problems.add(field, f"{gen}: {exc}")
 
@@ -192,7 +224,8 @@ def _configure(args):
     kinds = {"gaussian": WINDOW_KINDS["gaussian"]} if demo else WINDOW_KINDS
     run.window = _build_kind(cfg, "window", kinds, problems, grid) if grid \
         else None
-    run.lattice = _build_lattice(cfg, grid, problems) if grid else None
+    run.lattice = _build_lattice(cfg, grid, command, problems) if grid \
+        else None
     if command != "frame-check":
         kinds = {"dilation": BUILTIN_PHASES["dilation"]} if demo \
             else BUILTIN_PHASES
@@ -234,17 +267,11 @@ def _configure(args):
         if not isinstance(sweep, list):
             sweep = problems.add("density_sweep",
                                  "list of lattice generators required") or []
-        run.sweep = [_enumerate(gen, grid, "density_sweep", problems)
-                     for gen in sweep] if grid else []
+        run.sweep = [_enumerate(gen, grid, command, "density_sweep",
+                                problems) for gen in sweep] if grid else []
     if problems.errors:
         raise problems
     return run
-
-
-def _fail_config(errors, code=EXIT_CONFIG):
-    json.dump({"errors": errors}, sys.stderr, indent=2)
-    sys.stderr.write("\n")
-    return code
 
 
 # ---------------------------------------------------------------- output
@@ -459,9 +486,8 @@ def _parser():
     return ap
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
+def _run(args):
+    """(exit code, error list): the list on exits 1, 2 and 5, else None."""
     threads = _resolve_threads(args)
     runner = COMMANDS[args.command]
     args.threads_applied = None   # the BLAS limit in force, None if none
@@ -471,20 +497,43 @@ def main(argv=None) -> int:
             try:
                 from threadpoolctl import threadpool_limits
             except ImportError:
-                return runner(args, run)
+                return runner(args, run), None
             with threadpool_limits(limits=threads):
                 args.threads_applied = threads
-                return runner(args, run)
-        return runner(args, run)
+                return runner(args, run), None
+        return runner(args, run), None
     except ConfigError as exc:
-        return _fail_config(exc.errors)
+        return EXIT_CONFIG, exc.errors
     except NotAFrameError as exc:
-        return _fail_config([{"field": "lattice.generator",
-                              "error": f"not a frame: {exc}"}],
-                            EXIT_NOT_A_FRAME)
+        return EXIT_NOT_A_FRAME, [{"field": "lattice.generator",
+                                   "error": f"not a frame: {exc}"}]
     except NewtonDivergenceError as exc:
-        return _fail_config([{"field": "phase", "error": str(exc)}],
-                            EXIT_NEWTON_DIVERGENCE)
+        return EXIT_NEWTON_DIVERGENCE, [{"field": "phase", "error": str(exc)}]
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    os.makedirs(args.out, exist_ok=True)
+    # Warnings are held until the exit is known: an error exit lists them
+    # in its JSON object, so stderr stays one JSON document; any other
+    # exit (a traceback too) shows them as Python would have.
+    errors = None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            code, errors = _run(args)
+    finally:
+        if errors is None:
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename,
+                                     w.lineno)
+    if errors is not None:
+        doc = {"errors": errors}
+        if caught:
+            doc["warnings"] = [{"category": w.category.__name__,
+                                "message": str(w.message)} for w in caught]
+        json.dump(doc, sys.stderr, indent=2)
+        sys.stderr.write("\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -4,6 +4,12 @@ Everything lives on the symmetric finite Gabor model: n points per axis,
 sampling step h = 1/sqrt(n), so the time span and the frequency span are
 both sqrt(n) wide and the discrete Fourier transform (unitary convention)
 exchanges them exactly.
+
+One flattening rule holds in every dimension d: a signal is a vector of
+n^d samples in row-major order, and Grid.multi_index() is the (n^d, d)
+table of the multi-index of each sample.  One kernel, build_atoms, forms
+the time-frequency shifts pi(x, m) g = M_m T_x g for any d; translate,
+modulate, tf_shift and the STFT are its special cases.
 """
 
 from dataclasses import dataclass, field
@@ -54,6 +60,10 @@ class Grid:
     def size(self) -> int:
         return self.n ** self.d
 
+    def multi_index(self) -> np.ndarray:
+        """(n^d, d) multi-index of every sample, in row-major flat order."""
+        return np.indices((self.n,) * self.d).reshape(self.d, -1).T
+
     def wrap_index(self, j):
         """Wrap integer indices to the symmetric range (-n/2, n/2]."""
         j = np.asarray(j)
@@ -86,7 +96,7 @@ class Grid:
 
 @dataclass
 class Signal:
-    """Complex vector on a periodic grid (flattened row-major for d = 2)."""
+    """Complex vector on a periodic grid, flattened row-major."""
 
     grid: Grid
     values: np.ndarray
@@ -100,12 +110,6 @@ class Signal:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
-
-    def as_array(self) -> np.ndarray:
-        """Values shaped (n,) for d=1 or (n, n) for d=2."""
-        if self.grid.d == 1:
-            return self.values
-        return self.values.reshape(self.grid.n, self.grid.n)
 
     def copy(self) -> "Signal":
         return Signal(self.grid, self.values.copy())
@@ -138,36 +142,53 @@ def inner(f: Signal, g: Signal) -> complex:
     return complex(np.vdot(g.values, f.values))
 
 
+def _shift_index(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """Flat index of (j - x) mod n over the samples j (rows) and x (N, d)."""
+    n = grid.n
+    j = grid.multi_index()
+    index = (j[:, :1] - x[:, 0]) % n
+    for a in range(1, grid.d):
+        index = index * n + (j[:, a, None] - x[:, a]) % n
+    return index
+
+
+def _phase_index(grid: Grid, m: np.ndarray) -> np.ndarray:
+    """Integer phase j.m over the samples j (rows) and m (N, d)."""
+    j = grid.multi_index()
+    jm = np.outer(j[:, 0], m[:, 0])
+    for a in range(1, grid.d):
+        jm += np.outer(j[:, a], m[:, a])
+    return jm
+
+
+def build_atoms(window: Signal, int_coords: np.ndarray) -> np.ndarray:
+    """Atoms pi(z) g at integer grid points z = (x, m), as (n^d, N) columns.
+
+    Column i is g((j - x_i) mod n) e^{2 pi i j.m_i / n} over the samples j.
+    The two integer tables are temporaries, so the peak memory is three
+    complex (n^d, N) tables.
+    """
+    grid = window.grid
+    z = np.mod(int_coords, grid.n)
+    atoms = window.values[_shift_index(grid, z[:, :grid.d])]
+    atoms *= np.exp(TWO_PI * 1j * _phase_index(grid, z[:, grid.d:]) / grid.n)
+    return atoms
+
+
+def tf_shift(f: Signal, lam: PhasePoint) -> Signal:
+    """pi(lambda) f = M_eta T_x f for grid-representable lambda."""
+    z = np.concatenate([f.grid.to_steps(lam.x), f.grid.to_steps(lam.eta)])
+    return Signal(f.grid, build_atoms(f, z[None, :])[:, 0])
+
+
 def translate(f: Signal, x) -> Signal:
     """T_x f(t) = f(t - x) for grid-representable x."""
-    steps = f.grid.to_steps(x)
-    if f.grid.d == 1:
-        out = np.roll(f.values, steps[0])
-    else:
-        arr = f.as_array()
-        out = np.roll(np.roll(arr, steps[0], axis=0), steps[1], axis=1)
-    return Signal(f.grid, out)
-
-
-def _axis_phase(grid: Grid, eta_steps: int) -> np.ndarray:
-    j = np.arange(grid.n)
-    return np.exp(TWO_PI * 1j * eta_steps * j / grid.n)
+    return tf_shift(f, PhasePoint.make(x, np.zeros(f.grid.d)))
 
 
 def modulate(f: Signal, eta) -> Signal:
     """M_eta f(t) = e^{2 pi i eta.t} f(t) for grid-representable eta."""
-    steps = f.grid.to_steps(eta)
-    if f.grid.d == 1:
-        out = f.values * _axis_phase(f.grid, steps[0])
-    else:
-        ph = np.outer(_axis_phase(f.grid, steps[0]), _axis_phase(f.grid, steps[1]))
-        out = f.as_array() * ph
-    return Signal(f.grid, out)
-
-
-def tf_shift(f: Signal, lam: PhasePoint) -> Signal:
-    """pi(lambda) f = M_eta T_x f."""
-    return modulate(translate(f, lam.x), lam.eta)
+    return tf_shift(f, PhasePoint.make(np.zeros(f.grid.d), eta))
 
 
 def tf_shift_inverse(f: Signal, lam: PhasePoint) -> Signal:
@@ -188,26 +209,17 @@ def stft(f: Signal, g: Signal) -> np.ndarray:
     """Short-time Fourier transform table V[j, m] = <f, pi(x_j, eta_m) g>.
 
     Rows are indexed by the translation index j, columns by the modulation
-    index m, both in raw 0..n-1 order per axis (flattened row-major for
-    d = 2); the coordinate of index j is grid.wrap_index(j) * h.
+    index m, both flat row-major over raw 0..n-1 indices per axis; the
+    coordinate of index j is grid.wrap_index(j) * h.
     """
     if g.norm() == 0:
         raise ValueError("STFT window must be nonzero")
     grid = f.grid
-    n = grid.n
-    if grid.d == 1:
-        t = np.arange(n)
-        tmat = (t[None, :] - t[:, None]) % n
-        w = f.values[None, :] * np.conj(g.values[tmat])
-        return np.fft.fft(w, axis=1)
-    out = np.empty((grid.size, grid.size), dtype=complex)
-    garr = g.as_array()
-    farr = f.as_array()
-    for j0 in range(n):
-        for j1 in range(n):
-            shifted = np.roll(np.roll(garr, j0, axis=0), j1, axis=1)
-            out[j0 * n + j1] = np.fft.fft2(farr * np.conj(shifted)).reshape(-1)
-    return out
+    # w[x, t] = f(t) conj(g(t - x)): one gather, no phase (the FFT is it).
+    w = f.values * np.conj(g.values[_shift_index(grid, grid.multi_index()).T])
+    w = w.reshape((grid.size,) + (grid.n,) * grid.d)
+    axes = tuple(range(1, grid.d + 1))
+    return np.fft.fftn(w, axes=axes).reshape(grid.size, -1)
 
 
 @dataclass

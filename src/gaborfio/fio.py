@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Grid, Signal, Weight, TWO_PI
 from .frames import GaborFrameSpec, Lattice, is_parseval
-from .phases import CanonicalMap, TamePhase
+from .phases import CanonicalMap, TamePhase, chi_prime_displacement_bound
 from .diagnostics import loglog_fit, DecayReport
 
 import warnings
@@ -276,24 +276,22 @@ def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap,
                            tie_rtol: float = 1e-9):
     """Distance from each row's |G| maximizer to chi(mu); returns (dists, bound).
 
-    The bound is sqrt(2d) ||A|| + 1 in continuum units.  Entries within
-    relative tolerance tie_rtol of the row maximum count as tied maximizers
-    and the nearest one is reported: exact magnitude ties occur whenever
+    The bound is chi_prime_displacement_bound + 1 = sqrt(2d) ||A|| + 1 in
+    continuum units.  Entries within relative tolerance tie_rtol of the
+    row maximum count as tied maximizers and the nearest one is reported:
+    exact magnitude ties occur whenever
     the operator output has a sub-torus periodicity (the s = 2 dilation
     output is half-torus periodic in time, so each row maximum appears
     again at the alias point chi(mu) + (sqrt(n)/2, 0)).
     """
     lat = G.lattice
-    grid = lat.grid
     cross = G.entries.T   # [lam, mu]
     d2_min = np.empty(lat.npoints)
     for mus, d2 in _squared_distance_blocks(*_distance_tables(lat, cmap)):
         mag = np.abs(cross[:, mus])
         tied = mag >= (1.0 - tie_rtol) * np.max(mag, axis=0)
         d2_min[mus] = np.min(np.where(tied, d2, np.inf), axis=0)
-    A_cont = lat.A * grid.h
-    bound = float(np.sqrt(2 * grid.d) * np.linalg.norm(A_cont, 2) + 1.0)
-    return np.sqrt(d2_min), bound
+    return np.sqrt(d2_min), chi_prime_displacement_bound(lat) + 1.0
 
 
 @dataclass

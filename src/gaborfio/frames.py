@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .core import Grid, Signal, Weight, TWO_PI
+from .core import Grid, Signal, Weight, build_atoms
 
 NOT_A_FRAME_RTOL = 1e-10
 
@@ -156,31 +156,10 @@ def enumerate_lattice(A, grid: Grid) -> Lattice:
 
 
 def separable_lattice(a: int, b: int, grid: Grid) -> Lattice:
-    """diag(a, b) lattice in grid units (d = 1 fast path)."""
+    """diag(a, b) lattice in grid units (d = 1 only)."""
     if grid.d != 1:
         raise LatticeError("separable_lattice is the d=1 helper")
     return enumerate_lattice(np.diag([a, b]), grid)
-
-
-def build_atoms(window: Signal, int_coords: np.ndarray) -> np.ndarray:
-    """Atoms pi(z) g at integer grid points z as columns, shape (n^d, N)."""
-    grid = window.grid
-    n = grid.n
-    ic = np.mod(int_coords, n)
-    d = grid.d
-    j = np.arange(n)
-    if d == 1:
-        xs, ms = ic[:, 0], ic[:, 1]
-        rolled = window.values[(j[:, None] - xs[None, :]) % n]
-        phases = np.exp(TWO_PI * 1j * np.outer(j, ms) / n)
-        return rolled * phases
-    atoms = np.empty((grid.size, ic.shape[0]), dtype=complex)
-    garr = window.as_array()
-    for i, (x0, x1, m0, m1) in enumerate(ic):
-        shifted = np.roll(np.roll(garr, x0, axis=0), x1, axis=1)
-        ph = np.exp(TWO_PI * 1j * (np.add.outer(m0 * j, m1 * j)) / n)
-        atoms[:, i] = (shifted * ph).reshape(-1)
-    return atoms
 
 
 class GaborFrameSpec:
@@ -227,7 +206,7 @@ def _walnut_blocks(spec: GaborFrameSpec):
         M = ic[~np.any(ic[:, :d], axis=1), d:]
         _, first = np.unique(ic[:, :d], axis=0, return_index=True)
         G0 = build_atoms(spec.window, lat.int_coords[first])
-        j = np.indices((n,) * d).reshape(d, -1).T
+        j = lat.grid.multi_index()
         _, label = np.unique((j @ M.T) % n, axis=0, return_inverse=True)
         perm = np.argsort(label.ravel(), kind="stable")
         G0b = G0[perm].reshape(M.shape[0], -1, G0.shape[1])

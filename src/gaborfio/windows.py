@@ -5,26 +5,24 @@ import numpy as np
 from .core import Grid, Signal
 
 
+def _tensor(grid: Grid, samples: np.ndarray) -> Signal:
+    """The window prod_a samples[j_a] at every multi-index j of the grid."""
+    return Signal(grid, np.prod(samples[grid.multi_index()], axis=1))
+
+
 def gaussian_window(grid: Grid, width: float = 1.0) -> Signal:
-    """Samples of e^{-pi (t/width)^2} (tensor product for d = 2)."""
+    """Samples of e^{-pi (t/width)^2} (tensor product over the d axes)."""
     if width <= 0:
         raise ValueError("width must be positive")
     x = grid.coords()
-    g1 = np.exp(-np.pi * (x / width) ** 2)
-    if grid.d == 1:
-        return Signal(grid, g1)
-    return Signal(grid, np.outer(g1, g1).reshape(-1))
+    return _tensor(grid, np.exp(-np.pi * (x / width) ** 2))
 
 
 def bspline_window(grid: Grid, order: int = 3) -> Signal:
     """Cardinal B-spline of the given order, supported on [-order/2, order/2]."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    x = grid.coords()
-    vals = _cardinal_bspline(x + order / 2.0, order)
-    if grid.d == 1:
-        return Signal(grid, vals)
-    return Signal(grid, np.outer(vals, vals).reshape(-1))
+    return _tensor(grid, _cardinal_bspline(grid.coords() + order / 2.0, order))
 
 
 def _cardinal_bspline(t, order):
@@ -45,11 +43,8 @@ def box_window(grid: Grid, halfwidth: float = 0.5) -> Signal:
     """Indicator of [-halfwidth, halfwidth]."""
     if halfwidth <= 0:
         raise ValueError("halfwidth must be positive")
-    x = grid.coords()
-    vals = (np.abs(x) <= halfwidth + 1e-12).astype(float)
-    if grid.d == 1:
-        return Signal(grid, vals)
-    return Signal(grid, np.outer(vals, vals).reshape(-1))
+    inside = np.abs(grid.coords()) <= halfwidth + 1e-12
+    return _tensor(grid, inside.astype(float))
 
 
 WINDOW_KINDS = {

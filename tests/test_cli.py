@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import types
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gaborfio.cli import main, _write_csv
+from gaborfio.cli import MAX_DENSE_ENTRIES, _configure, _write_csv, main
 
 
 def write_cfg(tmp_path, name, doc):
@@ -429,3 +430,96 @@ def test_every_config_ends_in_a_documented_exit(case):
     if code in (1, 2, 5):
         errors = json.loads(err)["errors"]
         assert errors and all(set(e) == {"field", "error"} for e in errors)
+
+
+def test_error_exit_stderr_is_one_json_object_with_the_warnings(tmp_path):
+    # numpy warns about the overflow before Newton gives up; the warning
+    # must join the error object, not precede it.
+    doc = dict(WARP_CFG, phase={"kind": "chirp", "params": {"c": 1e300}})
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["gaborfio"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaborfio.cli", "warp-frame", "--config", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 5
+    doc = json.loads(proc.stderr)
+    assert [e["field"] for e in doc["errors"]] == ["phase"]
+    assert {"category": "RuntimeWarning",
+            "message": "overflow encountered in multiply"} in doc["warnings"]
+
+
+# ------------------------------------------------------ dense size cap
+
+def configure(command, doc):
+    path = tempfile.NamedTemporaryFile("w", suffix=".json", delete=False)
+    with path:
+        json.dump(doc, path)
+    try:
+        return _configure(types.SimpleNamespace(command=command,
+                                                config=path.name, seed=None))
+    finally:
+        os.unlink(path.name)
+
+
+@pytest.mark.parametrize("command,doc", [
+    # 4096 x 1,048,576 atoms
+    ("frame-check", dict(BASE, grid={"n": 64, "d": 2},
+                         lattice={"generator": np.diag([2] * 4).tolist()})),
+    # a 16384 x 16384 Gabor matrix
+    ("decay-scan", dict(decay_cfg(), grid={"n": 1024, "d": 1},
+                        lattice={"generator": [[8, 0], [0, 8]]})),
+    # a 16384 x 16384 Gram matrix
+    ("warp-frame", dict(WARP_CFG, grid={"n": 16384, "d": 1},
+                        lattice={"generator": [[1024, 0], [0, 1024]]},
+                        density_sweep=[])),
+])
+def test_dense_size_cap_runs_before_the_lattice(command, doc, monkeypatch):
+    def no_lattice(*args):
+        raise AssertionError("lattice enumerated")
+    monkeypatch.setattr("gaborfio.cli.enumerate_lattice", no_lattice)
+    code, err = run_quietly(command, doc)
+    assert code == 1
+    [error] = json.loads(err)["errors"]
+    assert error["field"] == "lattice.generator"
+    assert f"above {MAX_DENSE_ENTRIES}" in error["error"]
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CFGS))
+def test_dense_size_cap_admits_the_dense_fio_limit(command):
+    # n = 1024 with diag(16, 16), N = 4096: the largest grid the FIO
+    # subcommands take, and the sweep's target.
+    doc = dict(VALID_CFGS[command], grid={"n": 1024, "d": 1},
+               lattice={"generator": [[16, 0], [0, 16]]})
+    assert configure(command, doc).lattice.npoints == 4096
+
+
+# ------------------------------------------------------------- d = 2
+
+D2_NONSEPARABLE = {"grid": {"n": 12, "d": 2}, "window": {"kind": "gaussian"},
+                   "lattice": {"generator": [[2, 0, 0, 0], [0, 3, 0, 0],
+                                             [1, 0, 2, 0], [0, 0, 0, 2]]}}
+
+
+def test_frame_check_d2_nonseparable(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", D2_NONSEPARABLE)
+    assert main(["frame-check", "--config", cfg,
+                 "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["verdicts"]["parseval_ok"]
+
+
+def test_warp_frame_d2_linear_keeps_the_frame_bounds(tmp_path):
+    doc = dict(D2_NONSEPARABLE, phase={"kind": "linear", "params": {"d": 2}})
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    for command in ("frame-check", "warp-frame"):
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / command)]) == 0
+    norms = [json.loads((tmp_path / c / "report.json").read_text())["norms"]
+             for c in ("frame-check", "warp-frame")]
+    assert norms[1]["warped_bounds"] == pytest.approx(
+        norms[0]["frame_bounds"], rel=1e-12)
+    assert norms[1]["max_rounding_displacement"] == 0.0

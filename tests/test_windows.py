@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaborfio.core import Grid
-from gaborfio.windows import _cardinal_bspline, bspline_window
+from gaborfio.windows import _cardinal_bspline, bspline_window, make_window
 
 
 def recursive_bspline(t, order):
@@ -29,3 +29,11 @@ def test_high_order_bspline_is_fast():
     w = bspline_window(Grid(64), order=30)
     assert time.process_time() - t0 < 0.1
     assert np.all(np.isfinite(w.values)) and np.max(w.values.real) > 0
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "bspline", "box"])
+@pytest.mark.parametrize("n", [8, 12, 64])
+def test_d2_window_is_the_outer_product_of_d1(kind, n):
+    w1 = make_window(Grid(n), kind).values
+    w2 = make_window(Grid(n, 2), kind).values
+    assert np.array_equal(w2, np.outer(w1, w1).reshape(-1))
