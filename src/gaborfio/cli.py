@@ -50,8 +50,8 @@ EXIT_NEWTON_DIVERGENCE = 5
 # The subcommands that build the dense n^d x n^d FIO matrix.
 FIO_COMMANDS = ("decay-scan", "approximate", "dilation-demo")
 
-# The most complex entries (1 GiB) of the largest dense array a run may
-# allocate; see _largest_array.
+# The most complex entries (1 GiB) a run's largest dense arrays may hold
+# at once; see _largest_array.
 MAX_DENSE_ENTRIES = 2 ** 26
 
 # What the config part constructors raise on a value they cannot use
@@ -171,13 +171,14 @@ def _build_lattice(cfg, grid, command, problems):
 
 
 def _largest_array(command, grid, npoints):
-    """Complex entries of the largest dense array command allocates.
+    """Complex entries of the largest dense arrays command holds at once.
 
-    The n^d x N atoms; n^{2d} bounds the Walnut blocks of the frame
-    operator and is warp-frame's Gram matrix; the FIO subcommands hold
-    the N x N Gabor matrix.
+    3 n^d N for the atoms, since core.build_atoms holds three complex
+    n^d x N tables at its peak; n^{2d} bounds the Walnut blocks of the
+    frame operator and is warp-frame's Gram matrix; the FIO subcommands
+    hold the N x N Gabor matrix.
     """
-    sizes = [grid.size * npoints, grid.size ** 2]
+    sizes = [3 * grid.size * npoints, grid.size ** 2]
     if command in FIO_COMMANDS:
         sizes.append(npoints ** 2)
     return max(sizes)
@@ -194,7 +195,7 @@ def _enumerate(gen, grid, command, field, problems):
                                      grid.size ** 2 / round(det))
             if entries > MAX_DENSE_ENTRIES:
                 return problems.add(
-                    field, f"{gen}: {command} would allocate a dense array "
+                    field, f"{gen}: {command} would allocate dense arrays "
                            f"of {entries:.4g} complex entries, above "
                            f"{MAX_DENSE_ENTRIES}")
         return enumerate_lattice(A, grid)
@@ -421,21 +422,24 @@ def cmd_dilation_demo(args, run):
            / camp[keep])
     max_rel = float(np.max(rel))
     c_mod_dev = float(np.max(np.abs(np.abs(tsym.c) - 1.0)))
-    # CSV rows: the strong entries only (|closed| >= 1e-3 max), to keep the
-    # table plot-ready; the summary metric covers the full 99%-mass set.
-    strong = np.flatnonzero(camp >= 1e-3 * camp.max())
-    K = nu_int.shape[0]
-    N = mu_int.shape[0]
-    kk = np.broadcast_to(k[None, :], (K, N)).ravel()
-    ll = np.broadcast_to(l[None, :], (K, N)).ravel()
-    kkp = np.broadcast_to(kp[:, None], (K, N)).ravel()
-    llp = np.broadcast_to(lp[:, None], (K, N)).ravel()
-    cr, nr = closed.ravel(), numeric.ravel()
-    rows = [(kk[i], ll[i], kkp[i], llp[i], cr[i].real, cr[i].imag,
-             nr[i].real, nr[i].imag, abs(nr[i] - cr[i])) for i in strong]
+    # CSV rows, plot-ready: for each shift nu (a row of the (K, N) tables)
+    # the entry of largest |closed| and the entry of largest error, one row
+    # when they coincide, in flat (K, N) order.  The summary metric above
+    # covers the full 99%-mass set.  np.hypot rounds as abs() of one
+    # complex does; np.abs of a complex array can be 2 ulp off it.
+    K, N = closed.shape
+    diff = numeric - closed
+    err = np.hypot(diff.real, diff.imag)
+    cols = np.stack([np.argmax(camp.reshape(K, N), axis=1),
+                     np.argmax(err, axis=1)], axis=1)
+    r, c = np.divmod(np.unique(np.arange(K)[:, None] * N + cols), N)
+    rows = np.column_stack([k[c], l[c], kp[r], lp[r],
+                            closed.real[r, c], closed.imag[r, c],
+                            numeric.real[r, c], numeric.imag[r, c],
+                            err[r, c]])
     _write_csv(os.path.join(args.out, "dilation_symbols.csv"),
                ["k", "l", "kp", "lp", "closed_form_re", "closed_form_im",
-                "numeric_re", "numeric_im", "abs_err"], rows)
+                "numeric_re", "numeric_im", "abs_err"], rows.tolist())
     _report(args, run, {},
             {"max_relative_error_99pct": max_rel,
              "commutation_modulus_deviation": c_mod_dev,

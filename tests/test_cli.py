@@ -15,6 +15,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gaborfio.cli import MAX_DENSE_ENTRIES, _configure, _write_csv, main
+from gaborfio.core import Grid
+from gaborfio.dilation import dilation_symbol_closed_form
+from gaborfio.fio import constant_symbol, make_fio
+from gaborfio.frames import GaborFrameSpec, enumerate_lattice, tighten
+from gaborfio.multiplier import extract_symbols
+from gaborfio.phases import canonical_map, dilation_phase
+from gaborfio.windows import make_window
 
 
 def write_cfg(tmp_path, name, doc):
@@ -182,6 +189,63 @@ def test_dilation_demo_rejects_non_gaussian(tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+def dilation_tables(n, nu_radius):
+    """k, l (per mu), kp, lp (per nu) and the (K, N) closed-form and numeric
+    symbol tables of dilation-demo at n with diag(4, 4) and s = 2."""
+    grid = Grid(n)
+    lattice = enumerate_lattice([[4, 0], [0, 4]], grid)
+    spec = tighten(GaborFrameSpec(make_window(grid, "gaussian"), lattice))
+    u = make_window(grid, "gaussian").values
+    rho = float(np.real(np.vdot(u, spec.window.values)) / np.vdot(u, u).real)
+    phase = dilation_phase(2.0)
+    cm = canonical_map(phase)
+    tsym = extract_symbols(make_fio(phase, constant_symbol(grid), grid, cm),
+                           spec, cm, nu_radius)
+    k, l = (lattice.int_coords / 4).T
+    kp, lp = (lattice.int_coords[tsym.nu_indices] / 4).T
+    closed = dilation_symbol_closed_form(2.0, 4 * grid.h, 4 * grid.h,
+                                         k[None, :], l[None, :],
+                                         kp[:, None], lp[:, None])
+    return k, l, kp, lp, closed, tsym.a * grid.h / rho ** 2
+
+
+def first_argmax(values):
+    best = 0
+    for j, v in enumerate(values):
+        if v > values[best]:
+            best = j
+    return best
+
+
+@pytest.mark.parametrize("nu_radius", [0.0, 1.5, 3.0])
+def test_dilation_demo_rows_are_the_per_shift_maxima(tmp_path, nu_radius):
+    doc = dict(DILATION_CFG, grid={"n": 64, "d": 1}, nu_radius=nu_radius)
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    assert main(["dilation-demo", "--config", cfg,
+                 "--out", str(tmp_path)]) == 0
+    rows = np.loadtxt(tmp_path / "dilation_symbols.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    k, l, kp, lp, closed, numeric = dilation_tables(64, nu_radius)
+    K, N = closed.shape
+    # Within a shift many |closed| agree to a few ulp, so the oracle takes
+    # them from the same np.abs; abs() of one complex is the error.
+    mag = np.abs(closed).tolist()
+    err = [[abs(numeric[i, j] - closed[i, j]) for j in range(N)]
+           for i in range(K)]
+    picked = set()
+    for i in range(K):
+        picked |= {(i, first_argmax(mag[i])), (i, first_argmax(err[i]))}
+    picked = sorted(picked)
+    assert len(rows) == len(picked) <= 2 * K
+    flat = np.argmax(mag), np.argmax(err)
+    assert {divmod(int(f), N) for f in flat} <= set(picked)
+    for row, (i, j) in zip(rows, picked):
+        assert row[:8].tolist() == [k[j], l[j], kp[i], lp[i],
+                                    closed[i, j].real, closed[i, j].imag,
+                                    numeric[i, j].real, numeric[i, j].imag]
+        assert row[8] == err[i][j]
+
+
 WARP_CFG = {
     "grid": {"n": 64, "d": 1},
     "window": {"kind": "gaussian"},
@@ -316,6 +380,22 @@ VALID_CFGS = {
     "dilation-demo": DILATION_CFG,
     "warp-frame": WARP_CFG,
 }
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CFGS))
+def test_rerun_byte_identical(tmp_path, command):
+    cfg = write_cfg(tmp_path, "c.json", VALID_CFGS[command])
+    outs = []
+    for name in ("a", "b"):
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / name)]) == 0
+        outs.append({p.name: p.read_bytes()
+                     for p in sorted((tmp_path / name).iterdir())})
+    assert "report.json" in outs[0]
+    assert any(name.endswith(".csv") for name in outs[0])
+    assert outs[0] == outs[1]
+
+
 D2_GRID = {"grid": {"n": 8, "d": 2},
            "lattice": {"generator": np.diag([2, 2, 2, 2]).tolist()}}
 
@@ -476,6 +556,10 @@ def configure(command, doc):
     ("warp-frame", dict(WARP_CFG, grid={"n": 16384, "d": 1},
                         lattice={"generator": [[1024, 0], [0, 1024]]},
                         density_sweep=[])),
+    # 1024 x 65,536 atoms, exactly the cap, but build_atoms holds three
+    ("frame-check", dict(BASE, grid={"n": 32, "d": 2},
+                         lattice={"generator": [[2, 0, 0, 0], [0, 2, 0, 0],
+                                                [1, 0, 2, 0], [0, 0, 0, 2]]})),
 ])
 def test_dense_size_cap_runs_before_the_lattice(command, doc, monkeypatch):
     def no_lattice(*args):
@@ -491,9 +575,13 @@ def test_dense_size_cap_runs_before_the_lattice(command, doc, monkeypatch):
 @pytest.mark.parametrize("command", sorted(VALID_CFGS))
 def test_dense_size_cap_admits_the_dense_fio_limit(command):
     # n = 1024 with diag(16, 16), N = 4096: the largest grid the FIO
-    # subcommands take, and the sweep's target.
+    # subcommands take, and the sweep's target.  warp-frame sweeps that
+    # lattice alone: its test sweep's diag(4, 4) at n = 1024 has
+    # 1024 x 65,536 atoms, which build_atoms would hold three times.
     doc = dict(VALID_CFGS[command], grid={"n": 1024, "d": 1},
                lattice={"generator": [[16, 0], [0, 16]]})
+    if command == "warp-frame":
+        doc["density_sweep"] = [doc["lattice"]["generator"]]
     assert configure(command, doc).lattice.npoints == 4096
 
 
