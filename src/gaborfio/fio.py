@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .core import Grid, Signal, Weight, TWO_PI
-from .frames import GaborFrameSpec, Lattice, is_parseval
+from .frames import (_BLOCK_BYTES, GaborFrameSpec, Lattice, analysis,
+                     is_parseval)
 from .phases import CanonicalMap, TamePhase, chi_prime_displacement_bound
 from .diagnostics import loglog_fit, DecayReport
 
@@ -173,10 +174,14 @@ def gabor_matrix(T: FioOperator, spec: GaborFrameSpec) -> GaborMatrix:
     if not is_parseval(spec):
         warnings.warn("gabor_matrix called with a non-Parseval frame spec",
                       stacklevel=2)
-    atoms = spec.atoms
-    cross = atoms.conj().T @ (fio_matrix(T) @ atoms)   # [lam, mu]
     return GaborMatrix(lattice=spec.lattice, window=spec.window,
-                       entries=cross.T)
+                       entries=gabor_cross(T, spec).T)
+
+
+def gabor_cross(T: FioOperator, spec: GaborFrameSpec) -> np.ndarray:
+    """A^H T A, indexed [lam, mu], by two analyses: T A = (A^H T^H)^H."""
+    TA = analysis(fio_matrix(T).conj().T, spec).conj().T
+    return analysis(TA, spec)
 
 
 def pair_distances(G: GaborMatrix, cmap: CanonicalMap) -> np.ndarray:
@@ -188,10 +193,6 @@ def pair_distances(G: GaborMatrix, cmap: CanonicalMap) -> np.ndarray:
     """
     blocks = _squared_distance_blocks(*_distance_tables(G.lattice, cmap))
     return np.concatenate([np.sqrt(1.0 + d2) for _, d2 in blocks], axis=1).T
-
-
-# Bytes of one float64 block of |chi(mu) - lam|^2.
-_BLOCK_BYTES = 8 * 2 ** 20
 
 
 def _distance_tables(lat: Lattice, cmap: CanonicalMap):
@@ -214,7 +215,7 @@ def _squared_distance_blocks(tables, cols):
     """Yield (mus, d2), d2[lam, i] = |chi(mu_i) - lam|^2 for mu_i in mus.
 
     The blocks are [lam, mu] like A^H T A in gabor_matrix, and hold about
-    _BLOCK_BYTES each.
+    _BLOCK_BYTES each (the column block size of frames.analysis).
     """
     N = cols.shape[1]
     step = max(1, _BLOCK_BYTES // (8 * N))

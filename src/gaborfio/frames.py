@@ -25,17 +25,32 @@ every commensurate lattice, separable or not, in any d: S splits into |M|
 blocks of size n^d / |M|, one per coset of the annihilator of M (rows j
 with equal j.m mod n for all m in M).  Frame bounds, S^{-1/2} g and
 S^{-1} g come from one batched eigendecomposition of these blocks.
+
+Analysis and synthesis fold over the same cosets.  The atom at the point
+(x_t, m_t + M_k) is G0[:, t] times the character e^{2 pi i j.M_k / n},
+which is constant on each coset c of rows, where it equals
+conj(E[k, c]) with E[k, c] = e^{-2 pi i (j_c.M_k mod n) / n}.  So
+
+    A^H X = E (G0_c^H X_c)      (one small product per coset c),
+    A C   = G0_c (E^H C)_c,
+
+with the coefficients in the (k, t) order of the coset tables.  This is
+n^d N_t + |M| N operations per column instead of n^d N, for any d and any
+commensurate lattice; the dense n^d x N atom matrix is never formed.
+Columns are processed in blocks of about _BLOCK_BYTES.
 """
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
-from .core import Grid, Signal, Weight, build_atoms
+from .core import Grid, Signal, TWO_PI, Weight, build_atoms
 
 NOT_A_FRAME_RTOL = 1e-10
+
+# Bytes of one complex column block of analysis and synthesis.
+_BLOCK_BYTES = 8 * 2 ** 20
 
 
 class LatticeError(ValueError):
@@ -59,6 +74,8 @@ class Lattice:
     int_coords: np.ndarray  # (N, 2d) integer grid coordinates, symmetric reps
     hnf: np.ndarray = field(repr=False)   # Hermite normal form of n A^{-1}
     rank: np.ndarray = field(repr=False)  # mixed-radix value -> point index
+    _cosets: Optional["Cosets"] = field(default=None, init=False,
+                                        repr=False, compare=False)
 
     @property
     def npoints(self) -> int:
@@ -175,42 +192,73 @@ class GaborFrameSpec:
         scale = nrm if normalize else 1.0
         self.window = Signal(window.grid, window.values / scale)
         self.lattice = lattice
-        self._atoms = None
+        self._G0 = None
         self._blocks = None
         self._S = None
         self._eig = None
         self._tight = None
         self._dual = None
 
-    @property
-    def atoms(self) -> np.ndarray:
-        if self._atoms is None:
-            self._atoms = build_atoms(self.window, self.lattice.int_coords)
-        return self._atoms
-
     def with_window(self, window: Signal, normalize: bool = True) -> "GaborFrameSpec":
         return GaborFrameSpec(window, self.lattice, normalize=normalize)
+
+
+@dataclass
+class Cosets:
+    """Coset tables of a lattice: what analysis and synthesis fold over.
+
+    With M the pure modulations, x_t the distinct translations and m_t
+    the modulation of the first lattice point over x_t, the lattice is
+    {(x_t, m_t + M_k)}.  The rows perm[c s:(c+1) s] are the c-th coset of
+    the annihilator of M, s = n^d / |M|.
+    """
+
+    perm: np.ndarray     # (n^d,) rows grouped by coset
+    reps: np.ndarray     # (N_t, 2d) the points (x_t, m_t)
+    E: np.ndarray        # (|M|, |M|) [k, c] e^{-2 pi i (j_c.M_k mod n) / n}
+    index: np.ndarray    # (|M|, N_t) lattice index of (x_t, m_t + M_k)
+
+
+def _cosets(lat: Lattice) -> Cosets:
+    """The coset tables of lat, computed once per lattice."""
+    if lat._cosets is None:
+        n, d = lat.grid.n, lat.grid.d
+        ic = np.mod(lat.int_coords, n)
+        M = ic[~np.any(ic[:, :d], axis=1), d:]
+        _, first = np.unique(ic[:, :d], axis=0, return_index=True)
+        reps = lat.int_coords[first]
+        j = lat.grid.multi_index()
+        _, label = np.unique((j @ M.T) % n, axis=0, return_inverse=True)
+        perm = np.argsort(label.ravel(), kind="stable")
+        jc = j[perm[::perm.size // M.shape[0]]]
+        E = np.exp(-TWO_PI * 1j * ((M @ jc.T) % n) / n)
+        pts = np.concatenate(np.broadcast_arrays(
+            reps[None, :, :d], reps[None, :, d:] + M[:, None, :]), axis=-1)
+        lat._cosets = Cosets(perm=perm, reps=reps, E=E,
+                             index=lat.indices_of(pts))
+    return lat._cosets
+
+
+def _coset_atoms(spec: GaborFrameSpec) -> np.ndarray:
+    """G0: one atom pi(x_t, m_t) g per translation, rows grouped by coset,
+    shape (|M|, s, N_t)."""
+    if spec._G0 is None:
+        cos = _cosets(spec.lattice)
+        G0 = build_atoms(spec.window, cos.reps)
+        spec._G0 = G0[cos.perm].reshape(cos.E.shape[0], -1, G0.shape[1])
+    return spec._G0
 
 
 def _walnut_blocks(spec: GaborFrameSpec):
     """Coset permutation and stacked diagonal blocks of the frame operator.
 
-    Returns (perm, blocks): the rows perm[k s:(k+1) s] are the k-th coset
-    of the annihilator of the pure modulations M, and blocks[k] is S on
-    those rows and columns, |M| G0 G0^H over one atom per translation.
+    Returns (perm, blocks): blocks[c] is S on the rows and columns of the
+    c-th coset, |M| G0 G0^H over one atom per translation.
     """
     if spec._blocks is None:
-        lat = spec.lattice
-        n, d = lat.grid.n, lat.grid.d
-        ic = np.mod(lat.int_coords, n)
-        M = ic[~np.any(ic[:, :d], axis=1), d:]
-        _, first = np.unique(ic[:, :d], axis=0, return_index=True)
-        G0 = build_atoms(spec.window, lat.int_coords[first])
-        j = lat.grid.multi_index()
-        _, label = np.unique((j @ M.T) % n, axis=0, return_inverse=True)
-        perm = np.argsort(label.ravel(), kind="stable")
-        G0b = G0[perm].reshape(M.shape[0], -1, G0.shape[1])
-        spec._blocks = perm, M.shape[0] * (G0b @ G0b.conj().transpose(0, 2, 1))
+        G0 = _coset_atoms(spec)
+        spec._blocks = (_cosets(spec.lattice).perm,
+                        G0.shape[0] * (G0 @ G0.conj().transpose(0, 2, 1)))
     return spec._blocks
 
 
@@ -292,18 +340,52 @@ def tighten(spec: GaborFrameSpec) -> GaborFrameSpec:
     return spec.with_window(canonical_tight_window(spec), normalize=False)
 
 
-def analysis(f: Signal, spec: GaborFrameSpec) -> np.ndarray:
-    """Coefficients <f, pi(lambda) g> over the lattice."""
-    return (f.values.conj() @ spec.atoms).conj()
+def _column_blocks(ncols: int, rows: int):
+    """Slices of about _BLOCK_BYTES of complex columns of the given height."""
+    step = max(1, _BLOCK_BYTES // (16 * rows))
+    return [slice(i, i + step) for i in range(0, ncols, step)]
 
 
-def synthesis(c: np.ndarray, spec: GaborFrameSpec) -> Signal:
-    """sum_lambda c_lambda pi(lambda) g."""
+def analysis(f, spec: GaborFrameSpec) -> np.ndarray:
+    """Coefficients <f, pi(lambda) g> over the lattice, A^H f.
+
+    f is a Signal or an array of n^d samples by any number of columns;
+    the result has N rows in lattice order and the same columns.
+    """
+    X = f.values if isinstance(f, Signal) else np.asarray(f)
+    cos = _cosets(spec.lattice)
+    G0h = _coset_atoms(spec).conj().transpose(0, 2, 1)
+    K, Nt, s = G0h.shape
+    cols = X.reshape(X.shape[0], -1)
+    out = np.empty((K * Nt, cols.shape[1]), dtype=complex)
+    for b in _column_blocks(cols.shape[1], max(K * Nt, cols.shape[0])):
+        Y = G0h @ cols[cos.perm, b].reshape(K, s, -1)
+        out[cos.index, b] = (cos.E @ Y.reshape(K, -1)).reshape(K, Nt, -1)
+    return out.reshape((-1,) + X.shape[1:])
+
+
+def synthesis(c: np.ndarray, spec: GaborFrameSpec):
+    """sum_lambda c_lambda pi(lambda) g, A c.
+
+    A vector of N coefficients gives a Signal; an (N, K) array gives the
+    (n^d, K) array of the K syntheses.
+    """
     c = np.asarray(c, dtype=complex)
-    if c.size != spec.lattice.npoints:
-        raise ValueError(
-            f"expected {spec.lattice.npoints} coefficients, got {c.size}")
-    return Signal(spec.window.grid, spec.atoms @ c)
+    N = spec.lattice.npoints
+    if c.shape[:1] != (N,) or c.ndim > 2:
+        raise ValueError(f"expected {N} coefficients, got {c.shape}")
+    cos = _cosets(spec.lattice)
+    G0 = _coset_atoms(spec)
+    K, s, Nt = G0.shape
+    EH = cos.E.conj().T
+    cols = c.reshape(N, -1)
+    out = np.empty((K * s, cols.shape[1]), dtype=complex)
+    for b in _column_blocks(cols.shape[1], max(N, K * s)):
+        W = EH @ cols[cos.index, b].reshape(K, -1)
+        out[cos.perm, b] = (G0 @ W.reshape(K, Nt, -1)).reshape(K * s, -1)
+    if c.ndim == 1:
+        return Signal(spec.window.grid, out[:, 0])
+    return out
 
 
 def gabor_mod_norm(f: Signal, p: float, m: Weight, spec: GaborFrameSpec) -> float:
@@ -343,7 +425,7 @@ def warped_frame_check(window: Signal, lattice: Lattice,
     w = Signal(window.grid, window.values / nrm)
     G = build_atoms(w, ic)
     S = G @ G.conj().T
-    evals = scipy.linalg.eigvalsh(0.5 * (S + S.conj().T))
+    evals = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
     bounds = (float(max(evals[0], 0.0)), float(evals[-1]))
     uniq = np.unique(np.mod(ic, grid.n), axis=0).shape[0]
     return WarpedFrameReport(bounds=bounds,

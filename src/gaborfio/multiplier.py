@@ -23,9 +23,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Signal, Weight, TWO_PI
-from .frames import GaborFrameSpec, analysis, gabor_mod_norm, is_parseval
+from .frames import (GaborFrameSpec, analysis, gabor_mod_norm, is_parseval,
+                     synthesis)
 from .phases import CanonicalMap, chi_prime_table
-from .fio import FioOperator, fio_matrix
+from .fio import FioOperator, fio_matrix, gabor_cross
 from .diagnostics import NormEstimate, loglog_fit, operator_norm
 
 
@@ -54,13 +55,26 @@ def warp_indices(cm: CanonicalMap, spec: GaborFrameSpec) -> np.ndarray:
 
 
 def apply_multiplier(M: GaborMultiplier, f: Signal) -> Signal:
-    coeff = analysis(f, M.spec)
-    return Signal(f.grid, M.spec.atoms[:, M.warp_idx] @ (M.a * coeff))
+    """One synthesis of a * <f, pi(lambda) g> placed at chi'(lambda).
+
+    chi' is only almost injective, so coefficients landing on the same
+    point add up."""
+    c = np.zeros(M.a.size, dtype=complex)
+    np.add.at(c, M.warp_idx, M.a * analysis(f, M.spec))
+    return synthesis(c, M.spec)
 
 
 def multiplier_matrix(M: GaborMultiplier) -> np.ndarray:
-    atoms = M.spec.atoms
-    return (atoms[:, M.warp_idx] * M.a[None, :]) @ atoms.conj().T
+    """A C A^H with C[chi'(lambda), lambda] = a_lambda."""
+    N = M.a.size
+    C = np.zeros((N, N), dtype=complex)
+    C[M.warp_idx, np.arange(N)] = M.a
+    return _sandwich(C, M.spec)
+
+
+def _sandwich(C: np.ndarray, spec: GaborFrameSpec) -> np.ndarray:
+    """A C A^H by two syntheses: A C A^H = (A (A C)^H)^H."""
+    return synthesis(synthesis(C, spec).conj().T, spec).conj().T
 
 
 @dataclass
@@ -146,8 +160,7 @@ def extract_symbols(T: FioOperator, spec: GaborFrameSpec, cmap: CanonicalMap,
         warnings.warn("extract_symbols called with a non-Parseval frame spec",
                       stacklevel=2)
     lat = spec.lattice
-    atoms = spec.atoms
-    cross = atoms.conj().T @ (fio_matrix(T) @ atoms)    # [lam, mu]
+    cross = gabor_cross(T, spec)                        # [lam, mu]
     chi_int = chi_prime_table(cmap, lat)                # (N, 2d)
     nu_indices = np.flatnonzero(lat.torus_norms() <= nu_radius + 1e-12)
     nu_int = lat.int_coords[nu_indices]
@@ -182,8 +195,7 @@ def assemble_truncated(tsym: MultiplierSymbolTable, spec: GaborFrameSpec,
     lam = lat.indices_of(chi_int[None, :, :] + nu_int[:, None, :])
     C = np.zeros((lat.npoints, lat.npoints), dtype=complex)
     C[lam, np.arange(lat.npoints)] = tsym.a[keep] * np.conj(tsym.c[keep])
-    atoms = spec.atoms
-    return atoms @ C @ atoms.conj().T
+    return _sandwich(C, spec)
 
 
 def symbol_decay_points(tsym: MultiplierSymbolTable):

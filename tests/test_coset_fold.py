@@ -1,0 +1,126 @@
+"""Property tests of analysis and synthesis by coset folding.
+
+frames.analysis and frames.synthesis never form the n^d x N atom matrix A:
+they fold over the cosets of the annihilator of the pure modulations.
+Each is checked here against the dense oracle A = build_atoms over every
+lattice point, for d = 1 and d = 2, separable and non-separable
+lattices, random complex windows, one and several columns, and column
+blocks of 1, 7 and k + 3 columns.  The sandwiches A C A^H behind
+assemble_truncated and multiplier_matrix, and the scatter of
+apply_multiplier, are checked the same way, with a warp that maps
+several points to one.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
+
+from gaborfio import frames
+from gaborfio.core import Grid, Signal, build_atoms
+from gaborfio.frames import (GaborFrameSpec, analysis, enumerate_lattice,
+                             synthesis)
+from gaborfio.multiplier import (GaborMultiplier, MultiplierSymbolTable,
+                                 apply_multiplier, assemble_truncated,
+                                 multiplier_matrix)
+from test_lattice_algebra import commensurate_generators
+
+MAX_POINTS = 1024
+RTOL = 1e-12
+
+# d = 1 with a non-separable generator, and d = 2 non-separable.
+SHEARED = (np.array([[2, 1], [0, 4]]), Grid(16))
+SHEARED_2D = (np.array([[2, 0, 0, 0], [0, 3, 0, 0], [1, 0, 2, 0],
+                        [0, 0, 0, 2]]), Grid(12, 2))
+
+
+def random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def rel_err(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+def block_bytes(spec, columns):
+    """_BLOCK_BYTES that makes the fold process `columns` columns a block."""
+    rows = max(spec.lattice.npoints, spec.window.grid.size)
+    return 16 * rows * columns
+
+
+def draw_spec(gen, seed):
+    A, grid = gen
+    lat = enumerate_lattice(A, grid)
+    assume(lat.npoints <= MAX_POINTS)
+    rng = np.random.default_rng(seed)
+    window = Signal(grid, random_complex(rng, grid.size))
+    return GaborFrameSpec(window, lat), rng
+
+
+SETTINGS = settings(max_examples=60, deadline=None, database=None)
+CASES = given(commensurate_generators(sizes=((8, 12, 16, 24, 32), (8,))),
+              st.integers(2, 6), st.sampled_from(["one", "seven", "k+3"]),
+              st.integers(0, 2 ** 16))
+
+
+def block_columns(block, k):
+    return {"one": 1, "seven": 7, "k+3": k + 3}[block]
+
+
+@SETTINGS
+@CASES
+@example(gen=SHEARED, k=3, block="one", seed=1)
+@example(gen=SHEARED_2D, k=4, block="seven", seed=2)
+def test_analysis_and_synthesis_match_the_dense_atoms(gen, k, block, seed):
+    spec, rng = draw_spec(gen, seed)
+    n_d, N = spec.window.grid.size, spec.lattice.npoints
+    atoms = build_atoms(spec.window, spec.lattice.int_coords)
+    with mock.patch.object(frames, "_BLOCK_BYTES",
+                           block_bytes(spec, block_columns(block, k))):
+        for cols in (1, k):
+            X = random_complex(rng, n_d, cols)
+            C = random_complex(rng, N, cols)
+            assert analysis(X, spec).shape == (N, cols)
+            assert rel_err(analysis(X, spec), atoms.conj().T @ X) < RTOL
+            assert synthesis(C, spec).shape == (n_d, cols)
+            assert rel_err(synthesis(C, spec), atoms @ C) < RTOL
+        f = Signal(spec.window.grid, X[:, 0])
+        assert rel_err(analysis(f, spec), atoms.conj().T @ X[:, 0]) < RTOL
+        assert rel_err(synthesis(C[:, 0], spec).values, atoms @ C[:, 0]) < RTOL
+
+
+@SETTINGS
+@CASES
+@example(gen=SHEARED, k=2, block="k+3", seed=3)
+@example(gen=SHEARED_2D, k=5, block="one", seed=4)
+def test_sandwiches_match_the_dense_atoms(gen, k, block, seed):
+    spec, rng = draw_spec(gen, seed)
+    lat = spec.lattice
+    N, n = lat.npoints, lat.grid.n
+    atoms = build_atoms(spec.window, lat.int_coords)
+    # A warp that sends several points to one, as chi' can.
+    warp_idx = rng.integers(0, max(1, N // 2), size=N)
+    a = random_complex(rng, N)
+    with mock.patch.object(frames, "_BLOCK_BYTES",
+                           block_bytes(spec, block_columns(block, k))):
+        M = GaborMultiplier(a, spec, warp_idx)
+        dense = (atoms[:, warp_idx] * a) @ atoms.conj().T
+        assert rel_err(multiplier_matrix(M), dense) < RTOL
+        f = Signal(lat.grid, random_complex(rng, lat.grid.size))
+        assert rel_err(apply_multiplier(M, f).values, dense @ f.values) < RTOL
+
+        # Every shift nu at once: C[chi'(mu) + nu, mu] = a_nu(mu) conj(c).
+        nu = np.arange(N)
+        tsym = MultiplierSymbolTable(
+            spec=spec, cmap=None, nu_indices=nu, a=random_complex(rng, N, N),
+            c=np.exp(2j * np.pi * rng.random((N, N))), warp_idx=warp_idx,
+            nu_radius=float(np.max(lat.torus_norms())))
+        # Lattice index of every point of Z_n^{2d}, by a lookup table.
+        where = np.full((n,) * (2 * lat.grid.d), -1)
+        where[tuple(np.mod(lat.int_coords, n).T)] = nu
+        lam = where[tuple(np.mod(lat.int_coords[warp_idx][None, :, :]
+                                 + lat.int_coords[:, None, :], n).T)].T
+        C = np.zeros((N, N), dtype=complex)
+        C[lam, np.arange(N)] = tsym.a * np.conj(tsym.c)
+        assert rel_err(assemble_truncated(tsym, spec, tsym.nu_radius),
+                       atoms @ C @ atoms.conj().T) < RTOL

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaborfio.core import Grid, Signal, random_signal
+from gaborfio.core import Grid, Signal, build_atoms, random_signal
 from gaborfio.frames import GaborFrameSpec, separable_lattice, tighten
 from gaborfio.phases import (linear_phase, dilation_phase, chirp_phase,
                              perturbed_phase, canonical_map)
@@ -109,7 +109,8 @@ def test_gabor_matrix_of_identity_is_gram(n):
     grid, spec = tight_spec(n, 2, 2)
     T = make_fio(linear_phase(), constant_symbol(grid), grid)
     G = gabor_matrix(T, spec)
-    gram = spec.atoms.conj().T @ spec.atoms
+    atoms = build_atoms(spec.window, spec.lattice.int_coords)
+    gram = atoms.conj().T @ atoms
     assert np.max(np.abs(G.entries - gram.T)) < 1e-10
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaborfio.core import Grid
+from gaborfio.core import Grid, build_atoms
 from gaborfio.frames import (GaborFrameSpec, enumerate_lattice,
                              separable_lattice, tighten)
 from gaborfio.phases import dilation_phase, perturbed_phase, canonical_map
@@ -112,7 +112,7 @@ def per_shift_sum(tsym, spec, L):
     lat = spec.lattice
     n = lat.grid.n
     where = {tuple(row): i for i, row in enumerate(np.mod(lat.int_coords, n))}
-    atoms = spec.atoms
+    atoms = build_atoms(spec.window, lat.int_coords)
     chi_int = lat.int_coords[tsym.warp_idx]
     out = np.zeros((atoms.shape[0], atoms.shape[0]), dtype=complex)
     for k in np.flatnonzero(tsym.nu_norms <= L + 1e-12):
