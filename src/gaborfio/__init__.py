@@ -11,22 +11,20 @@ from .frames import (Lattice, GaborFrameSpec, enumerate_lattice,
                      LatticeError, NotAFrameError, is_frame, is_parseval)
 from .phases import (TamePhase, CanonicalMap, linear_phase, dilation_phase,
                      chirp_phase, perturbed_phase, canonical_map,
-                     tameness_audit, symplectic_audit, chi_prime,
-                     chi_prime_table, chi_prime_displacement_bound,
-                     weight_transport_audit, NewtonDivergenceError)
+                     tameness_audit, chi_prime_table,
+                     chi_prime_displacement_bound, NewtonDivergenceError)
 from .fio import (SymbolTable, FioOperator, GaborMatrix, make_fio, apply_fio,
                   fio_matrix, gabor_matrix, decay_envelope_fit,
                   envelope_function_audit, transport_argmax_check,
                   constant_symbol, bandlimited_symbol, weighted_symbol,
                   InsufficientDecayRangeError)
 from .multiplier import (GaborMultiplier, MultiplierSymbolTable,
-                         apply_multiplier, multiplier_matrix,
-                         multiplier_norm_check, extract_symbols,
+                         apply_multiplier, multiplier_matrix, extract_symbols,
                          assemble_truncated, truncation_error_curve,
                          full_nu_radius, warp_indices,
                          ExtractionRadiusError)
 from .diagnostics import (DecayReport, NormEstimate, loglog_fit,
-                          operator_norm, moderate_audit, write_report)
+                          operator_norm, write_report)
 from .windows import make_window, gaussian_window, bspline_window, box_window
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ report.json into --out, and is deterministic given (config, seed): CSV
 bodies are byte-identical across reruns.  One builder checks every config
 field before any computation starts.
 
-Exit codes: 0 success, 1 config error, 2 not a frame, 3 insufficient
+Exit codes: 0 success, 1 config or usage error (a bad flag or thread
+count, an --out that cannot be created), 2 not a frame, 3 insufficient
 decay range, 4 extraction-radius error, 5 the canonical map's Newton
 solve diverged.  On exits 1, 2 and 5 stderr is one JSON object: the
 error list, plus the warnings the run raised, if any.
@@ -128,6 +129,23 @@ def _resolve_seed(args, cfg, problems):
     return 0
 
 
+def _resolve_threads(args, problems):
+    """The --threads flag, else GABORFIO_THREADS, else 0 (the library
+    default); 0 after a problem."""
+    field, threads = "--threads", args.threads
+    if threads is None:
+        field, threads = "GABORFIO_THREADS", os.environ.get(
+            "GABORFIO_THREADS", "0")
+        try:
+            threads = int(threads)
+        except ValueError:
+            pass
+    if _is_int(threads) and threads >= 0:
+        return threads
+    problems.add(field, "non-negative integer required")
+    return 0
+
+
 def _build_grid(cfg, problems):
     g = _object(cfg.get("grid", {}), "grid", problems)
     if g is None:
@@ -213,11 +231,13 @@ def _configure(args):
     ConfigError with every problem found.
     """
     problems = ConfigError()
+    threads = _resolve_threads(args, problems)
     cfg = _load_json(args.config, problems)
     if cfg is None:
         raise problems
     command = args.command
-    run = SimpleNamespace(cfg=cfg, seed=_resolve_seed(args, cfg, problems))
+    run = SimpleNamespace(cfg=cfg, seed=_resolve_seed(args, cfg, problems),
+                          threads=threads, threads_applied=None)
     grid = run.grid = _build_grid(cfg, problems)
     if grid and command in FIO_COMMANDS and (grid.d != 1
                                              or grid.size > MAX_DENSE_SIZE):
@@ -297,22 +317,10 @@ def _report(args, run, slopes, norms, verdicts):
     """Write report.json: the config, the results and the provenance."""
     provenance = {"package": "gaborfio", "version": __version__,
                   "command": args.command, "seed": run.seed,
-                  "threads": _resolve_threads(args),
-                  "threads_applied": args.threads_applied}
+                  "threads": run.threads,
+                  "threads_applied": run.threads_applied}
     write_report(os.path.join(args.out, "report.json"), run.cfg, slopes,
                  norms, verdicts, provenance)
-
-
-def _resolve_threads(args):
-    if args.threads is not None:
-        return int(args.threads)
-    env = os.environ.get("GABORFIO_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            return 0
-    return 0   # 0 = library default
 
 
 # ---------------------------------------------------------------- commands
@@ -378,7 +386,7 @@ def cmd_approximate(args, run):
         tsym = extract_symbols(T, spec, cm, nu_radius)
         curve, slope = truncation_error_curve(
             T, tsym, spec, run.L_list, p=run.p,
-            m=Weight("polynomial", run.weight_s), seed=run.seed)
+            m=Weight(run.weight_s), seed=run.seed)
         full = assemble_truncated(tsym, spec, tsym.nu_radius)
     except ExtractionRadiusError as exc:
         _report(args, run, {}, {}, {"error": str(exc)})
@@ -479,9 +487,18 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error on the field "argv"; the
+    subcommand parsers inherit this class."""
+
+    def error(self, message):
+        problems = ConfigError()
+        problems.add("argv", f"{self.prog}: {message}")
+        raise problems
+
+
 def _parser():
-    ap = argparse.ArgumentParser(prog="gaborfio",
-                                 description=__doc__.splitlines()[0])
+    ap = _Parser(prog="gaborfio", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
@@ -492,20 +509,23 @@ def _parser():
     return ap
 
 
-def _run(args):
+def _run(argv):
     """(exit code, error list): the list on exits 1, 2 and 5, else None."""
-    threads = _resolve_threads(args)
-    runner = COMMANDS[args.command]
-    args.threads_applied = None   # the BLAS limit in force, None if none
     try:
+        args = _parser().parse_args(argv)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            return EXIT_CONFIG, [{"field": "--out", "error": str(exc)}]
+        runner = COMMANDS[args.command]
         run = _configure(args)
-        if threads > 0:
+        if run.threads > 0:
             try:
                 from threadpoolctl import threadpool_limits
             except ImportError:
                 return runner(args, run), None
-            with threadpool_limits(limits=threads):
-                args.threads_applied = threads
+            with threadpool_limits(limits=run.threads):
+                run.threads_applied = run.threads  # the BLAS limit in force
                 return runner(args, run), None
         return runner(args, run), None
     except ConfigError as exc:
@@ -518,15 +538,13 @@ def _run(args):
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    os.makedirs(args.out, exist_ok=True)
     # Warnings are held until the exit is known: an error exit lists them
     # in its JSON object, so stderr stays one JSON document; any other
     # exit (a traceback too) shows them as Python would have.
     errors = None
     try:
         with warnings.catch_warnings(record=True) as caught:
-            code, errors = _run(args)
+            code, errors = _run(argv)
     finally:
         if errors is None:
             for w in caught:

@@ -12,8 +12,7 @@ the time-frequency shifts pi(x, m) g = M_m T_x g for any d; translate,
 modulate, tf_shift and the STFT are its special cases.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,29 +223,18 @@ def stft(f: Signal, g: Signal) -> np.ndarray:
 
 @dataclass
 class Weight:
-    """Phase-space weight: polynomial v_s(z) = (1+|z|^2)^(s/2) or a custom map."""
+    """Polynomial phase-space weight v_s(z) = (1+|z|^2)^(s/2)."""
 
-    kind: str = "polynomial"
     s: float = 0.0
-    table: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.kind not in ("polynomial", "custom"):
-            raise ValueError("weight kind must be 'polynomial' or 'custom'")
-        if self.kind == "polynomial" and self.s < 0:
+        if self.s < 0:
             raise ValueError("polynomial weight needs s >= 0")
-        if self.kind == "custom" and self.table is None:
-            raise ValueError("custom weight needs a table callable")
 
     def __call__(self, z) -> np.ndarray:
         """Evaluate at phase-space vectors z of shape (..., 2d)."""
         z = np.asarray(z, dtype=float)
-        if self.kind == "polynomial":
-            return (1.0 + np.sum(z * z, axis=-1)) ** (self.s / 2.0)
-        vals = np.asarray(self.table(z), dtype=float)
-        if np.any(vals <= 0):
-            raise ValueError("custom weight must be strictly positive")
-        return vals
+        return (1.0 + np.sum(z * z, axis=-1)) ** (self.s / 2.0)
 
 
 def random_signal(grid: Grid, rng) -> Signal:

@@ -1,12 +1,10 @@
-"""Regression utilities, operator-norm estimators, weight audits, reports."""
+"""Log-log regression, the exact operator norm, and JSON run reports."""
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import List, Tuple
 
 import numpy as np
-
-from .core import Weight
 
 
 @dataclass
@@ -28,9 +26,7 @@ class DecayReport:
 @dataclass
 class NormEstimate:
     value: float
-    method: str                        # 'singular-value' | 'probe-sup'
-    probes: int = 0
-    confidence_note: str = ""
+    confidence_note: str
 
     def to_dict(self):
         return asdict(self)
@@ -56,52 +52,14 @@ def loglog_fit(points) -> Tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), residual
 
 
-def operator_norm(M, method: str = "singular-value", probes: int = 200,
-                  seed: int = 0) -> NormEstimate:
-    """Largest singular value of a dense matrix.
-
-    'singular-value': exact, the largest singular value from LAPACK.
-    'probe-sup': max of ||M f|| / ||f|| over random Gaussian probes, a
-    lower bound by construction.
-    """
+def operator_norm(M) -> NormEstimate:
+    """Largest singular value of a dense square matrix, exact from LAPACK."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("operator_norm expects a square matrix")
     if M.shape[0] > 1024:
         raise ValueError("dense operator_norm limited to n^d <= 1024")
-    if method == "probe-sup":
-        rng = np.random.default_rng(seed)
-        best = 0.0
-        for _ in range(probes):
-            f = rng.standard_normal(M.shape[1]) + 1j * rng.standard_normal(M.shape[1])
-            best = max(best, float(np.linalg.norm(M @ f) / np.linalg.norm(f)))
-        return NormEstimate(best, "probe-sup", probes,
-                            "lower bound from random probes")
-    if method != "singular-value":
-        raise ValueError(f"unknown method {method!r}")
-    return NormEstimate(float(np.linalg.norm(M, 2)), "singular-value", 0,
-                        "exact singular value")
-
-
-def moderate_audit(m: Weight, v: Weight, samples: int = 1000,
-                   radius: float = 10.0, dim: int = 2, seed: int = 0,
-                   radius_sweep=(5.0, 10.0, 20.0)):
-    """Smallest sampled C with m(z+w) <= C v(z) m(w); flags growth with radius.
-
-    Returns (C_best, passes) where passes is False when the constant keeps
-    growing as the sampling radius increases (v too weak to moderate m).
-    """
-    rng = np.random.default_rng(seed)
-    consts = []
-    for R in radius_sweep:
-        z = rng.uniform(-R, R, size=(samples, dim))
-        w = rng.uniform(-R, R, size=(samples, dim))
-        consts.append(float(np.max(m(z + w) / (v(z) * m(w)))))
-    z = rng.uniform(-radius, radius, size=(samples, dim))
-    w = rng.uniform(-radius, radius, size=(samples, dim))
-    c_best = float(np.max(m(z + w) / (v(z) * m(w))))
-    growing = consts[-1] > 2.0 * consts[0]
-    return c_best, not growing
+    return NormEstimate(float(np.linalg.norm(M, 2)), "exact singular value")
 
 
 def write_report(path, config: dict, slopes: dict, norms: dict,

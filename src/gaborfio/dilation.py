@@ -17,8 +17,6 @@ The full multiplier symbol additionally carries the commutation factor
 c_{nu,mu} = e^{2 pi i alpha k' beta floor(s l)}.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 TWO_PI = 2.0 * np.pi

@@ -28,21 +28,26 @@ import warnings
 
 MAX_DENSE_SIZE = 1024
 
+# decay_envelope_fit: the number of log-distance bins, and how far above
+# -s_claim the fitted slope may lie.
+DECAY_BINS = 10
+DECAY_TOLERANCE = 0.75
+
+# transport_argmax_check: entries within this relative tolerance of a
+# row's maximum count as tied maximizers.
+TIE_RTOL = 1e-9
+
 
 @dataclass
 class SymbolTable:
-    """Symbol samples sigma(x_j, eta_m) with a declared smoothness tag.
+    """Symbol samples sigma(x_j, eta_m), finite, one row per x_j.
 
     values[j, m] is indexed by raw grid indices; the coordinate of index j
-    is grid.wrap_index(j) * h.  The tag records the smoothness surrogate
-    ('W2N' with parameter N, 'Ms' with parameter s, or 'custom') and only
-    affects expected-slope bookkeeping, never the computation.
+    is grid.wrap_index(j) * h.
     """
 
     grid: Grid
     values: np.ndarray
-    tag: str = "custom"
-    tag_param: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -55,8 +60,7 @@ class SymbolTable:
 
 def constant_symbol(grid: Grid, value: complex = 1.0) -> SymbolTable:
     size = grid.size
-    return SymbolTable(grid, np.full((size, size), value, dtype=complex),
-                       tag="W2N", tag_param=np.inf)
+    return SymbolTable(grid, np.full((size, size), value, dtype=complex))
 
 
 def bandlimit_for(N: float, grid: Grid) -> float:
@@ -64,8 +68,7 @@ def bandlimit_for(N: float, grid: Grid) -> float:
     return grid.n / (4.0 * N)
 
 
-def bandlimited_symbol(grid: Grid, N: float, seed: int = 0,
-                       amplitude: float = 1.0) -> SymbolTable:
+def bandlimited_symbol(grid: Grid, N: float, seed: int = 0) -> SymbolTable:
     """Random real symbol band-limited to |frequency index| <= B(N).
 
     The spectrum is flat up to the cutoff, so the symbol genuinely uses
@@ -83,12 +86,11 @@ def bandlimited_symbol(grid: Grid, N: float, seed: int = 0,
     spec = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * mask
     vals = np.fft.ifft2(spec) * n  # plain synthesis sum of masked modes
     vals = vals.real.astype(complex)
-    vals *= amplitude / np.max(np.abs(vals))
-    return SymbolTable(grid, vals, tag="W2N", tag_param=float(N))
+    vals *= 1.0 / np.max(np.abs(vals))
+    return SymbolTable(grid, vals)
 
 
-def weighted_symbol(grid: Grid, s: float, seed: int = 0,
-                    amplitude: float = 1.0) -> SymbolTable:
+def weighted_symbol(grid: Grid, s: float, seed: int = 0) -> SymbolTable:
     """Random symbol whose spectrum decays like <zeta>^{-(s+1)} in continuum units.
 
     Discrete surrogate of membership in the weighted modulation-space symbol class
@@ -103,8 +105,8 @@ def weighted_symbol(grid: Grid, s: float, seed: int = 0,
     envelope = (1.0 + p ** 2 + q ** 2) ** (-(s + 1.0) / 2.0)
     spec = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * envelope
     vals = np.fft.ifft2(spec).real.astype(complex) * n
-    vals *= amplitude / np.max(np.abs(vals))
-    return SymbolTable(grid, vals, tag="Ms", tag_param=float(s))
+    vals *= 1.0 / np.max(np.abs(vals))
+    return SymbolTable(grid, vals)
 
 
 @dataclass
@@ -231,14 +233,16 @@ class InsufficientDecayRangeError(ValueError):
     pass
 
 
-def decay_envelope_fit(G: GaborMatrix, cmap: CanonicalMap, s_claim: float,
-                       nbins: int = 10, tolerance: float = 0.75) -> DecayReport:
+def decay_envelope_fit(G: GaborMatrix, cmap: CanonicalMap,
+                       s_claim: float) -> DecayReport:
     """Fit the off-diagonal decay envelope of |G| against <chi(mu)-lam>^{-s}.
 
-    Pairs are binned by log distance over r in [2, r_max/2]; the per-bin
-    maxima of |G| are fitted by least squares on log-log axes.  Restricting
-    to [2, r_max/2] excludes the diagonal bins (r close to 1) and the
-    torus-wrap end (r close to r_max), where the envelope is meaningless.
+    Pairs are binned by log distance into DECAY_BINS bins over r in
+    [2, r_max/2]; the per-bin maxima of |G| are fitted by least squares on
+    log-log axes, and the verdict passes when the slope is at most
+    -s_claim + DECAY_TOLERANCE.  Restricting to [2, r_max/2] excludes the
+    diagonal bins (r close to 1) and the torus-wrap end (r close to
+    r_max), where the envelope is meaningless.
     One pass over the distance blocks finds r_max, a second bins them.
     """
     cross = G.entries.T   # [lam, mu]
@@ -251,15 +255,15 @@ def decay_envelope_fit(G: GaborMatrix, cmap: CanonicalMap, s_claim: float,
     if hi <= lo:
         raise InsufficientDecayRangeError(
             f"usable distance range [2, {hi:.3g}] is empty")
-    edges = np.exp(np.linspace(np.log(lo), np.log(hi), nbins + 1))
-    binmax = np.full(nbins, -1.0)   # below every |G|: -1 marks an empty bin
+    edges = np.exp(np.linspace(np.log(lo), np.log(hi), DECAY_BINS + 1))
+    binmax = np.full(DECAY_BINS, -1.0)  # below every |G|: -1 marks empty
     for mus, d2 in _squared_distance_blocks(*tables):
         r = np.sqrt(1.0 + d2)
         inside = (r >= edges[0]) & (r < edges[-1])
         k = np.searchsorted(edges, r[inside], side="right") - 1
         np.maximum.at(binmax, k, np.abs(cross[:, mus][inside]))
     pts = [(np.exp(0.5 * (np.log(edges[k]) + np.log(edges[k + 1]))),
-            float(binmax[k])) for k in range(nbins) if binmax[k] >= 0]
+            float(binmax[k])) for k in range(DECAY_BINS) if binmax[k] >= 0]
     if len(pts) < 4:
         raise InsufficientDecayRangeError(
             f"only {len(pts)} usable distance bins; need at least 4")
@@ -269,16 +273,15 @@ def decay_envelope_fit(G: GaborMatrix, cmap: CanonicalMap, s_claim: float,
     return DecayReport(
         pairs=[(float(np.log(a)), float(np.log(b))) for a, b in pts],
         slope=slope, intercept=intercept, residual=residual,
-        claim=s_claim, tolerance=tolerance,
-        verdict=bool(slope <= -s_claim + tolerance))
+        claim=s_claim, tolerance=DECAY_TOLERANCE,
+        verdict=bool(slope <= -s_claim + DECAY_TOLERANCE))
 
 
-def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap,
-                           tie_rtol: float = 1e-9):
+def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap):
     """Distance from each row's |G| maximizer to chi(mu); returns (dists, bound).
 
     The bound is chi_prime_displacement_bound + 1 = sqrt(2d) ||A|| + 1 in
-    continuum units.  Entries within relative tolerance tie_rtol of the
+    continuum units.  Entries within relative tolerance TIE_RTOL of the
     row maximum count as tied maximizers and the nearest one is reported:
     exact magnitude ties occur whenever
     the operator output has a sub-torus periodicity (the s = 2 dilation
@@ -290,7 +293,7 @@ def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap,
     d2_min = np.empty(lat.npoints)
     for mus, d2 in _squared_distance_blocks(*_distance_tables(lat, cmap)):
         mag = np.abs(cross[:, mus])
-        tied = mag >= (1.0 - tie_rtol) * np.max(mag, axis=0)
+        tied = mag >= (1.0 - TIE_RTOL) * np.max(mag, axis=0)
         d2_min[mus] = np.min(np.where(tied, d2, np.inf), axis=0)
     return np.sqrt(d2_min), chi_prime_displacement_bound(lat) + 1.0
 
@@ -313,7 +316,7 @@ def envelope_function_audit(G: GaborMatrix, phase: TamePhase,
     the given width.
     """
     if m is None:
-        m = Weight("polynomial", 0.0)
+        m = Weight()
     lat = G.lattice
     grid = lat.grid
     d = grid.d

@@ -45,9 +45,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Grid, Signal, TWO_PI, Weight, build_atoms
+from .core import Grid, Signal, TWO_PI, build_atoms
 
 NOT_A_FRAME_RTOL = 1e-10
+
+# Both frame bounds within PARSEVAL_TOL of 1 make a Parseval frame.
+PARSEVAL_TOL = 1e-8
 
 # Bytes of one complex column block of analysis and synthesis.
 _BLOCK_BYTES = 8 * 2 ** 20
@@ -298,9 +301,9 @@ def is_frame(spec: GaborFrameSpec) -> bool:
     return lo > NOT_A_FRAME_RTOL * hi
 
 
-def is_parseval(spec: GaborFrameSpec, tol: float = 1e-8) -> bool:
+def is_parseval(spec: GaborFrameSpec) -> bool:
     lo, hi = frame_bounds(spec)
-    return abs(lo - 1.0) < tol and abs(hi - 1.0) < tol
+    return abs(lo - 1.0) < PARSEVAL_TOL and abs(hi - 1.0) < PARSEVAL_TOL
 
 
 def _frame_power_window(spec: GaborFrameSpec, p: float) -> Signal:
@@ -388,9 +391,13 @@ def synthesis(c: np.ndarray, spec: GaborFrameSpec):
     return out
 
 
-def gabor_mod_norm(f: Signal, p: float, m: Weight, spec: GaborFrameSpec) -> float:
-    """Discrete modulation norm (sum |c_lambda|^p m(lambda)^p)^{1/p}."""
-    c = np.abs(analysis(f, spec)) * m(spec.lattice.coords())
+def gabor_mod_norm(f: Signal, p: float, m: np.ndarray,
+                   spec: GaborFrameSpec) -> float:
+    """Discrete modulation norm (sum |c_lambda|^p m_lambda^p)^{1/p}.
+
+    m holds one weight per lattice point, in lattice order.
+    """
+    c = np.abs(analysis(f, spec)) * m
     if np.isinf(p):
         return float(np.max(c)) if c.size else 0.0
     if p < 1:

@@ -22,12 +22,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Signal, Weight, TWO_PI
+from .core import Signal, Weight, TWO_PI, random_signal
 from .frames import (GaborFrameSpec, analysis, gabor_mod_norm, is_parseval,
                      synthesis)
 from .phases import CanonicalMap, chi_prime_table
 from .fio import FioOperator, fio_matrix, gabor_cross
-from .diagnostics import NormEstimate, loglog_fit, operator_norm
+from .diagnostics import loglog_fit, operator_norm
+
+# truncation_error_curve: random signals per weighted norm estimate, and
+# the least error the slope fit takes (an exact 0 has no logarithm).
+PROBES = 200
+ERROR_FLOOR = 1e-16
 
 
 @dataclass
@@ -43,10 +48,6 @@ class GaborMultiplier:
         N = self.spec.lattice.npoints
         if self.a.size != N or self.warp_idx.size != N:
             raise ValueError("symbol/warp length must match the lattice size")
-
-
-def identity_warp_indices(spec: GaborFrameSpec) -> np.ndarray:
-    return np.arange(spec.lattice.npoints)
 
 
 def warp_indices(cm: CanonicalMap, spec: GaborFrameSpec) -> np.ndarray:
@@ -75,47 +76,6 @@ def multiplier_matrix(M: GaborMultiplier) -> np.ndarray:
 def _sandwich(C: np.ndarray, spec: GaborFrameSpec) -> np.ndarray:
     """A C A^H by two syntheses: A C A^H = (A (A C)^H)^H."""
     return synthesis(synthesis(C, spec).conj().T, spec).conj().T
-
-
-@dataclass
-class MultiplierNormReport:
-    empirical_norm: float
-    symbol_sup: float
-    ratio: float
-    probes: int
-
-
-def multiplier_norm_check(M: GaborMultiplier, p: float, m: Weight,
-                          mtilde: Optional[Weight] = None, probes: int = 50,
-                          seed: int = 0) -> MultiplierNormReport:
-    """Probe the bound ||M_a||_{M^p_{(m o chi')/mtilde} -> M^p_m} <~ ||a||_{linf_mtilde}.
-
-    The input norm uses the weight m(chi'(lambda)) / mtilde(lambda); the
-    output norm uses m.  The reported ratio empirical/symbol_sup should
-    stay bounded across resolutions.
-    """
-    if mtilde is None:
-        mtilde = Weight("polynomial", 0.0)
-    spec = M.spec
-    lat = spec.lattice
-    grid = spec.window.grid
-    rng = np.random.default_rng(seed)
-    win = m(lat.coords()[M.warp_idx]) / mtilde(lat.coords())
-    input_weight = Weight("custom", table=lambda z: win[lat.indices_of(
-        np.round(z / grid.h).astype(int))])
-    best = 0.0
-    for _ in range(probes):
-        f = Signal(grid, rng.standard_normal(grid.size)
-                   + 1j * rng.standard_normal(grid.size))
-        out = apply_multiplier(M, f)
-        denom = gabor_mod_norm(f, p, input_weight, spec)
-        if denom == 0:
-            continue
-        best = max(best, gabor_mod_norm(out, p, m, spec) / denom)
-    sup = float(np.max(np.abs(M.a) * mtilde(lat.coords()))) if M.a.size else 0.0
-    ratio = best / sup if sup > 0 else np.inf
-    return MultiplierNormReport(empirical_norm=best, symbol_sup=sup,
-                                ratio=ratio, probes=probes)
 
 
 @dataclass
@@ -198,56 +158,45 @@ def assemble_truncated(tsym: MultiplierSymbolTable, spec: GaborFrameSpec,
     return _sandwich(C, spec)
 
 
-def symbol_decay_points(tsym: MultiplierSymbolTable):
-    """(|nu|, ||a_nu||_inf) pairs for the sup-decay fit, diagonal shell excluded."""
-    norms = tsym.nu_norms
-    sup = np.max(np.abs(tsym.a), axis=1)
-    keep = norms > 1e-12
-    return np.column_stack([np.sqrt(1.0 + norms[keep] ** 2), sup[keep]])
-
-
 def truncation_error_curve(T: FioOperator, tsym: MultiplierSymbolTable,
                            spec: GaborFrameSpec, L_list: Sequence[float],
                            p: float = 2.0, m: Optional[Weight] = None,
-                           probes: int = 200, seed: int = 0,
-                           error_floor: float = 1e-16):
+                           seed: int = 0):
     """Empirical operator-norm error ||T - T_L|| for each L, plus log-log slope.
 
     p = 2 with trivial weight uses the largest singular value of the dense
-    difference; other (p, m) use a probe-sup estimate of the norm from
-    M^p_{m o chi'} to M^p_m, reported as a lower-bound estimate.
+    difference; other (p, m) use the largest ratio over PROBES random
+    signals of the norm from M^p_{m o chi'} to M^p_m, a lower-bound
+    estimate.  Errors below ERROR_FLOOR enter the slope fit as ERROR_FLOOR.
     """
     L_list = list(L_list)
     if len(L_list) < 3:
         raise ValueError("need at least 3 truncation radii")
     if m is None:
-        m = Weight("polynomial", 0.0)
+        m = Weight()
     lat = spec.lattice
     target = fio_matrix(T)
-    exact_p2 = (p == 2 and m.kind == "polynomial" and m.s == 0.0)
+    exact_p2 = (p == 2 and m.s == 0.0)
     if not exact_p2:
-        win = m(lat.coords()[tsym.warp_idx])
-        input_weight = Weight("custom", table=lambda z: win[lat.indices_of(
-            np.round(z / lat.grid.h).astype(int))])
+        m_in = m(lat.coords()[tsym.warp_idx])      # m(chi'(mu)) per point mu
+        m_out = m(lat.coords())
         rng = np.random.default_rng(seed)
-        probes_f = [Signal(spec.window.grid,
-                           rng.standard_normal(spec.window.grid.size)
-                           + 1j * rng.standard_normal(spec.window.grid.size))
-                    for _ in range(probes)]
+        probes_f = [random_signal(spec.window.grid, rng)
+                    for _ in range(PROBES)]
     curve = []
     for L in L_list:
         diff = target - assemble_truncated(tsym, spec, L)
         if exact_p2:
-            err = operator_norm(diff, "singular-value").value
+            err = operator_norm(diff).value
         else:
             err = 0.0
             for f in probes_f:
-                denom = gabor_mod_norm(f, p, input_weight, spec)
+                denom = gabor_mod_norm(f, p, m_in, spec)
                 if denom == 0:
                     continue
                 err = max(err, gabor_mod_norm(Signal(f.grid, diff @ f.values),
-                                              p, m, spec) / denom)
+                                              p, m_out, spec) / denom)
         curve.append((float(L), float(err)))
-    pts = np.array([(L, max(e, error_floor)) for L, e in curve])
+    pts = np.array([(L, max(e, ERROR_FLOOR)) for L, e in curve])
     slope, _, _ = loglog_fit(pts)
     return curve, slope

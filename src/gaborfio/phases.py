@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Grid, Weight
 from .frames import Lattice
 
 
@@ -122,13 +121,17 @@ def _const_hessian(x, e, H):
     return np.broadcast_to(H, shape + H.shape).copy()
 
 
+# Newton stops once the largest residual is below NEWTON_TOL, and fails
+# after NEWTON_MAX_ITER steps.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
+
+
 @dataclass
 class CanonicalMap:
     """chi and chi^{-1} solved from the phase by damped Newton iteration."""
 
     phase: TamePhase
-    newton_tol: float = 1e-12
-    max_iter: int = 50
 
     def forward(self, z) -> np.ndarray:
         """chi(y, eta) = (x, xi), vectorized over rows of z (..., 2d)."""
@@ -161,8 +164,8 @@ class CanonicalMap:
         res = func(u) - target
         resnorm = np.linalg.norm(res, axis=-1)
         trace = [float(np.max(resnorm))]
-        for _ in range(self.max_iter):
-            if np.max(resnorm) < self.newton_tol:
+        for _ in range(NEWTON_MAX_ITER):
+            if np.max(resnorm) < NEWTON_TOL:
                 return u
             try:
                 step = np.linalg.solve(jac(u), res[..., None])[..., 0]
@@ -183,15 +186,15 @@ class CanonicalMap:
                 scale = np.where(bad, scale / 2.0, scale)
             u, res, resnorm = cand, cres, cnorm
             trace.append(float(np.max(resnorm)))
-        if np.max(resnorm) >= self.newton_tol:
+        if np.max(resnorm) >= NEWTON_TOL:
             worst = int(np.argmax(resnorm))
             raise NewtonDivergenceError(np.concatenate(
                 [np.atleast_2d(target)[worst], np.atleast_2d(fixed)[worst]]), trace)
         return u
 
 
-def canonical_map(phase: TamePhase, **kwargs) -> CanonicalMap:
-    return CanonicalMap(phase=phase, **kwargs)
+def canonical_map(phase: TamePhase) -> CanonicalMap:
+    return CanonicalMap(phase)
 
 
 @dataclass
@@ -264,50 +267,14 @@ def tameness_audit(phase: TamePhase, box: float = 4.0, samples: int = 200,
         passes=passes)
 
 
-def symplectic_matrix(d: int) -> np.ndarray:
-    J = np.zeros((2 * d, 2 * d))
-    J[:d, d:] = np.eye(d)
-    J[d:, :d] = -np.eye(d)
-    return J
-
-
-def symplectic_audit(cm: CanonicalMap, samples: int = 50, box: float = 3.0,
-                     seed: int = 0, fd_step: float = 1e-4) -> float:
-    """Max deviation ||(D chi)^T J (D chi) - J||_max over sampled points.
-
-    The Jacobian is taken by central finite differences with the given step.
-    """
-    rng = np.random.default_rng(seed)
-    d = cm.phase.d
-    J = symplectic_matrix(d)
-    z = rng.uniform(-box, box, size=(samples, 2 * d))
-    worst = 0.0
-    for zi in z:
-        D = np.empty((2 * d, 2 * d))
-        for k in range(2 * d):
-            step = np.zeros(2 * d)
-            step[k] = fd_step
-            D[:, k] = (cm.forward(zi + step) - cm.forward(zi - step)) / (2 * fd_step)
-        worst = max(worst, float(np.max(np.abs(D.T @ J @ D - J))))
-    return worst
-
-
-def chi_prime(cm: CanonicalMap, lattice: Lattice, lam) -> np.ndarray:
+def chi_prime_table(cm: CanonicalMap, lattice: Lattice) -> np.ndarray:
     """Lattice-rounded map chi'(lambda) = A floor(A^{-1} chi(lambda)).
 
-    lam: integer grid coordinates of a lattice point (any representative).
-    Returns integer grid coordinates of the image, wrapped to the torus.
+    One row per lattice point, in lattice order: integer grid coordinates
+    of the image, wrapped to the torus.
     """
-    return chi_prime_table(cm, lattice, np.atleast_2d(lam))[0]
-
-
-def chi_prime_table(cm: CanonicalMap, lattice: Lattice, lams=None) -> np.ndarray:
-    """chi' for many lattice points at once, integer grid coordinates."""
     grid = lattice.grid
-    if lams is None:
-        lams = lattice.int_coords
-    lams = np.atleast_2d(np.asarray(lams))
-    cont = cm.forward(lams * grid.h)           # continuum chi(lambda), unwrapped
+    cont = cm.forward(lattice.int_coords * grid.h)   # chi(lambda), unwrapped
     steps = np.atleast_2d(cont) / grid.h       # grid units
     Ainv = np.linalg.inv(lattice.A)
     m = np.floor(Ainv @ steps.T + 1e-9).T      # tolerate float fuzz at integers
@@ -327,33 +294,3 @@ def chi_prime_multiplicity(cm: CanonicalMap, lattice: Lattice) -> int:
     """Max preimage count of chi' over the lattice (almost-injectivity report)."""
     return int(np.bincount(
         lattice.indices_of(chi_prime_table(cm, lattice))).max())
-
-
-@dataclass
-class WeightTransportReport:
-    ratio_min: float
-    ratio_max: float
-    supported: bool
-
-
-def weight_transport_audit(cm: CanonicalMap, w: Weight, samples: int = 500,
-                           box: float = 4.0, seed: int = 0) -> WeightTransportReport:
-    """Sampled min/max of v(chi(z)) / v(z); polynomial weights only."""
-    if w.kind != "polynomial":
-        return WeightTransportReport(np.nan, np.nan, supported=False)
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-box, box, size=(samples, 2 * cm.phase.d))
-    ratios = w(cm.forward(z)) / w(z)
-    return WeightTransportReport(float(np.min(ratios)), float(np.max(ratios)),
-                                 supported=True)
-
-
-def growth_equivalence_constant(cm: CanonicalMap, samples: int = 500,
-                                box: float = 6.0, seed: int = 0) -> float:
-    """Sampled K with 1/K <= (1+|chi(z)|)/(1+|z|) <= K."""
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-box, box, size=(samples, 2 * cm.phase.d))
-    num = 1.0 + np.linalg.norm(cm.forward(z), axis=-1)
-    den = 1.0 + np.linalg.norm(z, axis=-1)
-    r = num / den
-    return float(max(np.max(r), 1.0 / np.min(r)))

@@ -325,6 +325,43 @@ def test_threads_applied_records_the_limit(tmp_path, monkeypatch):
     assert seen == [2]
 
 
+# (argv, GABORFIO_THREADS, the field its error names): usage and
+# environment problems exit 1 with an error list, like config problems.
+BAD_INVOCATIONS = [
+    (["frame-check", "--config", "{cfg}", "--seed", "abc"], None, "argv"),
+    (["frame-check"], None, "argv"),                        # no --config
+    (["no-such-command", "--config", "{cfg}"], None, "argv"),
+    (["frame-check", "--config", "{cfg}", "--out", "{cfg}"], None, "--out"),
+    (["frame-check", "--config", "{cfg}", "--threads", "-3"], None,
+     "--threads"),
+    (["frame-check", "--config", "{cfg}"], "abc", "GABORFIO_THREADS"),
+    (["frame-check", "--config", "{cfg}"], "-1", "GABORFIO_THREADS"),
+]
+
+
+@pytest.mark.parametrize("argv,env,field", BAD_INVOCATIONS)
+def test_bad_invocation_exit_1_with_error_list(tmp_path, capsys, monkeypatch,
+                                               argv, env, field):
+    if env is None:
+        monkeypatch.delenv("GABORFIO_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("GABORFIO_THREADS", env)
+    cfg = write_cfg(tmp_path, "c.json", BASE)
+    argv = [a.format(cfg=cfg) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    errors = json.loads(capsys.readouterr().err)["errors"]
+    assert [e["field"] for e in errors] == [field]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["frame-check", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", BASE)
     out = str(tmp_path / "out")
@@ -540,7 +577,8 @@ def configure(command, doc):
         json.dump(doc, path)
     try:
         return _configure(types.SimpleNamespace(command=command,
-                                                config=path.name, seed=None))
+                                                config=path.name, seed=None,
+                                                threads=None))
     finally:
         os.unlink(path.name)
 

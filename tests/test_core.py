@@ -129,14 +129,9 @@ def test_stft_rejects_zero_window():
         stft(f, Signal(grid, np.zeros(16)))
 
 
-def test_weight_polynomial_and_custom():
-    v1 = Weight("polynomial", 1.0)
+def test_weight_polynomial():
+    v1 = Weight(1.0)
     z = np.array([[3.0, 4.0]])
     assert abs(v1(z)[0] - np.sqrt(26.0)) < 1e-12
     with pytest.raises(ValueError):
-        Weight("polynomial", -1.0)
-    with pytest.raises(ValueError):
-        Weight("custom")
-    bad = Weight("custom", table=lambda z: -np.ones(len(np.atleast_2d(z))))
-    with pytest.raises(ValueError):
-        bad(z)
+        Weight(-1.0)

@@ -7,12 +7,11 @@ from gaborfio.phases import (linear_phase, dilation_phase, chirp_phase,
                              perturbed_phase, canonical_map)
 from gaborfio.fio import (constant_symbol, bandlimited_symbol,
                           weighted_symbol, make_fio, fio_matrix)
-from gaborfio.multiplier import (GaborMultiplier, identity_warp_indices,
-                                 warp_indices, apply_multiplier,
-                                 multiplier_matrix, multiplier_norm_check,
+from gaborfio.multiplier import (GaborMultiplier, warp_indices,
+                                 apply_multiplier, multiplier_matrix,
                                  extract_symbols, assemble_truncated,
                                  truncation_error_curve, full_nu_radius,
-                                 symbol_decay_points, ExtractionRadiusError)
+                                 ExtractionRadiusError)
 from gaborfio.windows import gaussian_window
 
 PHASES = [linear_phase(), dilation_phase(2.0), chirp_phase(0.25),
@@ -100,7 +99,7 @@ def test_apply_matches_matrix():
 
 def test_multiplier_linearity():
     grid, spec = tight_spec(16, 2, 2)
-    widx = identity_warp_indices(spec)
+    widx = np.arange(spec.lattice.npoints)   # the identity warp
     rng = np.random.default_rng(2)
     a = rng.standard_normal(spec.lattice.npoints)
     b = rng.standard_normal(spec.lattice.npoints)
@@ -111,18 +110,18 @@ def test_multiplier_linearity():
 
 
 def test_unit_symbol_identity_warp_norm_ratio():
+    # ||M_a|| <= sup |a| on a Parseval frame; a = 1 with the identity warp
+    # is A A^H, the identity.
     grid, spec = tight_spec(32, 4, 2)
-    M = GaborMultiplier(np.ones(spec.lattice.npoints), spec,
-                        identity_warp_indices(spec))
-    rep = multiplier_norm_check(M, 2.0, Weight("polynomial", 0.0), probes=20)
-    assert rep.ratio <= 1.0 + 1e-8
-    assert abs(rep.symbol_sup - 1.0) < 1e-12
+    a = np.ones(spec.lattice.npoints)
+    M = GaborMultiplier(a, spec, np.arange(spec.lattice.npoints))
+    assert np.linalg.norm(multiplier_matrix(M), 2) <= np.max(np.abs(a)) + 1e-8
 
 
 def test_multiplier_shape_validation():
     grid, spec = tight_spec(16, 2, 2)
     with pytest.raises(ValueError):
-        GaborMultiplier(np.ones(3), spec, identity_warp_indices(spec))
+        GaborMultiplier(np.ones(3), spec, np.arange(spec.lattice.npoints))
 
 
 # ------------------------------------------------------------- truncation
@@ -151,16 +150,5 @@ def test_probe_sup_truncation_curve_runs():
     T = make_fio(phase, constant_symbol(grid), grid, cm)
     tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
     curve, slope = truncation_error_curve(
-        T, tsym, spec, [1, 2, 4], p=np.inf, m=Weight("polynomial", 1.0),
-        probes=10)
+        T, tsym, spec, [1, 2, 4], p=np.inf, m=Weight(1.0))
     assert len(curve) == 3 and all(e >= 0 for _, e in curve)
-
-
-def test_symbol_decay_points_exclude_diagonal():
-    grid, spec = tight_spec(32, 4, 2)
-    cm = canonical_map(dilation_phase(2.0))
-    T = make_fio(dilation_phase(2.0), constant_symbol(grid), grid, cm)
-    tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
-    pts = symbol_decay_points(tsym)
-    assert pts.shape[0] == tsym.nu_indices.size - 1
-    assert np.all(pts[:, 0] > 1.0)

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from gaborfio.core import Grid, Weight
+from gaborfio.core import Grid
 from gaborfio.frames import separable_lattice
 from gaborfio.phases import (TamePhase, CanonicalMap, linear_phase,
                              dilation_phase, chirp_phase, perturbed_phase,
-                             canonical_map, tameness_audit, symplectic_audit,
-                             chi_prime, chi_prime_table,
+                             canonical_map, tameness_audit, chi_prime_table,
                              chi_prime_displacement_bound,
-                             chi_prime_multiplicity, weight_transport_audit,
-                             growth_equivalence_constant,
+                             chi_prime_multiplicity,
                              NewtonDivergenceError, BUILTIN_PHASES)
 
 PHASES = [linear_phase(), dilation_phase(2.0), chirp_phase(0.25),
@@ -71,7 +69,18 @@ def test_chirp_chi_closed_form():
 
 @pytest.mark.parametrize("phase", PHASES, ids=lambda p: p.name)
 def test_canonical_map_is_symplectic(phase):
-    assert symplectic_audit(canonical_map(phase)) < 1e-6
+    # (D chi)^T J (D chi) = J at 50 sampled points, D chi by central
+    # differences with step 1e-4.
+    cm = canonical_map(phase)
+    d, h = phase.d, 1e-4
+    J = np.block([[np.zeros((d, d)), np.eye(d)],
+                  [-np.eye(d), np.zeros((d, d))]])
+    z = np.random.default_rng(0).uniform(-3, 3, size=(50, 2 * d))
+    steps = h * np.eye(2 * d)
+    for zi in z:
+        D = np.column_stack([np.subtract(*cm.forward([zi + e, zi - e]))
+                             / (2 * h) for e in steps])
+        assert np.max(np.abs(D.T @ J @ D - J)) < 1e-6
 
 
 def test_newton_divergence_reports_trace():
@@ -108,8 +117,6 @@ def test_chi_prime_lands_on_lattice_and_single_point_api():
     table = chi_prime_table(cm, lat)
     assert np.array_equal(lat.int_coords[lat.indices_of(table)] % grid.n,
                           table % grid.n)
-    one = chi_prime(cm, lat, lat.int_coords[5])
-    assert np.array_equal(one, table[5])
 
 
 @pytest.mark.parametrize("phase", PHASES, ids=lambda p: p.name)
@@ -118,18 +125,3 @@ def test_chi_prime_multiplicity_finite(phase):
     lat = separable_lattice(4, 4, grid)
     mult = chi_prime_multiplicity(canonical_map(phase), lat)
     assert 1 <= mult <= lat.npoints
-
-
-@pytest.mark.parametrize("phase", PHASES, ids=lambda p: p.name)
-def test_growth_equivalence_constant_bounded(phase):
-    K = growth_equivalence_constant(canonical_map(phase))
-    assert 1.0 <= K < 10.0
-
-
-def test_weight_transport_audit():
-    cm = canonical_map(dilation_phase(2.0))
-    rep = weight_transport_audit(cm, Weight("polynomial", 1.0))
-    assert rep.supported
-    assert 0 < rep.ratio_min <= rep.ratio_max < 10.0
-    custom = Weight("custom", table=lambda z: np.ones(len(np.atleast_2d(z))))
-    assert not weight_transport_audit(cm, custom).supported
