@@ -9,8 +9,9 @@ field before any computation starts.
 Exit codes: 0 success, 1 config or usage error (a bad flag or thread
 count, an --out that cannot be created), 2 not a frame, 3 insufficient
 decay range, 4 extraction-radius error, 5 the canonical map's Newton
-solve diverged.  On exits 1, 2 and 5 stderr is one JSON object: the
-error list, plus the warnings the run raised, if any.
+solve diverged, 6 internal error (an unexpected exception).  On exits 1,
+2, 5 and 6 stderr is one JSON object: the error list, plus the warnings
+the run raised, if any.
 """
 
 import argparse
@@ -47,6 +48,7 @@ EXIT_NOT_A_FRAME = 2
 EXIT_DECAY_RANGE = 3
 EXIT_EXTRACTION_RADIUS = 4
 EXIT_NEWTON_DIVERGENCE = 5
+EXIT_INTERNAL = 6
 
 # The subcommands that build the dense n^d x n^d FIO matrix.
 FIO_COMMANDS = ("decay-scan", "approximate", "dilation-demo")
@@ -510,7 +512,7 @@ def _parser():
 
 
 def _run(argv):
-    """(exit code, error list): the list on exits 1, 2 and 5, else None."""
+    """(exit code, error list): the list on exits 1, 2, 5 and 6, else None."""
     try:
         args = _parser().parse_args(argv)
         try:
@@ -535,12 +537,15 @@ def _run(argv):
                                    "error": f"not a frame: {exc}"}]
     except NewtonDivergenceError as exc:
         return EXIT_NEWTON_DIVERGENCE, [{"field": "phase", "error": str(exc)}]
+    except Exception as exc:    # not KeyboardInterrupt or SystemExit
+        return EXIT_INTERNAL, [{"field": "internal",
+                                "error": f"{type(exc).__name__}: {exc}"}]
 
 
 def main(argv=None) -> int:
     # Warnings are held until the exit is known: an error exit lists them
     # in its JSON object, so stderr stays one JSON document; any other
-    # exit (a traceback too) shows them as Python would have.
+    # exit (an interrupt too) shows them as Python would have.
     errors = None
     try:
         with warnings.catch_warnings(record=True) as caught:

@@ -8,9 +8,11 @@ every pi(lambda) and the shifted-multiplier algebra exact.
 
 The points are A m mod n over the cosets m of Z^{2d} / B Z^{2d}.  With H
 the Hermite normal form of B (Cohen, A Course in Computational Algebraic
-Number Theory, 2.4) each coset has one representative 0 <= m_i < H_ii, so
-a point p is indexed arithmetically: the mixed-radix value of B p / n
-reduced modulo H, mapped by a rank array to lexicographic mod-n order.
+Number Theory, 2.4) each coset has one representative 0 <= m_i < H_ii, its
+digits, so a point p is indexed arithmetically: the mixed-radix value of
+B p / n reduced modulo H, mapped by a rank array to lexicographic mod-n
+order.  Each point keeps its digits, so the index of a sum of points is
+the reduced sum of their digits, with no coordinates in between.
 
 The frame operator is block-diagonal (Walnut 1992; Strohmer 1998).  Let
 M = {m : (0, m) in Lambda} be the pure modulations.  Because Lambda is a
@@ -77,6 +79,7 @@ class Lattice:
     int_coords: np.ndarray  # (N, 2d) integer grid coordinates, symmetric reps
     hnf: np.ndarray = field(repr=False)   # Hermite normal form of n A^{-1}
     rank: np.ndarray = field(repr=False)  # mixed-radix value -> point index
+    digits: np.ndarray = field(repr=False)  # (N, 2d) reduced B p / n per point
     _cosets: Optional["Cosets"] = field(default=None, init=False,
                                         repr=False, compare=False)
 
@@ -106,12 +109,30 @@ class Lattice:
         off = np.any(Bp % n, axis=-1)
         if np.any(off):
             raise KeyError(f"{p[off][0].tolist()} is not a lattice point")
-        m = Bp // n
+        return self._index(list(np.moveaxis(Bp // n, -1, 0)))
+
+    def add(self, i, j) -> np.ndarray:
+        """Index of lambda_i + lambda_j, broadcast over index arrays i, j."""
+        return self._index([self.digits[i, c] + self.digits[j, c]
+                            for c in range(self.digits.shape[1])])
+
+    def _index(self, m) -> np.ndarray:
+        """Point index of the digits m, a list of one array per coordinate
+        (consumed), in any representative modulo H.
+
+        H is lower triangular: coordinate c is reduced modulo H_cc and its
+        quotient carried into the later coordinates through column c.  The
+        remainders are the mixed-radix digits of the value rank maps."""
         H = self.hnf
-        for j in range(H.shape[0]):
-            m = m - (m[..., j] // H[j, j])[..., None] * H[:, j]
-        return self.rank[np.ravel_multi_index(tuple(np.moveaxis(m, -1, 0)),
-                                              np.diag(H))]
+        value = 0
+        for c in range(H.shape[0]):
+            q, digit = np.divmod(m[c], H[c, c])
+            m[c] = None                     # reduced: free it early
+            for k in range(c + 1, H.shape[0]):
+                if H[k, c]:
+                    m[k] -= q * H[k, c]
+            value = value * H[c, c] + digit
+        return self.rank[value]
 
     def torus_norms(self) -> np.ndarray:
         """Torus-metric Euclidean norm |lambda| of every point."""
@@ -172,7 +193,7 @@ def enumerate_lattice(A, grid: Grid) -> Lattice:
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return Lattice(A=Ai, grid=grid, int_coords=grid.wrap_index(pts[order]),
-                   hnf=H, rank=rank)
+                   hnf=H, rank=rank, digits=m[order])
 
 
 def separable_lattice(a: int, b: int, grid: Grid) -> Lattice:

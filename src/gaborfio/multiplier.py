@@ -14,6 +14,13 @@ to |nu| <= L is therefore a mask on the Gabor matrix,
     T_L = A (cross o [|lambda - chi'(mu)| <= L]) A^H,
 
 and truncation_error_curve measures how fast ||T - T_L|| decays.
+
+The entries of that mask are computed once.  extract_symbols keeps the
+(K, N) row table rows[k, mu], the lattice index of chi'(mu) + nu_k, from
+Lattice.add, which adds the points' Hermite digits instead of mapping
+coordinates back to indices; every T_L then selects the rows of its
+shifts.  The factors c_{nu,mu} = e^{2 pi i j_x m_eta / n} are looked up
+by the integer dot j_x m_eta in one table of exponentials.
 """
 
 import warnings
@@ -23,8 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Signal, Weight, TWO_PI, random_signal
-from .frames import (GaborFrameSpec, analysis, gabor_mod_norm, is_parseval,
-                     synthesis)
+from .frames import (GaborFrameSpec, _column_blocks, analysis, gabor_mod_norm,
+                     is_parseval, synthesis)
 from .phases import CanonicalMap, chi_prime_table
 from .fio import FioOperator, fio_matrix, gabor_cross
 from .diagnostics import loglog_fit, operator_norm
@@ -88,6 +95,7 @@ class MultiplierSymbolTable:
     a: np.ndarray              # (K, N) complex
     c: np.ndarray              # (K, N) unit complex
     warp_idx: np.ndarray       # (N,) lattice index of chi'(mu)
+    rows: np.ndarray           # (K, N) lattice index of chi'(mu) + nu
     nu_radius: float
 
     @property
@@ -99,14 +107,16 @@ def commutation_factors(spec: GaborFrameSpec, nu_int: np.ndarray,
                         chi_int: np.ndarray) -> np.ndarray:
     """c_{nu,mu} = e^{2 pi i x_nu . eta_{chi'(mu)}} from integer grid coords.
 
-    Computed analytically from coordinates; the phase x_nu . eta equals
-    (j_x m_eta)/n and is invariant under the choice of torus representative.
+    The phase x_nu . eta equals (j_x m_eta)/n and is invariant under the
+    choice of torus representative.  The integer dots j_x m_eta take few
+    distinct values, so each exponential is computed once and looked up.
     """
     grid = spec.window.grid
     d = grid.d
-    dots = np.einsum("ka,ma->km", nu_int[:, :d].astype(float),
-                     chi_int[:, d:].astype(float))
-    return np.exp(TWO_PI * 1j * dots / grid.n)
+    dots = nu_int[:, :d].astype(np.int64) @ chi_int[:, d:].T.astype(np.int64)
+    lo = dots.min()
+    ks = np.arange(lo, dots.max() + 1, dtype=float)
+    return np.exp(TWO_PI * 1j * ks / grid.n)[dots - lo]
 
 
 class ExtractionRadiusError(ValueError):
@@ -122,13 +132,13 @@ def extract_symbols(T: FioOperator, spec: GaborFrameSpec, cmap: CanonicalMap,
     lat = spec.lattice
     cross = gabor_cross(T, spec)                        # [lam, mu]
     chi_int = chi_prime_table(cmap, lat)                # (N, 2d)
+    warp_idx = lat.indices_of(chi_int)
     nu_indices = np.flatnonzero(lat.torus_norms() <= nu_radius + 1e-12)
-    nu_int = lat.int_coords[nu_indices]
-    c = commutation_factors(spec, nu_int, chi_int)
-    lam = lat.indices_of(chi_int[None, :, :] + nu_int[:, None, :])  # (K, N)
-    a = c * cross[lam, np.arange(lat.npoints)]
+    rows = lat.add(nu_indices[:, None], warp_idx[None, :])   # (K, N)
+    c = commutation_factors(spec, lat.int_coords[nu_indices], chi_int)
+    a = c * cross[rows, np.arange(lat.npoints)]
     return MultiplierSymbolTable(spec=spec, cmap=cmap, nu_indices=nu_indices,
-                                 a=a, c=c, warp_idx=lat.indices_of(chi_int),
+                                 a=a, c=c, warp_idx=warp_idx, rows=rows,
                                  nu_radius=float(nu_radius))
 
 
@@ -148,13 +158,13 @@ def assemble_truncated(tsym: MultiplierSymbolTable, spec: GaborFrameSpec,
     if L > tsym.nu_radius + 1e-12 and not covers_group:
         raise ExtractionRadiusError(
             f"L={L} exceeds the extraction radius {tsym.nu_radius}")
-    lat = spec.lattice
+    N = spec.lattice.npoints
     keep = np.flatnonzero(tsym.nu_norms <= L + 1e-12)
-    chi_int = lat.int_coords[tsym.warp_idx]
-    nu_int = lat.int_coords[tsym.nu_indices[keep]]
-    lam = lat.indices_of(chi_int[None, :, :] + nu_int[:, None, :])
-    C = np.zeros((lat.npoints, lat.npoints), dtype=complex)
-    C[lam, np.arange(lat.npoints)] = tsym.a[keep] * np.conj(tsym.c[keep])
+    C = np.zeros((N, N), dtype=complex)
+    cols = np.arange(N)
+    for b in _column_blocks(keep.size, N):     # bounded temporaries
+        k = keep[b]
+        C[tsym.rows[k], cols] = tsym.a[k] * np.conj(tsym.c[k])
     return _sandwich(C, spec)
 
 

@@ -134,7 +134,9 @@ class CanonicalMap:
     phase: TamePhase
 
     def forward(self, z) -> np.ndarray:
-        """chi(y, eta) = (x, xi), vectorized over rows of z (..., 2d)."""
+        """chi(y, eta) = (x, xi), vectorized over rows of z (..., 2d); one
+        point (2d,) gives one point."""
+        single = np.ndim(z) == 1
         z = np.atleast_2d(np.asarray(z, dtype=float))
         y, eta = self.phase.split(z)
         x = self._newton(
@@ -144,10 +146,11 @@ class CanonicalMap:
             seed=y.copy())
         xi = self.phase.grad_x(x, eta)
         out = np.concatenate([x, xi], axis=-1)
-        return out[0] if out.shape[0] == 1 and np.asarray(z).ndim == 1 else out
+        return out[0] if single else out
 
     def inverse(self, z) -> np.ndarray:
-        """chi^{-1}(x, xi) = (y, eta)."""
+        """chi^{-1}(x, xi) = (y, eta), shaped as forward."""
+        single = np.ndim(z) == 1
         z = np.atleast_2d(np.asarray(z, dtype=float))
         x, xi = self.phase.split(z)
         eta = self._newton(
@@ -157,7 +160,7 @@ class CanonicalMap:
             seed=xi.copy())
         y = self.phase.grad_eta(x, eta)
         out = np.concatenate([y, eta], axis=-1)
-        return out[0] if out.shape[0] == 1 and np.asarray(z).ndim == 1 else out
+        return out[0] if single else out
 
     def _newton(self, target, fixed, func, jac, seed):
         u = seed

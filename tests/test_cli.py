@@ -9,11 +9,13 @@ import subprocess
 import sys
 import tempfile
 import types
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gaborfio import cli
 from gaborfio.cli import MAX_DENSE_ENTRIES, _configure, _write_csv, main
 from gaborfio.core import Grid
 from gaborfio.dilation import dilation_symbol_closed_form
@@ -360,6 +362,28 @@ def test_help_exits_0(capsys):
         main(["frame-check", "--help"])
     assert exc.value.code == 0
     assert "--config" in capsys.readouterr().out
+
+
+def test_unexpected_exception_exits_6_with_error_list(monkeypatch):
+    def broken(args, run):
+        warnings.warn("before the fault")
+        raise RuntimeError("boom")
+    monkeypatch.setitem(cli.COMMANDS, "frame-check", broken)
+    code, err = run_quietly("frame-check", BASE)
+    assert code == 6
+    doc = json.loads(err)
+    assert doc["errors"] == [{"field": "internal",
+                              "error": "RuntimeError: boom"}]
+    assert doc["warnings"] == [{"category": "UserWarning",
+                                "message": "before the fault"}]
+
+
+def test_interrupt_is_not_an_internal_error(monkeypatch):
+    def interrupted(args, run):
+        raise KeyboardInterrupt
+    monkeypatch.setitem(cli.COMMANDS, "frame-check", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_quietly("frame-check", BASE)
 
 
 def test_seed_flag_overrides_config(tmp_path):

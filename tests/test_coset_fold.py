@@ -114,6 +114,7 @@ def test_sandwiches_match_the_dense_atoms(gen, k, block, seed):
         tsym = MultiplierSymbolTable(
             spec=spec, cmap=None, nu_indices=nu, a=random_complex(rng, N, N),
             c=np.exp(2j * np.pi * rng.random((N, N))), warp_idx=warp_idx,
+            rows=lat.add(nu[:, None], warp_idx[None, :]),
             nu_radius=float(np.max(lat.torus_norms())))
         # Lattice index of every point of Z_n^{2d}, by a lookup table.
         where = np.full((n,) * (2 * lat.grid.d), -1)

@@ -2,21 +2,26 @@
 
 Each fast path is checked against a brute-force oracle kept here: the
 enumeration against all n^{2d} images A m mod n, the arithmetic index
-against set membership, and the masked assembly A (C o mask_L) A^H
-against the sum over shifts of pi(nu) M_{a_nu}, one matrix product each.
+against set membership, the sum of digits against the sum of coordinates,
+the looked-up commutation phases against one float exponential per entry,
+and the masked assembly A (C o mask_L) A^H against the sum over shifts of
+pi(nu) M_{a_nu}, one matrix product each.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaborfio.core import Grid, build_atoms
+from gaborfio.core import TWO_PI, Grid, build_atoms
 from gaborfio.frames import (GaborFrameSpec, enumerate_lattice,
                              separable_lattice, tighten)
-from gaborfio.phases import dilation_phase, perturbed_phase, canonical_map
-from gaborfio.fio import bandlimited_symbol, make_fio
+from gaborfio.phases import (dilation_phase, perturbed_phase, canonical_map,
+                             chi_prime_table)
+from gaborfio.fio import bandlimited_symbol, gabor_cross, make_fio
 from gaborfio.multiplier import (extract_symbols, assemble_truncated,
-                                 full_nu_radius)
+                                 commutation_factors, full_nu_radius)
 from gaborfio.windows import gaussian_window
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -105,6 +110,77 @@ def test_indices_of_round_trip_membership_and_periodicity(gen, seed):
             except KeyError:
                 continue
             raise AssertionError(f"{p} is not a lattice point")
+
+
+@SETTINGS
+@given(commensurate_generators(), st.integers(0, 2 ** 32 - 1))
+def test_add_is_the_index_of_the_sum(gen, seed):
+    A, grid = gen
+    n = grid.n
+    lat = enumerate_lattice(A, grid)
+    N = lat.npoints
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, N, size=(5, 1))
+    j = rng.integers(0, N, size=(1, 7))
+    ij = lat.add(i, j)
+    assert ij.shape == (5, 7)
+    assert np.array_equal(
+        ij, lat.indices_of(lat.int_coords[i] + lat.int_coords[j]))
+    assert np.array_equal(np.mod(lat.int_coords[ij], n),
+                          np.mod(lat.int_coords[i] + lat.int_coords[j], n))
+    assert np.array_equal(lat.add(np.arange(N), lat.indices_of(np.zeros(
+        2 * grid.d, dtype=int))), np.arange(N))
+    assert lat.add(int(i[0, 0]), int(j[0, 0])) == ij[0, 0]
+
+
+def float_commutation_factors(n, d, nu_int, chi_int):
+    """e^{2 pi i x_nu . eta} from one float dot and one exp per entry."""
+    dots = np.einsum("ka,ma->km", nu_int[:, :d].astype(float),
+                     chi_int[:, d:].astype(float))
+    return np.exp(TWO_PI * 1j * dots / n)
+
+
+@SETTINGS
+@given(commensurate_generators(), st.integers(0, 2 ** 32 - 1))
+def test_commutation_phases_match_the_float_formula(gen, seed):
+    A, grid = gen
+    n, d = grid.n, grid.d
+    lat = enumerate_lattice(A, grid)
+    rng = np.random.default_rng(seed)
+    spec = GaborFrameSpec(gaussian_window(grid), lat)
+    # chi' rows are lattice points in any torus representative.
+    chi_int = (lat.int_coords[rng.integers(0, lat.npoints, size=9)]
+               + n * rng.integers(-1, 2, size=(9, 2 * d)))
+    c = commutation_factors(spec, lat.int_coords, chi_int)
+    assert np.array_equal(
+        c, float_commutation_factors(n, d, lat.int_coords, chi_int))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(commensurate_generators(sizes=((8, 12, 16, 24),), dims=(1,)),
+       st.sampled_from([dilation_phase(2.0), perturbed_phase(0.1)]),
+       st.floats(0, 2), st.integers(0, 2 ** 16))
+def test_row_table_indexes_the_shifted_curve(gen, phase, radius, seed):
+    A, grid = gen
+    n = grid.n
+    lat = enumerate_lattice(A, grid)
+    spec = GaborFrameSpec(gaussian_window(grid), lat)
+    cm = canonical_map(phase)
+    T = make_fio(phase, bandlimited_symbol(grid, 2, seed=seed), grid, cm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the spec need not be Parseval
+        tsym = extract_symbols(T, spec, cm, radius * full_nu_radius(spec))
+    chi_int = chi_prime_table(cm, lat)
+    nu_int = lat.int_coords[tsym.nu_indices]
+    rows = lat.indices_of(chi_int[None, :, :] + nu_int[:, None, :])
+    assert np.array_equal(tsym.rows, rows)
+    assert np.array_equal(tsym.c,
+                          float_commutation_factors(n, 1, nu_int, chi_int))
+    # extract_symbols keeps no Gabor matrix; a second one is compared
+    # to roundoff, not bit for bit.
+    cross = gabor_cross(T, spec)
+    assert np.max(np.abs(tsym.a - tsym.c * cross[rows, np.arange(
+        lat.npoints)])) <= 1e-12 * np.max(np.abs(cross))
 
 
 def per_shift_sum(tsym, spec, L):

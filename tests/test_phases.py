@@ -117,6 +117,14 @@ def test_chi_prime_lands_on_lattice_and_single_point_api():
     table = chi_prime_table(cm, lat)
     assert np.array_equal(lat.int_coords[lat.indices_of(table)] % grid.n,
                           table % grid.n)
+    # One point (2d,) maps to one point; a (1, 2d) batch stays a batch.
+    z = lat.coords()[3]
+    for point in (cm.forward(z), cm.inverse(z)):
+        assert point.shape == (2,)
+    assert np.allclose(cm.forward(z), cm.forward(lat.coords())[3])
+    assert np.allclose(cm.inverse(cm.forward(z)), z)
+    assert cm.forward(z[None, :]).shape == cm.inverse(z[None, :]).shape \
+        == (1, 2)
 
 
 @pytest.mark.parametrize("phase", PHASES, ids=lambda p: p.name)
