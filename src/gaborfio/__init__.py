@@ -1,9 +1,6 @@
 """Finite-dimensional Gabor frames, FIOs, and warped Gabor multipliers."""
 
-from .core import (Grid, Signal, PhasePoint, Weight, translate, modulate,
-                   tf_shift, tf_shift_inverse, commutation_phase, stft,
-                   inner, random_signal,
-                   GridRepresentabilityError)
+from .core import Grid, Signal, Weight, random_signal
 from .frames import (Lattice, GaborFrameSpec, enumerate_lattice,
                      separable_lattice, frame_operator, frame_bounds,
                      canonical_tight_window, dual_window, tighten, analysis,
@@ -13,10 +10,10 @@ from .phases import (TamePhase, CanonicalMap, linear_phase, dilation_phase,
                      chirp_phase, perturbed_phase, canonical_map,
                      tameness_audit, chi_prime_table,
                      chi_prime_displacement_bound, NewtonDivergenceError)
-from .fio import (SymbolTable, FioOperator, GaborMatrix, make_fio, apply_fio,
-                  fio_matrix, gabor_matrix, decay_envelope_fit,
-                  envelope_function_audit, transport_argmax_check,
-                  constant_symbol, bandlimited_symbol, weighted_symbol,
+from .fio import (SymbolTable, FioOperator, GaborMatrix, make_fio, fio_matrix,
+                  gabor_matrix, decay_envelope_fit, envelope_function_audit,
+                  transport_argmax_check, constant_symbol,
+                  bandlimited_symbol, weighted_symbol,
                   InsufficientDecayRangeError)
 from .multiplier import (GaborMultiplier, MultiplierSymbolTable,
                          apply_multiplier, multiplier_matrix, extract_symbols,

@@ -53,6 +53,10 @@ EXIT_INTERNAL = 6
 # The subcommands that build the dense n^d x n^d FIO matrix.
 FIO_COMMANDS = ("decay-scan", "approximate", "dilation-demo")
 
+# dilation-demo's CSV: entries within this relative tolerance of a row's
+# maximum tie, and the first of them is written.
+ROW_TIE_RTOL = 1e-6
+
 # The most complex entries (1 GiB) a run's largest dense arrays may hold
 # at once; see _largest_array.
 MAX_DENSE_ENTRIES = 2 ** 26
@@ -270,8 +274,11 @@ def _configure(args):
         if not isinstance(run.L_list, list) or len(run.L_list) < 3:
             problems.add("L_list", "list of at least 3 numeric radii required")
         else:
-            for L in run.L_list:
-                _number(L, "L_list", problems, low=0, strict=True)
+            radii = [_number(L, "L_list", problems, low=0, strict=True)
+                     for L in run.L_list]
+            if None not in radii and len(set(radii)) < 3:
+                # the truncation slope is a fit over distinct radii
+                problems.add("L_list", "at least 3 distinct radii required")
         run.nu_radius = cfg.get("nu_radius")   # None: every lattice shift
         if run.nu_radius is not None:
             run.nu_radius = _number(run.nu_radius, "nu_radius", problems, low=0)
@@ -360,7 +367,7 @@ def cmd_frame_check(args, run):
 def cmd_decay_scan(args, run):
     spec = tighten(GaborFrameSpec(run.window, run.lattice))
     cm = canonical_map(run.phase)
-    T = make_fio(run.phase, run.symbol, run.grid, cm)
+    T = make_fio(run.phase, run.symbol, run.grid)
     G = gabor_matrix(T, spec)
     dists, bound = transport_argmax_check(G, cm)
     transport = {"transport_max_dist": float(np.max(dists)),
@@ -382,7 +389,7 @@ def cmd_decay_scan(args, run):
 def cmd_approximate(args, run):
     spec = tighten(GaborFrameSpec(run.window, run.lattice))
     cm = canonical_map(run.phase)
-    T = make_fio(run.phase, run.symbol, run.grid, cm)
+    T = make_fio(run.phase, run.symbol, run.grid)
     nu_radius = full_nu_radius(spec) if run.nu_radius is None else run.nu_radius
     try:
         tsym = extract_symbols(T, spec, cm, nu_radius)
@@ -405,6 +412,14 @@ def cmd_approximate(args, run):
     return EXIT_OK
 
 
+def _first_near_max(table):
+    """Per row, the first column within ROW_TIE_RTOL of the row maximum.
+
+    Roundoff cannot then pick another of several equal maxima."""
+    top = np.max(table, axis=1, keepdims=True)
+    return np.argmax(table >= (1.0 - ROW_TIE_RTOL) * top, axis=1)
+
+
 def cmd_dilation_demo(args, run):
     grid, lattice = run.grid, run.lattice
     a_steps, b_steps = int(lattice.A[0, 0]), int(lattice.A[1, 1])
@@ -415,7 +430,7 @@ def cmd_dilation_demo(args, run):
     u = make_window(grid, "gaussian").values
     rho = float(np.real(np.vdot(u, spec.window.values)) / np.vdot(u, u).real)
     cm = canonical_map(run.phase)
-    T = make_fio(run.phase, constant_symbol(grid), grid, cm)
+    T = make_fio(run.phase, constant_symbol(grid), grid)
     tsym = extract_symbols(T, spec, cm, run.nu_radius)
     mu_int = lattice.int_coords
     nu_int = lattice.int_coords[tsym.nu_indices]
@@ -442,8 +457,8 @@ def cmd_dilation_demo(args, run):
     K, N = closed.shape
     diff = numeric - closed
     err = np.hypot(diff.real, diff.imag)
-    cols = np.stack([np.argmax(camp.reshape(K, N), axis=1),
-                     np.argmax(err, axis=1)], axis=1)
+    cols = np.stack([_first_near_max(camp.reshape(K, N)),
+                     _first_near_max(err)], axis=1)
     r, c = np.divmod(np.unique(np.arange(K)[:, None] * N + cols), N)
     rows = np.column_stack([k[c], l[c], kp[r], lp[r],
                             closed.real[r, c], closed.imag[r, c],

@@ -1,4 +1,4 @@
-"""Finite periodic signal model and elementary time-frequency operations.
+"""Finite periodic signal model and the time-frequency shift kernel.
 
 Everything lives on the symmetric finite Gabor model: n points per axis,
 sampling step h = 1/sqrt(n), so the time span and the frequency span are
@@ -8,8 +8,7 @@ exchanges them exactly.
 One flattening rule holds in every dimension d: a signal is a vector of
 n^d samples in row-major order, and Grid.multi_index() is the (n^d, d)
 table of the multi-index of each sample.  One kernel, build_atoms, forms
-the time-frequency shifts pi(x, m) g = M_m T_x g for any d; translate,
-modulate, tf_shift and the STFT are its special cases.
+the time-frequency shifts pi(x, m) g = M_m T_x g for any d.
 """
 
 from dataclasses import dataclass
@@ -17,20 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-
-class GridRepresentabilityError(ValueError):
-    """A continuum coordinate does not sit on the sampling grid."""
-
-    def __init__(self, value, step, suggestion):
-        self.value = np.asarray(value, dtype=float)
-        self.step = float(step)
-        self.suggestion = np.asarray(suggestion, dtype=float)
-        super().__init__(
-            f"coordinate {self.value} is not an integer multiple of the grid "
-            f"step h={self.step:.6g}; nearest representable value is "
-            f"{self.suggestion}"
-        )
 
 
 @dataclass(frozen=True)
@@ -79,19 +64,6 @@ class Grid:
         """Symmetric continuum coordinate of every index 0..n-1 (one axis)."""
         return self.wrap_index(np.arange(self.n)) * self.h
 
-    def to_steps(self, x) -> np.ndarray:
-        """Convert continuum coordinates to integer grid steps.
-
-        Raises GridRepresentabilityError when a component is not an
-        integer multiple of h (tolerance 1e-9 steps).
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        steps = x / self.h
-        rounded = np.round(steps)
-        if np.max(np.abs(steps - rounded)) > 1e-9:
-            raise GridRepresentabilityError(x, self.h, rounded * self.h)
-        return rounded.astype(int)
-
 
 @dataclass
 class Signal:
@@ -109,36 +81,6 @@ class Signal:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
-
-    def copy(self) -> "Signal":
-        return Signal(self.grid, self.values.copy())
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point z = (x, eta) of the phase-space torus, continuum units."""
-
-    x: np.ndarray
-    eta: np.ndarray
-
-    @staticmethod
-    def make(x, eta) -> "PhasePoint":
-        return PhasePoint(np.atleast_1d(np.asarray(x, dtype=float)),
-                          np.atleast_1d(np.asarray(eta, dtype=float)))
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.x, self.eta])
-
-    @staticmethod
-    def from_vector(z) -> "PhasePoint":
-        z = np.asarray(z, dtype=float)
-        d = z.size // 2
-        return PhasePoint(z[:d].copy(), z[d:].copy())
-
-
-def inner(f: Signal, g: Signal) -> complex:
-    """Euclidean inner product <f, g> = sum f conj(g)."""
-    return complex(np.vdot(g.values, f.values))
 
 
 def _shift_index(grid: Grid, x: np.ndarray) -> np.ndarray:
@@ -172,53 +114,6 @@ def build_atoms(window: Signal, int_coords: np.ndarray) -> np.ndarray:
     atoms = window.values[_shift_index(grid, z[:, :grid.d])]
     atoms *= np.exp(TWO_PI * 1j * _phase_index(grid, z[:, grid.d:]) / grid.n)
     return atoms
-
-
-def tf_shift(f: Signal, lam: PhasePoint) -> Signal:
-    """pi(lambda) f = M_eta T_x f for grid-representable lambda."""
-    z = np.concatenate([f.grid.to_steps(lam.x), f.grid.to_steps(lam.eta)])
-    return Signal(f.grid, build_atoms(f, z[None, :])[:, 0])
-
-
-def translate(f: Signal, x) -> Signal:
-    """T_x f(t) = f(t - x) for grid-representable x."""
-    return tf_shift(f, PhasePoint.make(x, np.zeros(f.grid.d)))
-
-
-def modulate(f: Signal, eta) -> Signal:
-    """M_eta f(t) = e^{2 pi i eta.t} f(t) for grid-representable eta."""
-    return tf_shift(f, PhasePoint.make(np.zeros(f.grid.d), eta))
-
-
-def tf_shift_inverse(f: Signal, lam: PhasePoint) -> Signal:
-    """pi(lambda)^{-1} f = e^{-2 pi i x.eta} pi(-lambda) f."""
-    out = tf_shift(f, PhasePoint(-lam.x, -lam.eta))
-    phase = np.conj(commutation_phase(lam.x, lam.eta))
-    return Signal(f.grid, out.values * phase)
-
-
-def commutation_phase(x, eta) -> complex:
-    """The unimodular factor e^{2 pi i x.eta} from M_eta T_x = e^{2 pi i x.eta} T_x M_eta."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    return complex(np.exp(TWO_PI * 1j * float(np.dot(x, eta))))
-
-
-def stft(f: Signal, g: Signal) -> np.ndarray:
-    """Short-time Fourier transform table V[j, m] = <f, pi(x_j, eta_m) g>.
-
-    Rows are indexed by the translation index j, columns by the modulation
-    index m, both flat row-major over raw 0..n-1 indices per axis; the
-    coordinate of index j is grid.wrap_index(j) * h.
-    """
-    if g.norm() == 0:
-        raise ValueError("STFT window must be nonzero")
-    grid = f.grid
-    # w[x, t] = f(t) conj(g(t - x)): one gather, no phase (the FFT is it).
-    w = f.values * np.conj(g.values[_shift_index(grid, grid.multi_index()).T])
-    w = w.reshape((grid.size,) + (grid.n,) * grid.d)
-    axes = tuple(range(1, grid.d + 1))
-    return np.fft.fftn(w, axes=axes).reshape(grid.size, -1)
 
 
 @dataclass

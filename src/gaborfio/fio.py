@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Grid, Signal, Weight, TWO_PI
+from .core import Grid, Weight, TWO_PI
 from .frames import (_BLOCK_BYTES, GaborFrameSpec, Lattice, analysis,
                      is_parseval)
 from .phases import CanonicalMap, TamePhase, chi_prime_displacement_bound
@@ -68,6 +68,25 @@ def bandlimit_for(N: float, grid: Grid) -> float:
     return grid.n / (4.0 * N)
 
 
+def _random_symbol(grid: Grid, seed: int, envelope) -> SymbolTable:
+    """Random real symbol with spectrum envelope(p, q) times complex noise.
+
+    p and q are the wrapped frequency indices (as floats) of the two
+    axes; the symbol is the plain synthesis sum of the modes, scaled to
+    peak modulus 1.
+    """
+    if grid.d != 1:
+        raise ValueError("symbol generators are d = 1 only")
+    n = grid.n
+    rng = np.random.default_rng(seed)
+    freqs = grid.wrap_index(np.arange(n)).astype(float)
+    p, q = np.meshgrid(freqs, freqs, indexing="ij")
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    vals = (np.fft.ifft2(noise * envelope(p, q)).real * n).astype(complex)
+    vals *= 1.0 / np.max(np.abs(vals))
+    return SymbolTable(grid, vals)
+
+
 def bandlimited_symbol(grid: Grid, N: float, seed: int = 0) -> SymbolTable:
     """Random real symbol band-limited to |frequency index| <= B(N).
 
@@ -75,19 +94,9 @@ def bandlimited_symbol(grid: Grid, N: float, seed: int = 0) -> SymbolTable:
     its whole frequency budget; larger N means a smaller budget and a
     smoother symbol.
     """
-    if grid.d != 1:
-        raise ValueError("symbol generators are d = 1 only")
-    n = grid.n
     B = bandlimit_for(N, grid)
-    rng = np.random.default_rng(seed)
-    freqs = np.asarray(grid.wrap_index(np.arange(n)))
-    p, q = np.meshgrid(freqs, freqs, indexing="ij")
-    mask = np.sqrt(p.astype(float) ** 2 + q.astype(float) ** 2) <= B
-    spec = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * mask
-    vals = np.fft.ifft2(spec) * n  # plain synthesis sum of masked modes
-    vals = vals.real.astype(complex)
-    vals *= 1.0 / np.max(np.abs(vals))
-    return SymbolTable(grid, vals)
+    return _random_symbol(grid, seed,
+                          lambda p, q: np.sqrt(p ** 2 + q ** 2) <= B)
 
 
 def weighted_symbol(grid: Grid, s: float, seed: int = 0) -> SymbolTable:
@@ -96,17 +105,10 @@ def weighted_symbol(grid: Grid, s: float, seed: int = 0) -> SymbolTable:
     Discrete surrogate of membership in the weighted modulation-space symbol class
     with weight v_s.
     """
-    if grid.d != 1:
-        raise ValueError("symbol generators are d = 1 only")
-    n = grid.n
-    rng = np.random.default_rng(seed)
-    freqs = np.asarray(grid.wrap_index(np.arange(n))) * grid.h
-    p, q = np.meshgrid(freqs, freqs, indexing="ij")
-    envelope = (1.0 + p ** 2 + q ** 2) ** (-(s + 1.0) / 2.0)
-    spec = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * envelope
-    vals = np.fft.ifft2(spec).real.astype(complex) * n
-    vals *= 1.0 / np.max(np.abs(vals))
-    return SymbolTable(grid, vals)
+    h = grid.h
+    return _random_symbol(
+        grid, seed,
+        lambda p, q: (1.0 + (p * h) ** 2 + (q * h) ** 2) ** (-(s + 1.0) / 2.0))
 
 
 @dataclass
@@ -116,7 +118,6 @@ class FioOperator:
     phase: TamePhase
     symbol: SymbolTable
     grid: Grid
-    cmap: CanonicalMap
     _matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -126,11 +127,8 @@ class FioOperator:
             raise ValueError("the FIO engine supports d = 1")
 
 
-def make_fio(phase: TamePhase, symbol: SymbolTable, grid: Grid,
-             cmap: Optional[CanonicalMap] = None) -> FioOperator:
-    if cmap is None:
-        cmap = CanonicalMap(phase)
-    return FioOperator(phase=phase, symbol=symbol, grid=grid, cmap=cmap)
+def make_fio(phase: TamePhase, symbol: SymbolTable, grid: Grid) -> FioOperator:
+    return FioOperator(phase=phase, symbol=symbol, grid=grid)
 
 
 def fio_matrix(T: FioOperator) -> np.ndarray:
@@ -155,19 +153,11 @@ def fio_matrix(T: FioOperator) -> np.ndarray:
     return T._matrix
 
 
-def apply_fio(T: FioOperator, f: Signal) -> Signal:
-    """T f by quadrature over the frequency grid."""
-    if f.grid.n != T.grid.n or f.grid.d != T.grid.d:
-        raise ValueError("signal grid does not match the operator grid")
-    return Signal(f.grid, fio_matrix(T) @ f.values)
-
-
 @dataclass
 class GaborMatrix:
     """Coefficient table G[mu, lam] = <T pi(mu) g, pi(lam) g>."""
 
     lattice: Lattice
-    window: Signal
     entries: np.ndarray
 
 
@@ -176,8 +166,7 @@ def gabor_matrix(T: FioOperator, spec: GaborFrameSpec) -> GaborMatrix:
     if not is_parseval(spec):
         warnings.warn("gabor_matrix called with a non-Parseval frame spec",
                       stacklevel=2)
-    return GaborMatrix(lattice=spec.lattice, window=spec.window,
-                       entries=gabor_cross(T, spec).T)
+    return GaborMatrix(lattice=spec.lattice, entries=gabor_cross(T, spec).T)
 
 
 def gabor_cross(T: FioOperator, spec: GaborFrameSpec) -> np.ndarray:

@@ -90,7 +90,6 @@ class MultiplierSymbolTable:
     """The family a_nu(mu) with its unimodular factors c_{nu,mu}."""
 
     spec: GaborFrameSpec
-    cmap: CanonicalMap
     nu_indices: np.ndarray     # (K,) lattice indices of the shifts nu
     a: np.ndarray              # (K, N) complex
     c: np.ndarray              # (K, N) unit complex
@@ -137,8 +136,8 @@ def extract_symbols(T: FioOperator, spec: GaborFrameSpec, cmap: CanonicalMap,
     rows = lat.add(nu_indices[:, None], warp_idx[None, :])   # (K, N)
     c = commutation_factors(spec, lat.int_coords[nu_indices], chi_int)
     a = c * cross[rows, np.arange(lat.npoints)]
-    return MultiplierSymbolTable(spec=spec, cmap=cmap, nu_indices=nu_indices,
-                                 a=a, c=c, warp_idx=warp_idx, rows=rows,
+    return MultiplierSymbolTable(spec=spec, nu_indices=nu_indices, a=a, c=c,
+                                 warp_idx=warp_idx, rows=rows,
                                  nu_radius=float(nu_radius))
 
 

@@ -63,7 +63,7 @@ def test_acceptance_2_exact_representation(capsys):
     worst = 0.0
     for phase in PHASES:
         cm = canonical_map(phase)
-        T = make_fio(phase, constant_symbol(grid), grid, cm)
+        T = make_fio(phase, constant_symbol(grid), grid)
         tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
         rebuilt = assemble_truncated(tsym, spec, tsym.nu_radius)
         worst = max(worst, float(np.max(np.abs(fio_matrix(T) - rebuilt))))
@@ -79,7 +79,7 @@ def test_acceptance_3_almost_diagonalization(capsys):
     cm = canonical_map(phase)
     slopes = {}
     for N in (2, 3):
-        T = make_fio(phase, bandlimited_symbol(grid, N), grid, cm)
+        T = make_fio(phase, bandlimited_symbol(grid, N), grid)
         slopes[N] = decay_envelope_fit(gabor_matrix(T, spec), cm, 2.0 * N).slope
     ok = slopes[2] <= -4.0 + 0.75 and slopes[3] - slopes[2] <= -1.0
     verdict(capsys, ok, "almost diagonalization",
@@ -94,7 +94,7 @@ def test_acceptance_4_transport_property(capsys):
     worst, bound = 0.0, None
     for phase in PHASES:
         cm = canonical_map(phase)
-        T = make_fio(phase, constant_symbol(grid), grid, cm)
+        T = make_fio(phase, constant_symbol(grid), grid)
         dists, bound = transport_argmax_check(gabor_matrix(T, spec), cm)
         worst = max(worst, float(np.max(dists)))
     verdict(capsys, worst <= bound, "transport property",
@@ -107,7 +107,7 @@ def test_acceptance_5_truncation_rate(capsys):
     grid, spec = tight64()
     phase = dilation_phase(2.0)
     cm = canonical_map(phase)
-    T = make_fio(phase, bandlimited_symbol(grid, 2), grid, cm)
+    T = make_fio(phase, bandlimited_symbol(grid, 2), grid)
     tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
     curve, slope = truncation_error_curve(T, tsym, spec, [1, 2, 4, 8, 16])
     nonincr = all(e1 <= e0 + 1e-10
@@ -127,7 +127,7 @@ def test_acceptance_6_dilation_closed_form(capsys):
     rho = float(np.real(np.vdot(u, spec.window.values)) / np.vdot(u, u).real)
     phase = dilation_phase(2.0)
     cm = canonical_map(phase)
-    T = make_fio(phase, constant_symbol(grid), grid, cm)
+    T = make_fio(phase, constant_symbol(grid), grid)
     tsym = extract_symbols(T, spec, cm, 3.0)
     nu_int = lat.int_coords[tsym.nu_indices]
     k, l = lat.int_coords[:, 0] / 4.0, lat.int_coords[:, 1] / 4.0

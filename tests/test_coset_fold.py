@@ -112,7 +112,7 @@ def test_sandwiches_match_the_dense_atoms(gen, k, block, seed):
         # Every shift nu at once: C[chi'(mu) + nu, mu] = a_nu(mu) conj(c).
         nu = np.arange(N)
         tsym = MultiplierSymbolTable(
-            spec=spec, cmap=None, nu_indices=nu, a=random_complex(rng, N, N),
+            spec=spec, nu_indices=nu, a=random_complex(rng, N, N),
             c=np.exp(2j * np.pi * rng.random((N, N))), warp_idx=warp_idx,
             rows=lat.add(nu[:, None], warp_idx[None, :]),
             nu_radius=float(np.max(lat.torus_norms())))

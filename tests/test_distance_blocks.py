@@ -96,7 +96,7 @@ def test_distance_blocks_match_the_dense_oracle(gen, phase, symbol, rows,
         else bandlimited_symbol(grid, 2, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # most draws are not tight frames
-        G = gabor_matrix(make_fio(phase, S, grid, cm),
+        G = gabor_matrix(make_fio(phase, S, grid),
                          GaborFrameSpec(gaussian_window(grid), lat))
     block_rows = {"one": 1, "seven": 7, "all": N + 3}[rows]
     with mock.patch.object(fio, "_BLOCK_BYTES", 8 * N * block_rows):
@@ -124,7 +124,7 @@ def test_constant_symbol_ties_reach_the_tie_rule():
     cm = canonical_map(dilation_phase(2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        G = gabor_matrix(make_fio(cm.phase, constant_symbol(grid), grid, cm),
+        G = gabor_matrix(make_fio(cm.phase, constant_symbol(grid), grid),
                          GaborFrameSpec(gaussian_window(grid), lat))
     mag = np.abs(G.entries)
     tied = mag >= (1.0 - 1e-9) * np.max(mag, axis=1, keepdims=True)
@@ -139,8 +139,8 @@ def test_canonical_map_runs_once_per_public_call():
     lat = enumerate_lattice(np.diag([2, 2]), grid)
     cm = canonical_map(dilation_phase(2.0))
     spec = tighten(GaborFrameSpec(gaussian_window(grid), lat))
-    G = gabor_matrix(make_fio(cm.phase, bandlimited_symbol(grid, 2), grid,
-                              cm), spec)
+    G = gabor_matrix(make_fio(cm.phase, bandlimited_symbol(grid, 2), grid),
+                     spec)
     forward = CanonicalMap.forward
     for call in (lambda: pair_distances(G, cm),
                  lambda: transport_argmax_check(G, cm),

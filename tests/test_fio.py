@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from gaborfio.core import Grid, Signal, build_atoms, random_signal
+from gaborfio.core import Grid, build_atoms
 from gaborfio.frames import GaborFrameSpec, separable_lattice, tighten
 from gaborfio.phases import (linear_phase, dilation_phase, chirp_phase,
                              perturbed_phase, canonical_map)
 from gaborfio.fio import (SymbolTable, constant_symbol, bandlimited_symbol,
                           weighted_symbol, bandlimit_for, make_fio,
-                          fio_matrix, apply_fio, gabor_matrix,
+                          fio_matrix, gabor_matrix,
                           pair_distances, decay_envelope_fit,
                           transport_argmax_check, envelope_function_audit,
                           InsufficientDecayRangeError, MAX_DENSE_SIZE)
 
 PHASES = [linear_phase(), dilation_phase(2.0), chirp_phase(0.25),
           perturbed_phase(0.1)]
-SEEDS = [0, 1, 2]
 
 
 def tight_spec(n, a=4, b=4):
@@ -87,21 +86,6 @@ def test_dense_matrix_size_guard():
         fio_matrix(T)
 
 
-@pytest.mark.parametrize("n", [16, 32, 64])
-@pytest.mark.parametrize("seed", SEEDS)
-def test_apply_fio_linear(n, seed):
-    grid = Grid(n)
-    T = make_fio(chirp_phase(0.25), bandlimited_symbol(grid, 2, seed=seed),
-                 grid)
-    rng = np.random.default_rng(seed)
-    f, h = random_signal(grid, rng), random_signal(grid, rng)
-    a, b = 1.3 - 0.2j, -0.7 + 1.1j
-    comb = Signal(grid, a * f.values + b * h.values)
-    lhs = apply_fio(T, comb).values
-    rhs = a * apply_fio(T, f).values + b * apply_fio(T, h).values
-    assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-
 # ------------------------------------------------------------ Gabor matrix
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -127,7 +111,7 @@ def test_gabor_matrix_warns_without_parseval():
 def test_transport_argmax_within_bound(phase):
     grid, spec = tight_spec(64, 4, 4)
     cm = canonical_map(phase)
-    T = make_fio(phase, constant_symbol(grid), grid, cm)
+    T = make_fio(phase, constant_symbol(grid), grid)
     G = gabor_matrix(T, spec)
     dists, bound = transport_argmax_check(G, cm)
     assert np.max(dists) <= bound
@@ -136,7 +120,7 @@ def test_transport_argmax_within_bound(phase):
 def test_global_max_sits_in_nearest_diagonal_bin():
     grid, spec = tight_spec(64, 4, 4)
     cm = canonical_map(dilation_phase(2.0))
-    T = make_fio(dilation_phase(2.0), constant_symbol(grid), grid, cm)
+    T = make_fio(dilation_phase(2.0), constant_symbol(grid), grid)
     G = gabor_matrix(T, spec)
     r = pair_distances(G, cm)
     mag = np.abs(G.entries)
@@ -152,7 +136,7 @@ def test_global_max_sits_in_nearest_diagonal_bin():
 def test_identity_phase_decay_is_superpolynomial():
     grid, spec = tight_spec(64, 4, 4)
     cm = canonical_map(linear_phase())
-    T = make_fio(linear_phase(), constant_symbol(grid), grid, cm)
+    T = make_fio(linear_phase(), constant_symbol(grid), grid)
     G = gabor_matrix(T, spec)
     for s_claim in (2.0, 4.0, 6.0):
         rep = decay_envelope_fit(G, cm, s_claim)
@@ -167,7 +151,7 @@ def test_decay_slope_monotone_in_band_limit():
     cm = canonical_map(phase)
     slopes = []
     for N in (1, 2, 3):
-        T = make_fio(phase, bandlimited_symbol(grid, N), grid, cm)
+        T = make_fio(phase, bandlimited_symbol(grid, N), grid)
         rep = decay_envelope_fit(gabor_matrix(T, spec), cm, 2.0 * N)
         slopes.append(rep.slope)
     assert slopes[1] <= slopes[0] and slopes[2] <= slopes[1]
@@ -176,7 +160,7 @@ def test_decay_slope_monotone_in_band_limit():
 def test_decay_fit_insufficient_range():
     grid, spec = tight_spec(16, 2, 2)
     cm = canonical_map(linear_phase())
-    T = make_fio(linear_phase(), constant_symbol(grid), grid, cm)
+    T = make_fio(linear_phase(), constant_symbol(grid), grid)
     G = gabor_matrix(T, spec)
     with pytest.raises(InsufficientDecayRangeError):
         decay_envelope_fit(G, cm, 2.0)   # torus too small: r_max/2 < 2

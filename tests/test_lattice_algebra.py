@@ -166,7 +166,7 @@ def test_row_table_indexes_the_shifted_curve(gen, phase, radius, seed):
     lat = enumerate_lattice(A, grid)
     spec = GaborFrameSpec(gaussian_window(grid), lat)
     cm = canonical_map(phase)
-    T = make_fio(phase, bandlimited_symbol(grid, 2, seed=seed), grid, cm)
+    T = make_fio(phase, bandlimited_symbol(grid, 2, seed=seed), grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # the spec need not be Parseval
         tsym = extract_symbols(T, spec, cm, radius * full_nu_radius(spec))
@@ -209,7 +209,7 @@ def test_masked_assembly_matches_per_shift_sum(config, phase, seed):
     spec = tighten(GaborFrameSpec(gaussian_window(grid),
                                   separable_lattice(a, b, grid)))
     cm = canonical_map(phase)
-    T = make_fio(phase, bandlimited_symbol(grid, 2, seed=seed), grid, cm)
+    T = make_fio(phase, bandlimited_symbol(grid, 2, seed=seed), grid)
     tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
     for L in (0, 1, 2, 4, tsym.nu_radius):
         masked = assemble_truncated(tsym, spec, L)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaborfio.core import Grid, PhasePoint, Weight, tf_shift, TWO_PI
+from gaborfio.core import Grid, Signal, Weight, TWO_PI, build_atoms
 from gaborfio.frames import GaborFrameSpec, separable_lattice, tighten
 from gaborfio.phases import (linear_phase, dilation_phase, chirp_phase,
                              perturbed_phase, canonical_map)
@@ -38,7 +38,7 @@ def test_full_nu_assembly_is_exact(n, a, b, phase):
     grid, spec = tight_spec(n, a, b)
     cm = canonical_map(phase)
     for sym in symbols_for(grid):
-        T = make_fio(phase, sym, grid, cm)
+        T = make_fio(phase, sym, grid)
         tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
         rebuilt = assemble_truncated(tsym, spec, tsym.nu_radius)
         assert np.max(np.abs(fio_matrix(T) - rebuilt)) < 1e-9
@@ -54,17 +54,16 @@ def test_commutation_factor_consistency():
         i, j = rng.integers(0, lat.npoints, 2)
         chi, nu = lat.int_coords[i], lat.int_coords[j]
         tgt = lat.int_coords[lat.indices_of(chi + nu)]
-        lhs = tf_shift(g, PhasePoint.make(tgt[0] * grid.h, tgt[1] * grid.h))
-        mid = tf_shift(g, PhasePoint.make(chi[0] * grid.h, chi[1] * grid.h))
-        rhs = tf_shift(mid, PhasePoint.make(nu[0] * grid.h, nu[1] * grid.h))
+        lhs, mid = build_atoms(g, np.array([tgt, chi])).T
+        rhs = build_atoms(Signal(grid, mid), nu[None, :])[:, 0]
         c = np.exp(TWO_PI * 1j * (nu[0] * chi[1]) / grid.n)
-        assert np.max(np.abs(lhs.values - c * rhs.values)) < 1e-12
+        assert np.max(np.abs(lhs - c * rhs)) < 1e-12
 
 
 def test_identity_symbol_is_window_energy():
     grid, spec = tight_spec(16, 2, 2)
     cm = canonical_map(linear_phase())
-    T = make_fio(linear_phase(), constant_symbol(grid), grid, cm)
+    T = make_fio(linear_phase(), constant_symbol(grid), grid)
     tsym = extract_symbols(T, spec, cm, 0.2)   # nu = 0 shell only
     assert tsym.nu_indices.size == 1
     assert np.max(np.abs(tsym.a[0] - spec.window.norm() ** 2)) < 1e-12
@@ -74,7 +73,7 @@ def test_truncation_at_zero_is_single_multiplier():
     grid, spec = tight_spec(16, 2, 2)
     phase = dilation_phase(2.0)
     cm = canonical_map(phase)
-    T = make_fio(phase, constant_symbol(grid), grid, cm)
+    T = make_fio(phase, constant_symbol(grid), grid)
     tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
     zero = int(np.flatnonzero(tsym.nu_norms < 1e-12)[0])
     M = GaborMultiplier(tsym.a[zero], spec, tsym.warp_idx)
@@ -130,7 +129,7 @@ def test_error_curve_non_increasing_and_extraction_guard():
     grid, spec = tight_spec(64, 4, 4)
     phase = dilation_phase(2.0)
     cm = canonical_map(phase)
-    T = make_fio(phase, bandlimited_symbol(grid, 2), grid, cm)
+    T = make_fio(phase, bandlimited_symbol(grid, 2), grid)
     tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
     curve, slope = truncation_error_curve(T, tsym, spec, [1, 2, 4, 8, 16])
     for (l0, e0), (l1, e1) in zip(curve, curve[1:]):
@@ -147,7 +146,7 @@ def test_probe_sup_truncation_curve_runs():
     grid, spec = tight_spec(32, 4, 2)
     phase = chirp_phase(0.25)
     cm = canonical_map(phase)
-    T = make_fio(phase, constant_symbol(grid), grid, cm)
+    T = make_fio(phase, constant_symbol(grid), grid)
     tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
     curve, slope = truncation_error_curve(
         T, tsym, spec, [1, 2, 4], p=np.inf, m=Weight(1.0))
