@@ -37,7 +37,7 @@ from .fio import (make_fio, constant_symbol, bandlimited_symbol,
                   MAX_DENSE_SIZE)
 from .multiplier import (extract_symbols, assemble_truncated,
                          truncation_error_curve, full_nu_radius,
-                         ExtractionRadiusError)
+                         ExtractionRadiusError, _sandwich)
 from .fio import fio_matrix
 from .diagnostics import write_report
 from .dilation import dilation_symbol_closed_form
@@ -396,7 +396,9 @@ def cmd_approximate(args, run):
         curve, slope = truncation_error_curve(
             T, tsym, spec, run.L_list, p=run.p,
             m=Weight(run.weight_s), seed=run.seed)
-        full = assemble_truncated(tsym, spec, tsym.nu_radius)
+        # T = A cross A^H; a partial nu_radius bars only the T_L beyond it.
+        full = assemble_truncated(tsym, spec, nu_radius) \
+            if run.nu_radius is None else _sandwich(tsym.cross, spec)
     except ExtractionRadiusError as exc:
         _report(args, run, {}, {}, {"error": str(exc)})
         return EXIT_EXTRACTION_RADIUS

@@ -7,10 +7,10 @@ fhat the unitary DFT read in symmetric frequency order.  At desk scale
 for every norm measurement.
 
 The decay and transport tests compare every |G[mu, lam]| with the torus
-distance |chi(mu) - lam|.  That distance is never held as an N x N x 2d
-tensor: it is the sum of one (n, N) table per phase-space axis,
-wrap(chi_a(mu) - x_j)^2, gathered at each lam's grid index, and it is
-read in one pass over blocks of rows of G, about 8 MB each.
+distance |chi(mu) - lam|, the multiplier's mask with |chi'(mu) - lam|.
+It is never held as an N x N x 2d tensor: it is the sum of one (n, N)
+table per phase-space axis, wrap(chi_a(mu) - x_j)^2, gathered at each
+lam's grid index, and read in one pass over row blocks of about 8 MB.
 """
 
 from dataclasses import dataclass
@@ -182,28 +182,28 @@ def pair_distances(G: GaborMatrix, cmap: CanonicalMap) -> np.ndarray:
     output, unwrapped); the difference to lam is wrapped back to the
     torus before taking the Japanese bracket.
     """
-    blocks = _squared_distance_blocks(*_distance_tables(G.lattice, cmap))
+    tables = _distance_tables(G.lattice, cmap.forward(G.lattice.coords()))
+    blocks = _squared_distance_blocks(*tables)
     return np.concatenate([np.sqrt(1.0 + d2) for _, d2 in blocks], axis=1).T
 
 
-def _distance_tables(lat: Lattice, cmap: CanonicalMap):
-    """Per-axis tables wrap(chi_a(mu) - x_j)^2 [j, mu], and each lam's j.
+def _distance_tables(lat: Lattice, points: np.ndarray):
+    """Per-axis tables wrap(z_a(mu) - x_j)^2 [j, mu], and each lam's j.
 
+    points holds one phase-space point z(mu) per lattice point, (N, 2d).
     Every lattice coordinate p h equals grid.coords()[p mod n] bit for
-    bit, so |chi(mu) - lam|^2, the difference wrapped to the torus, is
-    the sum over axes a of table_a[j_a(lam), mu] with j_a = p_a mod n.
+    bit, so |z(mu) - lam|^2, the difference wrapped to the torus, is the
+    sum over axes a of table_a[j_a(lam), mu] with j_a = p_a mod n.
     """
     grid = lat.grid
     x = grid.coords()
-    tables = []
-    for chi_a in cmap.forward(lat.coords()).T:
-        w = grid.wrap_coord(chi_a[None, :] - x[:, None])
-        tables.append(w * w)
+    tables = [np.square(grid.wrap_coord(z[None, :] - x[:, None]))
+              for z in points.T]
     return tables, np.mod(lat.int_coords, grid.n).T
 
 
 def _squared_distance_blocks(tables, cols):
-    """Yield (mus, d2), d2[lam, i] = |chi(mu_i) - lam|^2 for mu_i in mus.
+    """Yield (mus, d2), d2[lam, i] = |z(mu_i) - lam|^2 for mu_i in mus.
 
     The blocks are [lam, mu] like A^H T A in gabor_matrix, and hold about
     _BLOCK_BYTES each (the column block size of frames.analysis).
@@ -235,7 +235,7 @@ def decay_envelope_fit(G: GaborMatrix, cmap: CanonicalMap,
     One pass over the distance blocks finds r_max, a second bins them.
     """
     cross = G.entries.T   # [lam, mu]
-    tables = _distance_tables(G.lattice, cmap)
+    tables = _distance_tables(G.lattice, cmap.forward(G.lattice.coords()))
     # sqrt(1 + .) is monotone, so this is the largest r, bit for bit.
     d2_max = max(float(np.max(d2)) for _, d2 in
                  _squared_distance_blocks(*tables))
@@ -280,7 +280,8 @@ def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap):
     lat = G.lattice
     cross = G.entries.T   # [lam, mu]
     d2_min = np.empty(lat.npoints)
-    for mus, d2 in _squared_distance_blocks(*_distance_tables(lat, cmap)):
+    tables = _distance_tables(lat, cmap.forward(lat.coords()))
+    for mus, d2 in _squared_distance_blocks(*tables):
         mag = np.abs(cross[:, mus])
         tied = mag >= (1.0 - TIE_RTOL) * np.max(mag, axis=0)
         d2_min[mus] = np.min(np.where(tied, d2, np.inf), axis=0)

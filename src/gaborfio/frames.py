@@ -412,18 +412,18 @@ def synthesis(c: np.ndarray, spec: GaborFrameSpec):
     return out
 
 
-def gabor_mod_norm(f: Signal, p: float, m: np.ndarray,
-                   spec: GaborFrameSpec) -> float:
+def gabor_mod_norm(f, p: float, m: np.ndarray, spec: GaborFrameSpec):
     """Discrete modulation norm (sum |c_lambda|^p m_lambda^p)^{1/p}.
 
-    m holds one weight per lattice point, in lattice order.
+    m holds one weight per lattice point, in lattice order.  f is a
+    Signal, with one norm, or an (n^d, K) array, with one norm per column.
     """
-    c = np.abs(analysis(f, spec)) * m
-    if np.isinf(p):
-        return float(np.max(c)) if c.size else 0.0
     if p < 1:
         raise ValueError("p must be in [1, inf]")
-    return float(np.sum(c ** p) ** (1.0 / p))
+    c = np.abs(analysis(f, spec)).T * m
+    if np.isinf(p):
+        return np.max(c, axis=-1)
+    return np.sum(c ** p, axis=-1) ** (1.0 / p)
 
 
 @dataclass

@@ -15,25 +15,25 @@ to |nu| <= L is therefore a mask on the Gabor matrix,
 
 and truncation_error_curve measures how fast ||T - T_L|| decays.
 
-The entries of that mask are computed once.  extract_symbols keeps the
-(K, N) row table rows[k, mu], the lattice index of chi'(mu) + nu_k, from
-Lattice.add, which adds the points' Hermite digits instead of mapping
-coordinates back to indices; every T_L then selects the rows of its
-shifts.  The factors c_{nu,mu} = e^{2 pi i j_x m_eta / n} are looked up
-by the integer dot j_x m_eta in one table of exponentials.
+So the symbol table keeps cross once, and each T_L masks it by the torus
+distance |lambda - chi'(mu)| from fio's distance tables.  The symbols
+a_nu and the factors c_{nu,mu} = e^{2 pi i j_x m_eta / n} (looked up by
+the integer dot j_x m_eta) are gathered only when read.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import Signal, Weight, TWO_PI, random_signal
-from .frames import (GaborFrameSpec, _column_blocks, analysis, gabor_mod_norm,
-                     is_parseval, synthesis)
+from .frames import (GaborFrameSpec, analysis, gabor_mod_norm, is_parseval,
+                     synthesis)
 from .phases import CanonicalMap, chi_prime_table
-from .fio import FioOperator, fio_matrix, gabor_cross
+from .fio import (FioOperator, _distance_tables, _squared_distance_blocks,
+                  fio_matrix, gabor_cross)
 from .diagnostics import loglog_fit, operator_norm
 
 # truncation_error_curve: random signals per weighted norm estimate, and
@@ -87,19 +87,27 @@ def _sandwich(C: np.ndarray, spec: GaborFrameSpec) -> np.ndarray:
 
 @dataclass
 class MultiplierSymbolTable:
-    """The family a_nu(mu) with its unimodular factors c_{nu,mu}."""
+    """The Gabor matrix of T and the shifts nu whose symbols it yields."""
 
     spec: GaborFrameSpec
-    nu_indices: np.ndarray     # (K,) lattice indices of the shifts nu
-    a: np.ndarray              # (K, N) complex
-    c: np.ndarray              # (K, N) unit complex
+    cross: np.ndarray          # (N, N) complex, A^H T A indexed [lam, mu]
     warp_idx: np.ndarray       # (N,) lattice index of chi'(mu)
-    rows: np.ndarray           # (K, N) lattice index of chi'(mu) + nu
+    nu_indices: np.ndarray     # (K,) lattice indices of the shifts nu
     nu_radius: float
 
-    @property
-    def nu_norms(self) -> np.ndarray:
-        return self.spec.lattice.torus_norms()[self.nu_indices]
+    @cached_property
+    def c(self) -> np.ndarray:
+        """(K, N) unit complex factors c_{nu,mu}."""
+        ic = self.spec.lattice.int_coords
+        return commutation_factors(self.spec, ic[self.nu_indices],
+                                   ic[self.warp_idx])
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """(K, N) symbols a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu]."""
+        rows = self.spec.lattice.add(self.nu_indices[:, None],
+                                     self.warp_idx[None, :])
+        return self.c * self.cross[rows, np.arange(self.warp_idx.size)]
 
 
 def commutation_factors(spec: GaborFrameSpec, nu_int: np.ndarray,
@@ -124,21 +132,16 @@ class ExtractionRadiusError(ValueError):
 
 def extract_symbols(T: FioOperator, spec: GaborFrameSpec, cmap: CanonicalMap,
                     nu_radius: float) -> MultiplierSymbolTable:
-    """Multiplier symbols a_nu(mu) for all shifts with torus norm |nu| <= nu_radius."""
+    """Gabor matrix of T, with the shifts of torus norm |nu| <= nu_radius."""
     if not is_parseval(spec):
         warnings.warn("extract_symbols called with a non-Parseval frame spec",
                       stacklevel=2)
     lat = spec.lattice
-    cross = gabor_cross(T, spec)                        # [lam, mu]
-    chi_int = chi_prime_table(cmap, lat)                # (N, 2d)
-    warp_idx = lat.indices_of(chi_int)
-    nu_indices = np.flatnonzero(lat.torus_norms() <= nu_radius + 1e-12)
-    rows = lat.add(nu_indices[:, None], warp_idx[None, :])   # (K, N)
-    c = commutation_factors(spec, lat.int_coords[nu_indices], chi_int)
-    a = c * cross[rows, np.arange(lat.npoints)]
-    return MultiplierSymbolTable(spec=spec, nu_indices=nu_indices, a=a, c=c,
-                                 warp_idx=warp_idx, rows=rows,
-                                 nu_radius=float(nu_radius))
+    return MultiplierSymbolTable(
+        spec=spec, cross=gabor_cross(T, spec),
+        warp_idx=warp_indices(cmap, spec),
+        nu_indices=np.flatnonzero(lat.torus_norms() <= nu_radius + 1e-12),
+        nu_radius=float(nu_radius))
 
 
 def full_nu_radius(spec: GaborFrameSpec) -> float:
@@ -150,20 +153,18 @@ def assemble_truncated(tsym: MultiplierSymbolTable, spec: GaborFrameSpec,
                        L: float) -> np.ndarray:
     """Dense matrix of sum_{|nu| <= L} pi(nu) M_{a_nu}.
 
-    Uses pi(nu) pi(chi'(mu)) g = conj(c_{nu,mu}) pi(chi'(mu)+nu) g, so the
-    sum is A C A^H with C[chi'(mu)+nu, mu] = a_nu(mu) conj(c_{nu,mu}).
+    pi(nu) pi(chi'(mu)) g = conj(c_{nu,mu}) pi(chi'(mu)+nu) g, so pi(nu)
+    M_{a_nu} puts cross[chi'(mu) + nu, mu] back at its entry, and the sum
+    is A (cross o [|lambda - chi'(mu)| <= L]) A^H.
     """
-    covers_group = tsym.nu_indices.size == spec.lattice.npoints
-    if L > tsym.nu_radius + 1e-12 and not covers_group:
+    lat = spec.lattice
+    if L > tsym.nu_radius + 1e-12 and tsym.nu_indices.size < lat.npoints:
         raise ExtractionRadiusError(
             f"L={L} exceeds the extraction radius {tsym.nu_radius}")
-    N = spec.lattice.npoints
-    keep = np.flatnonzero(tsym.nu_norms <= L + 1e-12)
-    C = np.zeros((N, N), dtype=complex)
-    cols = np.arange(N)
-    for b in _column_blocks(keep.size, N):     # bounded temporaries
-        k = keep[b]
-        C[tsym.rows[k], cols] = tsym.a[k] * np.conj(tsym.c[k])
+    C = np.empty_like(tsym.cross)
+    tables = _distance_tables(lat, lat.coords()[tsym.warp_idx])  # chi'(mu)
+    for mus, d2 in _squared_distance_blocks(*tables):
+        C[:, mus] = np.where(np.sqrt(d2) <= L + 1e-12, tsym.cross[:, mus], 0)
     return _sandwich(C, spec)
 
 
@@ -190,21 +191,17 @@ def truncation_error_curve(T: FioOperator, tsym: MultiplierSymbolTable,
         m_in = m(lat.coords()[tsym.warp_idx])      # m(chi'(mu)) per point mu
         m_out = m(lat.coords())
         rng = np.random.default_rng(seed)
-        probes_f = [random_signal(spec.window.grid, rng)
-                    for _ in range(PROBES)]
+        probes = np.column_stack([random_signal(spec.window.grid, rng).values
+                                  for _ in range(PROBES)])
+        norms_in = gabor_mod_norm(probes, p, m_in, spec)   # > 0 on a frame
     curve = []
     for L in L_list:
         diff = target - assemble_truncated(tsym, spec, L)
         if exact_p2:
             err = operator_norm(diff).value
         else:
-            err = 0.0
-            for f in probes_f:
-                denom = gabor_mod_norm(f, p, m_in, spec)
-                if denom == 0:
-                    continue
-                err = max(err, gabor_mod_norm(Signal(f.grid, diff @ f.values),
-                                              p, m_out, spec) / denom)
+            err = np.max(gabor_mod_norm(diff @ probes, p, m_out, spec)
+                         / norms_in)
         curve.append((float(L), float(err)))
     pts = np.array([(L, max(e, ERROR_FLOOR)) for L, e in curve])
     slope, _, _ = loglog_fit(pts)

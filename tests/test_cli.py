@@ -20,6 +20,7 @@ from gaborfio.cli import MAX_DENSE_ENTRIES, _configure, _write_csv, main
 from gaborfio.core import Grid
 from gaborfio.dilation import dilation_symbol_closed_form
 from gaborfio.fio import constant_symbol, make_fio
+from gaborfio import frames, multiplier
 from gaborfio.frames import GaborFrameSpec, enumerate_lattice, tighten
 from gaborfio.multiplier import extract_symbols
 from gaborfio.phases import canonical_map, dilation_phase
@@ -145,6 +146,28 @@ def test_approximate_success(tmp_path):
     assert rep["slopes"]["truncation_slope"] < -1.25
     body = (tmp_path / "out" / "truncation_error.csv").read_text()
     assert body.splitlines()[0] == "L,error"
+
+
+def test_approximate_gathers_no_symbols(tmp_path, monkeypatch):
+    def gather(*args):
+        raise AssertionError("approximate gathered a symbol")
+    monkeypatch.setattr(multiplier, "commutation_factors", gather)
+    monkeypatch.setattr(frames.Lattice, "add", gather)
+    cfg = write_cfg(tmp_path, "c.json", approximate_cfg())
+    assert main(["approximate", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+def test_approximate_partial_radius_reconstructs_in_full(tmp_path):
+    # The full reconstruction is A cross A^H, not the sum up to nu_radius.
+    doc = dict(decay_cfg(gen=((4, 0), (0, 4))), L_list=[0.5, 1, 2],
+               nu_radius=2)
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    assert main(["approximate", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+    rep = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["verdicts"]["full_reconstruction_ok"] is True
+    assert rep["norms"]["full_reconstruction_residual_max"] < 1e-9
 
 
 def test_approximate_extraction_radius_exit_4(tmp_path):

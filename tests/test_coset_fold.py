@@ -8,7 +8,8 @@ lattices, random complex windows, one and several columns, and column
 blocks of 1, 7 and k + 3 columns.  The sandwiches A C A^H behind
 assemble_truncated and multiplier_matrix, and the scatter of
 apply_multiplier, are checked the same way, with a warp that maps
-several points to one.
+several points to one; assemble_truncated's mask is built from integer
+coordinates.
 """
 
 from unittest import mock
@@ -16,14 +17,14 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gaborfio import frames
+from gaborfio import fio, frames
 from gaborfio.core import Grid, Signal, build_atoms
 from gaborfio.frames import (GaborFrameSpec, analysis, enumerate_lattice,
                              synthesis)
 from gaborfio.multiplier import (GaborMultiplier, MultiplierSymbolTable,
                                  apply_multiplier, assemble_truncated,
                                  multiplier_matrix)
-from test_lattice_algebra import commensurate_generators
+from test_lattice_algebra import commensurate_generators, integer_mask
 
 MAX_POINTS = 1024
 RTOL = 1e-12
@@ -96,7 +97,7 @@ def test_analysis_and_synthesis_match_the_dense_atoms(gen, k, block, seed):
 def test_sandwiches_match_the_dense_atoms(gen, k, block, seed):
     spec, rng = draw_spec(gen, seed)
     lat = spec.lattice
-    N, n = lat.npoints, lat.grid.n
+    N = lat.npoints
     atoms = build_atoms(spec.window, lat.int_coords)
     # A warp that sends several points to one, as chi' can.
     warp_idx = rng.integers(0, max(1, N // 2), size=N)
@@ -109,19 +110,16 @@ def test_sandwiches_match_the_dense_atoms(gen, k, block, seed):
         f = Signal(lat.grid, random_complex(rng, lat.grid.size))
         assert rel_err(apply_multiplier(M, f).values, dense @ f.values) < RTOL
 
-        # Every shift nu at once: C[chi'(mu) + nu, mu] = a_nu(mu) conj(c).
-        nu = np.arange(N)
+        # The shifts up to the norm L of a random point: the Gabor matrix
+        # masked to |lambda - chi'(mu)| <= L, in integer coordinates.
+        norms = lat.torus_norms()
+        L = float(norms[rng.integers(N)])
         tsym = MultiplierSymbolTable(
-            spec=spec, nu_indices=nu, a=random_complex(rng, N, N),
-            c=np.exp(2j * np.pi * rng.random((N, N))), warp_idx=warp_idx,
-            rows=lat.add(nu[:, None], warp_idx[None, :]),
-            nu_radius=float(np.max(lat.torus_norms())))
-        # Lattice index of every point of Z_n^{2d}, by a lookup table.
-        where = np.full((n,) * (2 * lat.grid.d), -1)
-        where[tuple(np.mod(lat.int_coords, n).T)] = nu
-        lam = where[tuple(np.mod(lat.int_coords[warp_idx][None, :, :]
-                                 + lat.int_coords[:, None, :], n).T)].T
-        C = np.zeros((N, N), dtype=complex)
-        C[lam, np.arange(N)] = tsym.a * np.conj(tsym.c)
-        assert rel_err(assemble_truncated(tsym, spec, tsym.nu_radius),
-                       atoms @ C @ atoms.conj().T) < RTOL
+            spec=spec, cross=random_complex(rng, N, N), warp_idx=warp_idx,
+            nu_indices=np.flatnonzero(norms <= L + 1e-12), nu_radius=L)
+        C = tsym.cross * integer_mask(lat, warp_idx, L)
+        # The distance blocks take as many columns as the fold's blocks.
+        with mock.patch.object(fio, "_BLOCK_BYTES",
+                               8 * N * block_columns(block, k)):
+            masked = assemble_truncated(tsym, spec, L)
+        assert rel_err(masked, atoms @ C @ atoms.conj().T) < RTOL

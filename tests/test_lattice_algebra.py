@@ -5,21 +5,22 @@ enumeration against all n^{2d} images A m mod n, the arithmetic index
 against set membership, the sum of digits against the sum of coordinates,
 the looked-up commutation phases against one float exponential per entry,
 and the masked assembly A (C o mask_L) A^H against the sum over shifts of
-pi(nu) M_{a_nu}, one matrix product each.
+pi(nu) M_{a_nu}, one matrix product each, and against the dense atoms
+with a mask from integer coordinates.
 """
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaborfio.core import TWO_PI, Grid, build_atoms
 from gaborfio.frames import (GaborFrameSpec, enumerate_lattice,
                              separable_lattice, tighten)
 from gaborfio.phases import (dilation_phase, perturbed_phase, canonical_map,
                              chi_prime_table)
-from gaborfio.fio import bandlimited_symbol, gabor_cross, make_fio
+from gaborfio.fio import bandlimited_symbol, fio_matrix, gabor_cross, make_fio
 from gaborfio.multiplier import (extract_symbols, assemble_truncated,
                                  commutation_factors, full_nu_radius)
 from gaborfio.windows import gaussian_window
@@ -173,11 +174,10 @@ def test_row_table_indexes_the_shifted_curve(gen, phase, radius, seed):
     chi_int = chi_prime_table(cm, lat)
     nu_int = lat.int_coords[tsym.nu_indices]
     rows = lat.indices_of(chi_int[None, :, :] + nu_int[:, None, :])
-    assert np.array_equal(tsym.rows, rows)
+    assert np.array_equal(tsym.warp_idx, lat.indices_of(chi_int))
     assert np.array_equal(tsym.c,
                           float_commutation_factors(n, 1, nu_int, chi_int))
-    # extract_symbols keeps no Gabor matrix; a second one is compared
-    # to roundoff, not bit for bit.
+    # A second Gabor matrix is compared to roundoff, not bit for bit.
     cross = gabor_cross(T, spec)
     assert np.max(np.abs(tsym.a - tsym.c * cross[rows, np.arange(
         lat.npoints)])) <= 1e-12 * np.max(np.abs(cross))
@@ -191,7 +191,8 @@ def per_shift_sum(tsym, spec, L):
     atoms = build_atoms(spec.window, lat.int_coords)
     chi_int = lat.int_coords[tsym.warp_idx]
     out = np.zeros((atoms.shape[0], atoms.shape[0]), dtype=complex)
-    for k in np.flatnonzero(tsym.nu_norms <= L + 1e-12):
+    nu_norms = lat.torus_norms()[tsym.nu_indices]
+    for k in np.flatnonzero(nu_norms <= L + 1e-12):
         nu = lat.int_coords[tsym.nu_indices[k]]
         lam = [where[tuple(row)] for row in np.mod(chi_int + nu, n)]
         weights = tsym.a[k] * np.conj(tsym.c[k])
@@ -214,3 +215,38 @@ def test_masked_assembly_matches_per_shift_sum(config, phase, seed):
     for L in (0, 1, 2, 4, tsym.nu_radius):
         masked = assemble_truncated(tsym, spec, L)
         assert np.max(np.abs(masked - per_shift_sum(tsym, spec, L))) < 1e-13
+
+
+def integer_mask(lat, warp_idx, L):
+    """[lam, mu]: |lam - chi'(mu)| <= L, wrapped in integer grid steps."""
+    n = lat.grid.n
+    diff = lat.int_coords[:, None, :] - lat.int_coords[warp_idx][None, :, :]
+    wrapped = (diff + n // 2) % n - n // 2
+    return np.sqrt(np.sum(wrapped.astype(float) ** 2, axis=-1) / n) \
+        <= L + 1e-12
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(commensurate_generators(dims=(1,)),
+       st.sampled_from([dilation_phase(2.0), perturbed_phase(0.1)]),
+       st.one_of(st.floats(0, 4), st.sampled_from([0.5, 1.0, 2.0])),
+       st.integers(0, 2 ** 16))
+@example(gen=(np.diag([2, 2]), Grid(64)), phase=dilation_phase(2.0), L=1.0,
+         seed=0)
+def test_masked_assembly_matches_the_dense_mask(gen, phase, L, seed):
+    # Tables extracted at the radius L itself, partial for most L; L = 1 on
+    # diag(2, 2) at n = 64 falls on the shifts of norm exactly 1.
+    A, grid = gen
+    lat = enumerate_lattice(A, grid)
+    spec = GaborFrameSpec(gaussian_window(grid), lat)
+    cm = canonical_map(phase)
+    T = make_fio(phase, bandlimited_symbol(grid, 2, seed=seed), grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the spec need not be Parseval
+        tsym = extract_symbols(T, spec, cm, L)
+    atoms = build_atoms(spec.window, lat.int_coords)
+    cross = atoms.conj().T @ fio_matrix(T) @ atoms
+    mask = integer_mask(lat, lat.indices_of(chi_prime_table(cm, lat)), L)
+    dense = atoms @ (cross * mask) @ atoms.conj().T
+    masked = assemble_truncated(tsym, spec, L)
+    assert np.max(np.abs(masked - dense)) <= 1e-12 * np.max(np.abs(dense))

@@ -75,7 +75,8 @@ def test_truncation_at_zero_is_single_multiplier():
     cm = canonical_map(phase)
     T = make_fio(phase, constant_symbol(grid), grid)
     tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
-    zero = int(np.flatnonzero(tsym.nu_norms < 1e-12)[0])
+    nu_norms = spec.lattice.torus_norms()[tsym.nu_indices]
+    zero = int(np.flatnonzero(nu_norms < 1e-12)[0])
     M = GaborMultiplier(tsym.a[zero], spec, tsym.warp_idx)
     assert np.max(np.abs(assemble_truncated(tsym, spec, 0.0)
                          - multiplier_matrix(M))) < 1e-12
