@@ -32,9 +32,8 @@ from .frames import (GaborFrameSpec, enumerate_lattice, frame_bounds,
                      warped_frame_check, LatticeError, NotAFrameError)
 from .phases import BUILTIN_PHASES, canonical_map, NewtonDivergenceError
 from .fio import (make_fio, constant_symbol, bandlimited_symbol,
-                  weighted_symbol, gabor_matrix, decay_envelope_fit,
-                  transport_argmax_check, InsufficientDecayRangeError,
-                  MAX_DENSE_SIZE)
+                  weighted_symbol, gabor_matrix, scan_distances,
+                  InsufficientDecayRangeError, MAX_DENSE_SIZE)
 from .multiplier import (extract_symbols, assemble_truncated,
                          truncation_error_curve, full_nu_radius,
                          ExtractionRadiusError, _sandwich)
@@ -369,11 +368,11 @@ def cmd_decay_scan(args, run):
     cm = canonical_map(run.phase)
     T = make_fio(run.phase, run.symbol, run.grid)
     G = gabor_matrix(T, spec)
-    dists, bound = transport_argmax_check(G, cm)
-    transport = {"transport_max_dist": float(np.max(dists)),
-                 "transport_bound": bound}
+    scan = scan_distances(G, cm)
+    transport = {"transport_max_dist": float(np.max(scan.dists)),
+                 "transport_bound": scan.bound}
     try:
-        rep = decay_envelope_fit(G, cm, run.s_claim)
+        rep = scan.decay_fit(run.s_claim)
     except InsufficientDecayRangeError as exc:
         _report(args, run, {}, transport, {"error": str(exc)})
         return EXIT_DECAY_RANGE
@@ -382,7 +381,7 @@ def cmd_decay_scan(args, run):
                [(np.exp(lx), np.exp(ly)) for lx, ly in rep.pairs])
     _report(args, run, {"envelope": rep.to_dict()}, transport,
             {"decay_ok": rep.verdict,
-             "transport_ok": bool(np.max(dists) <= bound)})
+             "transport_ok": bool(np.max(scan.dists) <= scan.bound)})
     return EXIT_OK
 
 

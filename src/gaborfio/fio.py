@@ -8,9 +8,12 @@ for every norm measurement.
 
 The decay and transport tests compare every |G[mu, lam]| with the torus
 distance |chi(mu) - lam|, the multiplier's mask with |chi'(mu) - lam|.
-It is never held as an N x N x 2d tensor: it is the sum of one (n, N)
-table per phase-space axis, wrap(chi_a(mu) - x_j)^2, gathered at each
-lam's grid index, and read in one pass over row blocks of about 8 MB.
+It is never held as an N x N x 2d tensor: it is the sum of one table
+per phase-space axis, wrap(chi_a(mu) - x_j)^2 over the grid indices j
+that some lattice point has on that axis, gathered at each lam's row
+and read in row blocks of about 8 MB.  scan_distances reads |G| and
+these blocks once for both tests; the largest distance, which sets the
+decay bins, comes from the lattice's cosets without a pass.
 """
 
 from dataclasses import dataclass
@@ -19,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .core import Grid, Weight, TWO_PI
-from .frames import (_BLOCK_BYTES, GaborFrameSpec, Lattice, analysis,
-                     is_parseval)
+from .frames import (_BLOCK_BYTES, GaborFrameSpec, Lattice, _cosets,
+                     analysis, is_parseval)
 from .phases import CanonicalMap, TamePhase, chi_prime_displacement_bound
 from .diagnostics import loglog_fit, DecayReport
 
@@ -188,38 +191,138 @@ def pair_distances(G: GaborMatrix, cmap: CanonicalMap) -> np.ndarray:
 
 
 def _distance_tables(lat: Lattice, points: np.ndarray):
-    """Per-axis tables wrap(z_a(mu) - x_j)^2 [j, mu], and each lam's j.
+    """Per-axis tables wrap(z_a(mu) - x_j)^2 [row, mu], and each lam's rows.
 
     points holds one phase-space point z(mu) per lattice point, (N, 2d).
-    Every lattice coordinate p h equals grid.coords()[p mod n] bit for
-    bit, so |z(mu) - lam|^2, the difference wrapped to the torus, is the
-    sum over axes a of table_a[j_a(lam), mu] with j_a = p_a mod n.
+    The table of axis a has one row per grid index j that some lattice
+    point has on that axis (n / 4 of them at diag(4, 4)), and rows[a]
+    maps each lam to the row of its index p_a mod n.  Every lattice
+    coordinate p h equals grid.coords()[p mod n] bit for bit, so
+    |z(mu) - lam|^2, the difference wrapped to the torus, is the sum over
+    axes a of table_a[rows[a][lam], mu].
     """
     grid = lat.grid
     x = grid.coords()
-    tables = [np.square(grid.wrap_coord(z[None, :] - x[:, None]))
-              for z in points.T]
-    return tables, np.mod(lat.int_coords, grid.n).T
+    tables, rows = [], []
+    for z, p in zip(points.T, np.mod(lat.int_coords, grid.n).T):
+        used, row = np.unique(p, return_inverse=True)
+        tables.append(np.square(grid.wrap_coord(z[None, :] - x[used, None])))
+        rows.append(row)
+    return tables, np.array(rows)
 
 
-def _squared_distance_blocks(tables, cols):
+def _squared_distance_blocks(tables, rows):
     """Yield (mus, d2), d2[lam, i] = |z(mu_i) - lam|^2 for mu_i in mus.
 
     The blocks are [lam, mu] like A^H T A in gabor_matrix, and hold about
-    _BLOCK_BYTES each (the column block size of frames.analysis).
+    _BLOCK_BYTES each (the column block size of frames.analysis).  Each d2
+    is a fresh array the caller may overwrite.
     """
-    N = cols.shape[1]
+    N = rows.shape[1]
     step = max(1, _BLOCK_BYTES // (8 * N))
     for start in range(0, N, step):
         mus = slice(start, start + step)
-        d2 = tables[0][:, mus][cols[0]]
-        for table, col in zip(tables[1:], cols[1:]):
-            d2 += table[:, mus][col]
+        d2 = tables[0][:, mus][rows[0]]
+        for table, row in zip(tables[1:], rows[1:]):
+            d2 += table[:, mus][row]
         yield mus, d2
+
+
+def _max_squared_distance(lat: Lattice, tables, rows) -> float:
+    """The largest d2 of _squared_distance_blocks, bit for bit, without them.
+
+    Over the translation x_t the lattice points are (x_t, m_t + M_k)
+    (frames.Cosets), so lam's time row is fixed over k: take the maximum
+    over k of the frequency table first, once per distinct set of rows
+    {m_t + M_k}, then add the time table.  fl(a + b) is monotone in b, so
+    this is the pairwise maximum.  Two axes: the FIO engine is d = 1.
+    """
+    index = _cosets(lat).index                     # (|M|, N_t)
+    sets, which = np.unique(np.sort(rows[1][index], axis=0), axis=1,
+                            return_inverse=True)
+    freq_max = np.max(tables[1][sets], axis=0)     # (sets, N)
+    return float(np.max(tables[0][rows[0][index[0]]] + freq_max[which]))
 
 
 class InsufficientDecayRangeError(ValueError):
     pass
+
+
+def _decay_edges(r_max: float) -> Optional[np.ndarray]:
+    """DECAY_BINS log-spaced bin edges over [2, r_max / 2], None if empty."""
+    lo, hi = 2.0, r_max / 2.0
+    if hi <= lo:
+        return None
+    return np.exp(np.linspace(np.log(lo), np.log(hi), DECAY_BINS + 1))
+
+
+@dataclass
+class DistanceScan:
+    """What |G| and the distances |chi(mu) - lam| give the decay-scan tests.
+
+    dists[mu] is transport's distance from chi(mu) to the nearest tied
+    maximizer of |G[mu, :]|, bound its bound; binmax[k] is the largest
+    |G| whose <chi(mu) - lam> lies in decay bin k (-1 if none), or None
+    when r_max leaves no usable range.
+    """
+
+    dists: np.ndarray
+    bound: float
+    r_max: float
+    binmax: Optional[np.ndarray]
+
+    def decay_fit(self, s_claim: float) -> DecayReport:
+        """Fit the binned maxima on log-log axes; see decay_envelope_fit."""
+        edges = _decay_edges(self.r_max)
+        if edges is None:
+            raise InsufficientDecayRangeError(
+                f"usable distance range [2, {self.r_max / 2.0:.3g}] is empty")
+        pts = [(np.exp(0.5 * (np.log(edges[k]) + np.log(edges[k + 1]))),
+                float(self.binmax[k]))
+               for k in range(DECAY_BINS) if self.binmax[k] >= 0]
+        if len(pts) < 4:
+            raise InsufficientDecayRangeError(
+                f"only {len(pts)} usable distance bins; need at least 4")
+        xs = np.array([p[0] for p in pts])
+        ys = np.array([p[1] for p in pts])
+        slope, intercept, residual = loglog_fit(np.column_stack([xs, ys]))
+        return DecayReport(
+            pairs=[(float(np.log(a)), float(np.log(b))) for a, b in pts],
+            slope=slope, intercept=intercept, residual=residual,
+            claim=s_claim, tolerance=DECAY_TOLERANCE,
+            verdict=bool(slope <= -s_claim + DECAY_TOLERANCE))
+
+
+def scan_distances(G: GaborMatrix, cmap: CanonicalMap) -> DistanceScan:
+    """Transport distances and decay bin maxima from one pass over |G|.
+
+    The distance tables are built once; r_max comes from the cosets, so
+    the bin edges are known before the one pass over the row blocks,
+    which takes |G| once per block for both tests.
+    """
+    lat = G.lattice
+    cross = G.entries.T   # [lam, mu]
+    tables, rows = _distance_tables(lat, cmap.forward(lat.coords()))
+    # sqrt(1 + .) is monotone, so this is the largest r, bit for bit.
+    r_max = float(np.sqrt(1.0 + _max_squared_distance(lat, tables, rows)))
+    edges = _decay_edges(r_max)
+    # below every |G|: -1 marks an empty bin
+    binmax = None if edges is None else np.full(DECAY_BINS, -1.0)
+    d2_min = np.empty(lat.npoints)
+    for mus, d2 in _squared_distance_blocks(tables, rows):
+        mag = np.abs(cross[:, mus])
+        tied = mag >= (1.0 - TIE_RTOL) * np.max(mag, axis=0)
+        d2_min[mus] = np.min(np.where(tied, d2, np.inf), axis=0)
+        del tied
+        if edges is None:
+            continue
+        r = np.sqrt(np.add(d2, 1.0, out=d2), out=d2)
+        inside = (r >= edges[0]) & (r < edges[-1])
+        k = np.searchsorted(edges, r[inside], side="right") - 1
+        np.maximum.at(binmax, k, mag[inside])
+    return DistanceScan(dists=np.sqrt(d2_min),
+                        bound=chi_prime_displacement_bound(lat) + 1.0,
+                        r_max=r_max, binmax=binmax)
 
 
 def decay_envelope_fit(G: GaborMatrix, cmap: CanonicalMap,
@@ -231,39 +334,11 @@ def decay_envelope_fit(G: GaborMatrix, cmap: CanonicalMap,
     log-log axes, and the verdict passes when the slope is at most
     -s_claim + DECAY_TOLERANCE.  Restricting to [2, r_max/2] excludes the
     diagonal bins (r close to 1) and the torus-wrap end (r close to
-    r_max), where the envelope is meaningless.
-    One pass over the distance blocks finds r_max, a second bins them.
+    r_max), where the envelope is meaningless.  The bins come from
+    scan_distances; raises InsufficientDecayRangeError when the range is
+    empty or fills fewer than 4 bins.
     """
-    cross = G.entries.T   # [lam, mu]
-    tables = _distance_tables(G.lattice, cmap.forward(G.lattice.coords()))
-    # sqrt(1 + .) is monotone, so this is the largest r, bit for bit.
-    d2_max = max(float(np.max(d2)) for _, d2 in
-                 _squared_distance_blocks(*tables))
-    r_max = float(np.sqrt(1.0 + d2_max))
-    lo, hi = 2.0, r_max / 2.0
-    if hi <= lo:
-        raise InsufficientDecayRangeError(
-            f"usable distance range [2, {hi:.3g}] is empty")
-    edges = np.exp(np.linspace(np.log(lo), np.log(hi), DECAY_BINS + 1))
-    binmax = np.full(DECAY_BINS, -1.0)  # below every |G|: -1 marks empty
-    for mus, d2 in _squared_distance_blocks(*tables):
-        r = np.sqrt(1.0 + d2)
-        inside = (r >= edges[0]) & (r < edges[-1])
-        k = np.searchsorted(edges, r[inside], side="right") - 1
-        np.maximum.at(binmax, k, np.abs(cross[:, mus][inside]))
-    pts = [(np.exp(0.5 * (np.log(edges[k]) + np.log(edges[k + 1]))),
-            float(binmax[k])) for k in range(DECAY_BINS) if binmax[k] >= 0]
-    if len(pts) < 4:
-        raise InsufficientDecayRangeError(
-            f"only {len(pts)} usable distance bins; need at least 4")
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    slope, intercept, residual = loglog_fit(np.column_stack([xs, ys]))
-    return DecayReport(
-        pairs=[(float(np.log(a)), float(np.log(b))) for a, b in pts],
-        slope=slope, intercept=intercept, residual=residual,
-        claim=s_claim, tolerance=DECAY_TOLERANCE,
-        verdict=bool(slope <= -s_claim + DECAY_TOLERANCE))
+    return scan_distances(G, cmap).decay_fit(s_claim)
 
 
 def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap):
@@ -275,17 +350,11 @@ def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap):
     exact magnitude ties occur whenever
     the operator output has a sub-torus periodicity (the s = 2 dilation
     output is half-torus periodic in time, so each row maximum appears
-    again at the alias point chi(mu) + (sqrt(n)/2, 0)).
+    again at the alias point chi(mu) + (sqrt(n)/2, 0)).  The distances
+    come from scan_distances, which bins the decay fit in the same pass.
     """
-    lat = G.lattice
-    cross = G.entries.T   # [lam, mu]
-    d2_min = np.empty(lat.npoints)
-    tables = _distance_tables(lat, cmap.forward(lat.coords()))
-    for mus, d2 in _squared_distance_blocks(*tables):
-        mag = np.abs(cross[:, mus])
-        tied = mag >= (1.0 - TIE_RTOL) * np.max(mag, axis=0)
-        d2_min[mus] = np.min(np.where(tied, d2, np.inf), axis=0)
-    return np.sqrt(d2_min), chi_prime_displacement_bound(lat) + 1.0
+    scan = scan_distances(G, cmap)
+    return scan.dists, scan.bound
 
 
 @dataclass

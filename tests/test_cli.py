@@ -20,7 +20,7 @@ from gaborfio.cli import MAX_DENSE_ENTRIES, _configure, _write_csv, main
 from gaborfio.core import Grid
 from gaborfio.dilation import dilation_symbol_closed_form
 from gaborfio.fio import constant_symbol, make_fio
-from gaborfio import frames, multiplier
+from gaborfio import fio, frames, multiplier
 from gaborfio.frames import GaborFrameSpec, enumerate_lattice, tighten
 from gaborfio.multiplier import extract_symbols
 from gaborfio.phases import canonical_map, dilation_phase
@@ -123,6 +123,23 @@ def test_decay_scan_insufficient_range_exit_3(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", decay_cfg(n=16))
     assert main(["decay-scan", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 3
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert set(rep["norms"]) == {"transport_max_dist", "transport_bound"}
+    assert rep["verdicts"] == {
+        "error": "usable distance range [2, 1.5] is empty"}
+
+
+def test_decay_scan_reads_the_blocks_once(tmp_path, monkeypatch):
+    calls = {"_distance_tables": 0, "_squared_distance_blocks": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(fio, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(fio, name, counted)
+    cfg = write_cfg(tmp_path, "c.json", decay_cfg())
+    assert main(["decay-scan", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"_distance_tables": 1, "_squared_distance_blocks": 1}
 
 
 def test_decay_scan_rerun_byte_identical(tmp_path):

@@ -1,7 +1,9 @@
 """Property tests of the row-chunked distance pass of fio.py.
 
-pair_distances, transport_argmax_check and decay_envelope_fit read
-|chi(mu) - lam|^2 from per-axis tables in row blocks.  Each is checked
+pair_distances and scan_distances read |chi(mu) - lam|^2 from per-axis
+tables over the used grid indices, in row blocks; scan_distances makes
+one pass for both transport_argmax_check and decay_envelope_fit, with
+the largest distance taken over the lattice's cosets.  Each is checked
 here, bit for bit, against the dense oracle kept below: the N x N x 2
 wrapped displacement tensor and the ten boolean bin masks.
 """
@@ -10,14 +12,15 @@ import warnings
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gaborfio import fio
 from gaborfio.core import Grid
 from gaborfio.diagnostics import DecayReport, loglog_fit
 from gaborfio.fio import (InsufficientDecayRangeError, bandlimited_symbol,
                           constant_symbol, decay_envelope_fit, gabor_matrix,
-                          make_fio, pair_distances, transport_argmax_check)
+                          make_fio, pair_distances, scan_distances,
+                          transport_argmax_check)
 from gaborfio.frames import GaborFrameSpec, enumerate_lattice, tighten
 from gaborfio.phases import (CanonicalMap, canonical_map, chirp_phase,
                              dilation_phase, perturbed_phase)
@@ -85,6 +88,7 @@ PHASES = [dilation_phase(2.0), perturbed_phase(0.1), chirp_phase(0.5)]
 @given(commensurate_generators(sizes=((32, 48, 64, 96),), dims=(1,)),
        st.sampled_from(PHASES), st.sampled_from(["constant", "bandlimited"]),
        st.sampled_from(["one", "seven", "all"]), st.integers(0, 2 ** 16))
+@example((np.diag([2, 2]), Grid(16)), PHASES[0], "bandlimited", "seven", 0)
 def test_distance_blocks_match_the_dense_oracle(gen, phase, symbol, rows,
                                                 seed):
     A, grid = gen
@@ -103,16 +107,38 @@ def test_distance_blocks_match_the_dense_oracle(gen, phase, symbol, rows,
         r = pair_distances(G, cm)
         dists, _ = transport_argmax_check(G, cm)
         rep = decay_or_error(decay_envelope_fit, G, cm)
+        scan = scan_distances(G, cm)   # the pass cmd_decay_scan makes
     assert np.array_equal(
         r, np.sqrt(1.0 + dense_squared_displacements(lat, cm)))
-    assert np.array_equal(dists, dense_transport(G, cm))
+    oracle_dists = dense_transport(G, cm)
+    assert np.array_equal(dists, oracle_dists)
+    assert np.array_equal(scan.dists, oracle_dists)
     oracle = decay_or_error(dense_decay_fit, G, cm)
-    if isinstance(oracle, str):
-        assert rep == oracle
-    else:
-        for field in ("pairs", "slope", "intercept", "residual", "claim",
-                      "tolerance", "verdict"):
-            assert np.array_equal(getattr(rep, field), getattr(oracle, field))
+    for fit in (rep, decay_or_error(lambda G, cm, s: scan.decay_fit(s),
+                                    G, cm)):
+        if isinstance(oracle, str):
+            assert fit == oracle
+        else:
+            for field in ("pairs", "slope", "intercept", "residual", "claim",
+                          "tolerance", "verdict"):
+                assert np.array_equal(getattr(fit, field),
+                                      getattr(oracle, field))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(commensurate_generators(dims=(1,)), st.sampled_from(PHASES))
+# Non-separable: the frequency rows over a translation are a shifted set
+# {m_t + M_k}, so max_t + max_k over every row overshoots the pairwise max.
+@example((np.array([[2, 0], [1, 4]]), Grid(8)), PHASES[0])
+def test_coset_maximum_is_the_block_maximum(gen, phase):
+    A, grid = gen
+    lat = enumerate_lattice(A, grid)
+    tables, rows = fio._distance_tables(
+        lat, canonical_map(phase).forward(lat.coords()))
+    with mock.patch.object(fio, "_BLOCK_BYTES", 8 * lat.npoints * 7):
+        oracle = max(float(np.max(d2)) for _, d2 in
+                     fio._squared_distance_blocks(tables, rows))
+    assert fio._max_squared_distance(lat, tables, rows) == oracle
 
 
 def test_constant_symbol_ties_reach_the_tie_rule():
@@ -144,7 +170,8 @@ def test_canonical_map_runs_once_per_public_call():
     forward = CanonicalMap.forward
     for call in (lambda: pair_distances(G, cm),
                  lambda: transport_argmax_check(G, cm),
-                 lambda: decay_envelope_fit(G, cm, 4.0)):
+                 lambda: decay_envelope_fit(G, cm, 4.0),
+                 lambda: scan_distances(G, cm)):
         with mock.patch.object(CanonicalMap, "forward", autospec=True,
                                side_effect=forward) as spy:
             call()
