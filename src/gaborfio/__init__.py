@@ -18,8 +18,7 @@ from .fio import (SymbolTable, FioOperator, GaborMatrix, make_fio, fio_matrix,
 from .multiplier import (GaborMultiplier, MultiplierSymbolTable,
                          apply_multiplier, multiplier_matrix, extract_symbols,
                          assemble_truncated, truncation_error_curve,
-                         full_nu_radius, warp_indices,
-                         ExtractionRadiusError)
+                         warp_indices)
 from .diagnostics import (DecayReport, NormEstimate, loglog_fit,
                           operator_norm, write_report)
 from .windows import make_window, gaussian_window, bspline_window, box_window

@@ -8,10 +8,10 @@ field before any computation starts.
 
 Exit codes: 0 success, 1 config or usage error (a bad flag or thread
 count, an --out that cannot be created), 2 not a frame, 3 insufficient
-decay range, 4 extraction-radius error, 5 the canonical map's Newton
-solve diverged, 6 internal error (an unexpected exception).  On exits 1,
-2, 5 and 6 stderr is one JSON object: the error list, plus the warnings
-the run raised, if any.
+decay range, 5 the canonical map's Newton solve diverged, 6 internal
+error (an unexpected exception); 4 is unused.  On exits 1, 2, 5 and 6
+stderr is one JSON object: the error list, plus the warnings the run
+raised, if any.
 """
 
 import argparse
@@ -35,8 +35,7 @@ from .fio import (make_fio, constant_symbol, bandlimited_symbol,
                   weighted_symbol, gabor_matrix, scan_distances,
                   InsufficientDecayRangeError, MAX_DENSE_SIZE)
 from .multiplier import (extract_symbols, assemble_truncated,
-                         truncation_error_curve, full_nu_radius,
-                         ExtractionRadiusError, _sandwich)
+                         truncation_error_curve)
 from .fio import fio_matrix
 from .diagnostics import write_report
 from .dilation import dilation_symbol_closed_form
@@ -45,7 +44,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NOT_A_FRAME = 2
 EXIT_DECAY_RANGE = 3
-EXIT_EXTRACTION_RADIUS = 4
 EXIT_NEWTON_DIVERGENCE = 5
 EXIT_INTERNAL = 6
 
@@ -278,9 +276,6 @@ def _configure(args):
             if None not in radii and len(set(radii)) < 3:
                 # the truncation slope is a fit over distinct radii
                 problems.add("L_list", "at least 3 distinct radii required")
-        run.nu_radius = cfg.get("nu_radius")   # None: every lattice shift
-        if run.nu_radius is not None:
-            run.nu_radius = _number(run.nu_radius, "nu_radius", problems, low=0)
         run.p = _number(cfg.get("p", 2.0), "p", problems, low=1)
         run.weight_s = _number(cfg.get("weight_s", 0.0), "weight_s", problems,
                                low=0)
@@ -389,18 +384,11 @@ def cmd_approximate(args, run):
     spec = tighten(GaborFrameSpec(run.window, run.lattice))
     cm = canonical_map(run.phase)
     T = make_fio(run.phase, run.symbol, run.grid)
-    nu_radius = full_nu_radius(spec) if run.nu_radius is None else run.nu_radius
-    try:
-        tsym = extract_symbols(T, spec, cm, nu_radius)
-        curve, slope = truncation_error_curve(
-            T, tsym, spec, run.L_list, p=run.p,
-            m=Weight(run.weight_s), seed=run.seed)
-        # T = A cross A^H; a partial nu_radius bars only the T_L beyond it.
-        full = assemble_truncated(tsym, spec, nu_radius) \
-            if run.nu_radius is None else _sandwich(tsym.cross, spec)
-    except ExtractionRadiusError as exc:
-        _report(args, run, {}, {}, {"error": str(exc)})
-        return EXIT_EXTRACTION_RADIUS
+    tsym = extract_symbols(T, spec, cm)
+    curve, slope = truncation_error_curve(T, tsym, run.L_list, p=run.p,
+                                          m=Weight(run.weight_s),
+                                          seed=run.seed)
+    full = assemble_truncated(tsym, np.inf)     # every shift: A cross A^H
     resid = float(np.max(np.abs(fio_matrix(T) - full)))
     _write_csv(os.path.join(args.out, "truncation_error.csv"),
                ["L", "error"], curve)
@@ -432,16 +420,18 @@ def cmd_dilation_demo(args, run):
     rho = float(np.real(np.vdot(u, spec.window.values)) / np.vdot(u, u).real)
     cm = canonical_map(run.phase)
     T = make_fio(run.phase, constant_symbol(grid), grid)
-    tsym = extract_symbols(T, spec, cm, run.nu_radius)
+    nu_indices = np.flatnonzero(lattice.torus_norms()
+                                <= run.nu_radius + 1e-12)
+    a, factors = extract_symbols(T, spec, cm).symbols(nu_indices)
     mu_int = lattice.int_coords
-    nu_int = lattice.int_coords[tsym.nu_indices]
+    nu_int = lattice.int_coords[nu_indices]
     k = mu_int[:, 0] / a_steps
     l = mu_int[:, 1] / b_steps
     kp = nu_int[:, 0] / a_steps
     lp = nu_int[:, 1] / b_steps
     closed = dilation_symbol_closed_form(run.s, alpha, beta, k[None, :],
                                          l[None, :], kp[:, None], lp[:, None])
-    numeric = tsym.a * grid.h / rho ** 2
+    numeric = a * grid.h / rho ** 2
     camp = np.abs(closed).ravel()
     order = np.argsort(camp, kind="stable")[::-1]
     csum = np.cumsum(camp[order])
@@ -449,7 +439,7 @@ def cmd_dilation_demo(args, run):
     rel = (np.abs(numeric.ravel()[keep] - closed.ravel()[keep])
            / camp[keep])
     max_rel = float(np.max(rel))
-    c_mod_dev = float(np.max(np.abs(np.abs(tsym.c) - 1.0)))
+    c_mod_dev = float(np.max(np.abs(np.abs(factors) - 1.0)))
     # CSV rows, plot-ready: for each shift nu (a row of the (K, N) tables)
     # the entry of largest |closed| and the entry of largest error, one row
     # when they coincide, in flat (K, N) order.  The summary metric above

@@ -223,9 +223,6 @@ class GaborFrameSpec:
         self._tight = None
         self._dual = None
 
-    def with_window(self, window: Signal, normalize: bool = True) -> "GaborFrameSpec":
-        return GaborFrameSpec(window, self.lattice, normalize=normalize)
-
 
 @dataclass
 class Cosets:
@@ -361,7 +358,8 @@ def tighten(spec: GaborFrameSpec) -> GaborFrameSpec:
 
     The tight window keeps its natural scale ||g_t||^2 = 1/redundancy.
     """
-    return spec.with_window(canonical_tight_window(spec), normalize=False)
+    return GaborFrameSpec(canonical_tight_window(spec), spec.lattice,
+                          normalize=False)
 
 
 def _column_blocks(ncols: int, rows: int):
@@ -417,13 +415,18 @@ def gabor_mod_norm(f, p: float, m: np.ndarray, spec: GaborFrameSpec):
 
     m holds one weight per lattice point, in lattice order.  f is a
     Signal, with one norm, or an (n^d, K) array, with one norm per column.
+    Each column is scaled by its largest |c_lambda| m_lambda before the
+    power sum, so a large p neither underflows nor overflows.
     """
     if p < 1:
         raise ValueError("p must be in [1, inf]")
     c = np.abs(analysis(f, spec)).T * m
+    top = np.max(c, axis=-1, keepdims=True)
     if np.isinf(p):
-        return np.max(c, axis=-1)
-    return np.sum(c ** p, axis=-1) ** (1.0 / p)
+        return top[..., 0]
+    top[top == 0] = 1.0     # a zero column has norm 0
+    return (top * np.sum((c / top) ** p, axis=-1, keepdims=True)
+            ** (1.0 / p))[..., 0]
 
 
 @dataclass

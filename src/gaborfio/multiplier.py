@@ -1,11 +1,11 @@
 """Warped Gabor multipliers and the shifted-multiplier representation of an FIO.
 
-With a Parseval frame the finite algebra is exact: extracting the symbols
+With a Parseval frame the finite algebra is exact: the symbols
 
     a_nu(mu) = c_{nu,mu} <T pi(mu) g, pi(chi'(mu) + nu) g>
 
-over the whole lattice group and re-assembling sum_nu pi(nu) M_{a_nu}
-reproduces the dense operator matrix to machine precision.  Each symbol
+over the whole lattice group, re-assembled as sum_nu pi(nu) M_{a_nu},
+reproduce the dense operator matrix to machine precision.  Each symbol
 is the Gabor matrix cross = A^H T A read along a shifted curve,
 a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu], and pi(nu) M_{a_nu} puts
 a_nu(mu) conj(c_{nu,mu}) back at the same entry.  Truncating the nu-sum
@@ -15,15 +15,15 @@ to |nu| <= L is therefore a mask on the Gabor matrix,
 
 and truncation_error_curve measures how fast ||T - T_L|| decays.
 
-So the symbol table keeps cross once, and each T_L masks it by the torus
-distance |lambda - chi'(mu)| from fio's distance tables.  The symbols
-a_nu and the factors c_{nu,mu} = e^{2 pi i j_x m_eta / n} (looked up by
-the integer dot j_x m_eta) are gathered only when read.
+So the symbol table is cross itself, and each T_L masks it by the torus
+distance |lambda - chi'(mu)| from fio's distance tables; L = inf gives
+A cross A^H = T.  The symbols a_nu and the factors c_{nu,mu} =
+e^{2 pi i j_x m_eta / n} (looked up by the integer dot j_x m_eta) are
+gathered only for the shifts a caller names.
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,27 +87,21 @@ def _sandwich(C: np.ndarray, spec: GaborFrameSpec) -> np.ndarray:
 
 @dataclass
 class MultiplierSymbolTable:
-    """The Gabor matrix of T and the shifts nu whose symbols it yields."""
+    """The Gabor matrix of T, from which every shift's symbol is read."""
 
     spec: GaborFrameSpec
     cross: np.ndarray          # (N, N) complex, A^H T A indexed [lam, mu]
     warp_idx: np.ndarray       # (N,) lattice index of chi'(mu)
-    nu_indices: np.ndarray     # (K,) lattice indices of the shifts nu
-    nu_radius: float
 
-    @cached_property
-    def c(self) -> np.ndarray:
-        """(K, N) unit complex factors c_{nu,mu}."""
-        ic = self.spec.lattice.int_coords
-        return commutation_factors(self.spec, ic[self.nu_indices],
-                                   ic[self.warp_idx])
-
-    @cached_property
-    def a(self) -> np.ndarray:
-        """(K, N) symbols a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu]."""
-        rows = self.spec.lattice.add(self.nu_indices[:, None],
-                                     self.warp_idx[None, :])
-        return self.c * self.cross[rows, np.arange(self.warp_idx.size)]
+    def symbols(self, nu_indices: np.ndarray):
+        """(a, c) for the K shifts nu_indices (lattice indices): the (K, N)
+        symbols a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu] and the unit
+        factors c_{nu,mu}."""
+        lat = self.spec.lattice
+        ic = lat.int_coords
+        c = commutation_factors(self.spec, ic[nu_indices], ic[self.warp_idx])
+        rows = lat.add(nu_indices[:, None], self.warp_idx[None, :])
+        return c * self.cross[rows, np.arange(self.warp_idx.size)], c
 
 
 def commutation_factors(spec: GaborFrameSpec, nu_int: np.ndarray,
@@ -126,77 +120,64 @@ def commutation_factors(spec: GaborFrameSpec, nu_int: np.ndarray,
     return np.exp(TWO_PI * 1j * ks / grid.n)[dots - lo]
 
 
-class ExtractionRadiusError(ValueError):
-    pass
-
-
-def extract_symbols(T: FioOperator, spec: GaborFrameSpec, cmap: CanonicalMap,
-                    nu_radius: float) -> MultiplierSymbolTable:
-    """Gabor matrix of T, with the shifts of torus norm |nu| <= nu_radius."""
+def extract_symbols(T: FioOperator, spec: GaborFrameSpec,
+                    cmap: CanonicalMap) -> MultiplierSymbolTable:
+    """The Gabor matrix of T and the warp chi' of cmap on spec's lattice."""
     if not is_parseval(spec):
         warnings.warn("extract_symbols called with a non-Parseval frame spec",
                       stacklevel=2)
-    lat = spec.lattice
-    return MultiplierSymbolTable(
-        spec=spec, cross=gabor_cross(T, spec),
-        warp_idx=warp_indices(cmap, spec),
-        nu_indices=np.flatnonzero(lat.torus_norms() <= nu_radius + 1e-12),
-        nu_radius=float(nu_radius))
+    return MultiplierSymbolTable(spec=spec, cross=gabor_cross(T, spec),
+                                 warp_idx=warp_indices(cmap, spec))
 
 
-def full_nu_radius(spec: GaborFrameSpec) -> float:
-    """Torus radius covering every lattice shift."""
-    return float(np.max(spec.lattice.torus_norms()) + 1.0)
-
-
-def assemble_truncated(tsym: MultiplierSymbolTable, spec: GaborFrameSpec,
-                       L: float) -> np.ndarray:
-    """Dense matrix of sum_{|nu| <= L} pi(nu) M_{a_nu}.
+def assemble_truncated(tsym: MultiplierSymbolTable, L: float) -> np.ndarray:
+    """Dense matrix of sum_{|nu| <= L} pi(nu) M_{a_nu}; L = inf gives T.
 
     pi(nu) pi(chi'(mu)) g = conj(c_{nu,mu}) pi(chi'(mu)+nu) g, so pi(nu)
     M_{a_nu} puts cross[chi'(mu) + nu, mu] back at its entry, and the sum
     is A (cross o [|lambda - chi'(mu)| <= L]) A^H.
     """
-    lat = spec.lattice
-    if L > tsym.nu_radius + 1e-12 and tsym.nu_indices.size < lat.npoints:
-        raise ExtractionRadiusError(
-            f"L={L} exceeds the extraction radius {tsym.nu_radius}")
+    lat = tsym.spec.lattice
     C = np.empty_like(tsym.cross)
     tables = _distance_tables(lat, lat.coords()[tsym.warp_idx])  # chi'(mu)
     for mus, d2 in _squared_distance_blocks(*tables):
         C[:, mus] = np.where(np.sqrt(d2) <= L + 1e-12, tsym.cross[:, mus], 0)
-    return _sandwich(C, spec)
+    return _sandwich(C, tsym.spec)
 
 
 def truncation_error_curve(T: FioOperator, tsym: MultiplierSymbolTable,
-                           spec: GaborFrameSpec, L_list: Sequence[float],
-                           p: float = 2.0, m: Optional[Weight] = None,
-                           seed: int = 0):
+                           L_list: Sequence[float], p: float = 2.0,
+                           m: Optional[Weight] = None, seed: int = 0):
     """Empirical operator-norm error ||T - T_L|| for each L, plus log-log slope.
 
     p = 2 with trivial weight uses the largest singular value of the dense
     difference; other (p, m) use the largest ratio over PROBES random
     signals of the norm from M^p_{m o chi'} to M^p_m, a lower-bound
-    estimate.  Errors below ERROR_FLOOR enter the slope fit as ERROR_FLOOR.
+    estimate.  m enters divided by its maximum over the lattice, as
+    ((1+|z|^2)/(1+R^2))^(s/2): the ratio is unchanged, and a large s does
+    not overflow.  Errors below ERROR_FLOOR enter the slope fit as
+    ERROR_FLOOR.
     """
     L_list = list(L_list)
     if len(L_list) < 3:
         raise ValueError("need at least 3 truncation radii")
     if m is None:
         m = Weight()
-    lat = spec.lattice
+    spec = tsym.spec
     target = fio_matrix(T)
     exact_p2 = (p == 2 and m.s == 0.0)
     if not exact_p2:
-        m_in = m(lat.coords()[tsym.warp_idx])      # m(chi'(mu)) per point mu
-        m_out = m(lat.coords())
+        z = spec.lattice.coords()
+        q = 1.0 + np.sum(z * z, axis=-1)
+        m_out = (q / np.max(q)) ** (m.s / 2.0)
+        m_in = m_out[tsym.warp_idx]       # m(chi'(mu)) per point mu, scaled
         rng = np.random.default_rng(seed)
         probes = np.column_stack([random_signal(spec.window.grid, rng).values
                                   for _ in range(PROBES)])
         norms_in = gabor_mod_norm(probes, p, m_in, spec)   # > 0 on a frame
     curve = []
     for L in L_list:
-        diff = target - assemble_truncated(tsym, spec, L)
+        diff = target - assemble_truncated(tsym, L)
         if exact_p2:
             err = operator_norm(diff).value
         else:

@@ -176,7 +176,8 @@ def test_approximate_gathers_no_symbols(tmp_path, monkeypatch):
 
 
 def test_approximate_partial_radius_reconstructs_in_full(tmp_path):
-    # The full reconstruction is A cross A^H, not the sum up to nu_radius.
+    # The full reconstruction is A cross A^H, whatever the largest L or a
+    # stray nu_radius, which approximate does not read.
     doc = dict(decay_cfg(gen=((4, 0), (0, 4))), L_list=[0.5, 1, 2],
                nu_radius=2)
     cfg = write_cfg(tmp_path, "c.json", doc)
@@ -187,13 +188,17 @@ def test_approximate_partial_radius_reconstructs_in_full(tmp_path):
     assert rep["norms"]["full_reconstruction_residual_max"] < 1e-9
 
 
-def test_approximate_extraction_radius_exit_4(tmp_path):
+def test_approximate_ignores_nu_radius(tmp_path):
+    # Every T_L masks the one Gabor matrix, so no L is out of reach.
     doc = decay_cfg(gen=((4, 0), (0, 4)))
     doc["L_list"] = [1, 2, 4]
-    doc["nu_radius"] = 2.0
-    cfg = write_cfg(tmp_path, "c.json", doc)
-    assert main(["approximate", "--config", cfg,
-                 "--out", str(tmp_path / "o")]) == 4
+    bodies = []
+    for name, extra in (("plain", {}), ("radius", {"nu_radius": 2.0})):
+        cfg = write_cfg(tmp_path, f"{name}.json", dict(doc, **extra))
+        assert main(["approximate", "--config", cfg,
+                     "--out", str(tmp_path / name)]) == 0
+        bodies.append((tmp_path / name / "truncation_error.csv").read_bytes())
+    assert bodies[0] == bodies[1]
 
 
 DILATION_CFG = {
@@ -241,14 +246,15 @@ def dilation_tables(n, nu_radius):
     rho = float(np.real(np.vdot(u, spec.window.values)) / np.vdot(u, u).real)
     phase = dilation_phase(2.0)
     cm = canonical_map(phase)
-    tsym = extract_symbols(make_fio(phase, constant_symbol(grid), grid),
-                           spec, cm, nu_radius)
+    nu_indices = np.flatnonzero(lattice.torus_norms() <= nu_radius + 1e-12)
+    a, _ = extract_symbols(make_fio(phase, constant_symbol(grid), grid),
+                           spec, cm).symbols(nu_indices)
     k, l = (lattice.int_coords / 4).T
-    kp, lp = (lattice.int_coords[tsym.nu_indices] / 4).T
+    kp, lp = (lattice.int_coords[nu_indices] / 4).T
     closed = dilation_symbol_closed_form(2.0, 4 * grid.h, 4 * grid.h,
                                          k[None, :], l[None, :],
                                          kp[:, None], lp[:, None])
-    return k, l, kp, lp, closed, tsym.a * grid.h / rho ** 2
+    return k, l, kp, lp, closed, a * grid.h / rho ** 2
 
 
 def first_near_max(values, rtol=1e-6):
@@ -302,16 +308,16 @@ def test_dilation_demo_rows_survive_one_ulp(tmp_path, monkeypatch, n,
 
     plain = keys(str(tmp_path / "plain"))
     rng = np.random.default_rng(0)
-    extract = cli.extract_symbols
+    symbols = multiplier.MultiplierSymbolTable.symbols
 
-    def perturbed(*args):
-        tsym = extract(*args)
-        a = tsym.a
+    def perturbed(tsym, nu_indices):
+        a, c = symbols(tsym, nu_indices)
         up = rng.choice([-np.inf, np.inf], size=(2,) + a.shape)
-        tsym.a = np.nextafter(a.real, up[0]) + 1j * np.nextafter(a.imag, up[1])
-        return tsym
+        return (np.nextafter(a.real, up[0])
+                + 1j * np.nextafter(a.imag, up[1]), c)
 
-    monkeypatch.setattr(cli, "extract_symbols", perturbed)
+    monkeypatch.setattr(multiplier.MultiplierSymbolTable, "symbols",
+                        perturbed)
     assert np.array_equal(keys(str(tmp_path / "ulp")), plain)
 
 
@@ -535,7 +541,7 @@ MALFORMED = [
     ("frame-check", dict(BASE, grid="64"), "grid"),
     ("frame-check", dict(BASE, window={"kind": "gaussian", "params": "wide"}),
      "window.params"),
-    ("approximate", dict(approximate_cfg(), nu_radius="far"), "nu_radius"),
+    ("approximate", dict(approximate_cfg(), p=0.5), "p"),
     ("approximate", dict(approximate_cfg(), p="two"), "p"),
     ("approximate", dict(approximate_cfg(), weight_s=-1), "weight_s"),
     ("approximate", dict(approximate_cfg(), L_list=[0, 1, 2]), "L_list"),
@@ -548,16 +554,27 @@ MALFORMED = [
 ]
 
 
-def run_quietly(command, doc, *flags):
-    """main() on doc in a scratch directory; returns (exit code, stderr)."""
+def run_and_read(command, doc, *flags):
+    """main() on doc in a scratch directory; returns (exit code, stderr,
+    {name: text} of the files it wrote)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
+        out = os.path.join(tmp, "out")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main([command, "--config", path, "--out", tmp, *flags])
-    return code, err.getvalue()
+            code = main([command, "--config", path, "--out", out, *flags])
+        files = {}
+        for name in os.listdir(out) if os.path.isdir(out) else []:
+            with open(os.path.join(out, name)) as fh:
+                files[name] = fh.read()
+    return code, err.getvalue(), files
+
+
+def run_quietly(command, doc, *flags):
+    """main() on doc in a scratch directory; returns (exit code, stderr)."""
+    return run_and_read(command, doc, *flags)[:2]
 
 
 @pytest.mark.parametrize("command,doc,field", MALFORMED)
@@ -630,15 +647,36 @@ def with_examples(cases):
     return decorate
 
 
+def reject_constant(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+# approximate at n = 32, where p = 400 underflows an unscaled p-power sum
+# and weight_s = 1000 overflows an unscaled weight into NaN errors.
+SMALL_APPROXIMATE = dict(decay_cfg(n=32, gen=((4, 0), (0, 4))),
+                         phase={"kind": "perturbed", "params": {"eps": 0.1}},
+                         L_list=[1, 2, 4])
+
+
 @with_examples(MALFORMED)
+@example(case=("approximate", dict(SMALL_APPROXIMATE, p=400)))
+@example(case=("approximate", dict(SMALL_APPROXIMATE, weight_s=1000)))
 @settings(max_examples=100, deadline=None)
 @given(case=mutated_configs())
 def test_every_config_ends_in_a_documented_exit(case):
-    code, err = run_quietly(*case)
-    assert code in (0, 1, 2, 3, 4, 5)
+    code, err, files = run_and_read(*case)
+    assert code in (0, 1, 2, 3, 5)
     if code in (1, 2, 5):
         errors = json.loads(err)["errors"]
         assert errors and all(set(e) == {"field", "error"} for e in errors)
+    if code == 0:
+        # Strict JSON and finite CSV numbers: no NaN or Infinity.
+        json.loads(files.pop("report.json"), parse_constant=reject_constant)
+        assert files
+        for text in files.values():
+            cells = [cell for line in text.splitlines()[1:]
+                     for cell in line.split(",")]
+            assert all(math.isfinite(float(cell)) for cell in cells)
 
 
 def test_error_exit_stderr_is_one_json_object_with_the_warnings(tmp_path):

@@ -115,11 +115,10 @@ def test_sandwiches_match_the_dense_atoms(gen, k, block, seed):
         norms = lat.torus_norms()
         L = float(norms[rng.integers(N)])
         tsym = MultiplierSymbolTable(
-            spec=spec, cross=random_complex(rng, N, N), warp_idx=warp_idx,
-            nu_indices=np.flatnonzero(norms <= L + 1e-12), nu_radius=L)
+            spec=spec, cross=random_complex(rng, N, N), warp_idx=warp_idx)
         C = tsym.cross * integer_mask(lat, warp_idx, L)
         # The distance blocks take as many columns as the fold's blocks.
         with mock.patch.object(fio, "_BLOCK_BYTES",
                                8 * N * block_columns(block, k)):
-            masked = assemble_truncated(tsym, spec, L)
+            masked = assemble_truncated(tsym, L)
         assert rel_err(masked, atoms @ C @ atoms.conj().T) < RTOL

@@ -140,7 +140,7 @@ def test_dual_window_reconstruction(seed):
     grid = Grid(32)
     spec = GaborFrameSpec(gaussian_window(grid), density4_lattice(grid))
     dual = dual_window(spec)
-    dual_spec = spec.with_window(dual, normalize=False)
+    dual_spec = GaborFrameSpec(dual, spec.lattice, normalize=False)
     rng = np.random.default_rng(seed)
     f = random_signal(grid, rng)
     rec = synthesis(analysis(f, dual_spec), spec)
@@ -167,6 +167,25 @@ def test_gabor_mod_norm_p2_unweighted_is_l2_on_parseval():
     assert gabor_mod_norm(f, np.inf, m, tight) <= gabor_mod_norm(f, 2.0, m, tight)
     with pytest.raises(ValueError):
         gabor_mod_norm(f, 0.5, m, tight)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 400.0, 1e300])
+def test_gabor_mod_norm_lies_between_sup_and_its_lp_bound(p):
+    # sup <= ||c||_p <= N^(1/p) sup, on a small signal whose c^p
+    # underflows at p = 400 and a weight whose c^p overflows at p = 1e300;
+    # a zero column has norm 0.
+    grid = Grid(32)
+    spec = tighten(GaborFrameSpec(gaussian_window(grid),
+                                  separable_lattice(4, 4, grid)))
+    N = spec.lattice.npoints
+    rng = np.random.default_rng(0)
+    f = 1e-3 * random_signal(grid, rng).values
+    X = np.column_stack([f, np.zeros_like(f)])
+    for m in (np.ones(N), rng.uniform(1, 3, size=N)):
+        sup = gabor_mod_norm(X, np.inf, m, spec)
+        norm = gabor_mod_norm(X, p, m, spec)
+        assert sup[0] > 0 and norm[1] == 0 == sup[1]
+        assert sup[0] <= norm[0] <= N ** (1.0 / p) * sup[0] * (1 + 1e-12)
 
 
 # ------------------------------------------------------------ warped check

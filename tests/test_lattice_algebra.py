@@ -22,7 +22,7 @@ from gaborfio.phases import (dilation_phase, perturbed_phase, canonical_map,
                              chi_prime_table)
 from gaborfio.fio import bandlimited_symbol, fio_matrix, gabor_cross, make_fio
 from gaborfio.multiplier import (extract_symbols, assemble_truncated,
-                                 commutation_factors, full_nu_radius)
+                                 commutation_factors)
 from gaborfio.windows import gaussian_window
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -170,32 +170,35 @@ def test_row_table_indexes_the_shifted_curve(gen, phase, radius, seed):
     T = make_fio(phase, bandlimited_symbol(grid, 2, seed=seed), grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # the spec need not be Parseval
-        tsym = extract_symbols(T, spec, cm, radius * full_nu_radius(spec))
+        tsym = extract_symbols(T, spec, cm)
+    # The shifts up to a fraction of the largest norm; radius >= 1 takes all.
+    norms = lat.torus_norms()
+    nu_indices = np.flatnonzero(norms <= radius * (np.max(norms) + 1.0))
+    a, c = tsym.symbols(nu_indices)
     chi_int = chi_prime_table(cm, lat)
-    nu_int = lat.int_coords[tsym.nu_indices]
+    nu_int = lat.int_coords[nu_indices]
     rows = lat.indices_of(chi_int[None, :, :] + nu_int[:, None, :])
     assert np.array_equal(tsym.warp_idx, lat.indices_of(chi_int))
-    assert np.array_equal(tsym.c,
-                          float_commutation_factors(n, 1, nu_int, chi_int))
+    assert np.array_equal(c, float_commutation_factors(n, 1, nu_int, chi_int))
     # A second Gabor matrix is compared to roundoff, not bit for bit.
     cross = gabor_cross(T, spec)
-    assert np.max(np.abs(tsym.a - tsym.c * cross[rows, np.arange(
-        lat.npoints)])) <= 1e-12 * np.max(np.abs(cross))
+    assert np.max(np.abs(a - c * cross[rows, np.arange(lat.npoints)])) \
+        <= 1e-12 * np.max(np.abs(cross))
 
 
-def per_shift_sum(tsym, spec, L):
+def per_shift_sum(tsym, L):
     """sum_{|nu| <= L} pi(nu) M_{a_nu}, one atom product per shift."""
-    lat = spec.lattice
+    lat = tsym.spec.lattice
     n = lat.grid.n
     where = {tuple(row): i for i, row in enumerate(np.mod(lat.int_coords, n))}
-    atoms = build_atoms(spec.window, lat.int_coords)
+    atoms = build_atoms(tsym.spec.window, lat.int_coords)
     chi_int = lat.int_coords[tsym.warp_idx]
     out = np.zeros((atoms.shape[0], atoms.shape[0]), dtype=complex)
-    nu_norms = lat.torus_norms()[tsym.nu_indices]
-    for k in np.flatnonzero(nu_norms <= L + 1e-12):
-        nu = lat.int_coords[tsym.nu_indices[k]]
+    nu_indices = np.flatnonzero(lat.torus_norms() <= L + 1e-12)
+    a, c = tsym.symbols(nu_indices)
+    for k, nu in enumerate(lat.int_coords[nu_indices]):
         lam = [where[tuple(row)] for row in np.mod(chi_int + nu, n)]
-        weights = tsym.a[k] * np.conj(tsym.c[k])
+        weights = a[k] * np.conj(c[k])
         out += (atoms[:, lam] * weights[None, :]) @ atoms.conj().T
     return out
 
@@ -211,10 +214,10 @@ def test_masked_assembly_matches_per_shift_sum(config, phase, seed):
                                   separable_lattice(a, b, grid)))
     cm = canonical_map(phase)
     T = make_fio(phase, bandlimited_symbol(grid, 2, seed=seed), grid)
-    tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
-    for L in (0, 1, 2, 4, tsym.nu_radius):
-        masked = assemble_truncated(tsym, spec, L)
-        assert np.max(np.abs(masked - per_shift_sum(tsym, spec, L))) < 1e-13
+    tsym = extract_symbols(T, spec, cm)
+    for L in (0, 1, 2, 4, np.inf):
+        masked = assemble_truncated(tsym, L)
+        assert np.max(np.abs(masked - per_shift_sum(tsym, L))) < 1e-13
 
 
 def integer_mask(lat, warp_idx, L):
@@ -229,13 +232,15 @@ def integer_mask(lat, warp_idx, L):
 @settings(max_examples=30, deadline=None, database=None)
 @given(commensurate_generators(dims=(1,)),
        st.sampled_from([dilation_phase(2.0), perturbed_phase(0.1)]),
-       st.one_of(st.floats(0, 4), st.sampled_from([0.5, 1.0, 2.0])),
+       st.one_of(st.floats(0, 4), st.sampled_from([0.5, 1.0, 2.0, np.inf])),
        st.integers(0, 2 ** 16))
 @example(gen=(np.diag([2, 2]), Grid(64)), phase=dilation_phase(2.0), L=1.0,
          seed=0)
+@example(gen=(np.diag([2, 4]), Grid(32)), phase=perturbed_phase(0.1),
+         L=np.inf, seed=0)
 def test_masked_assembly_matches_the_dense_mask(gen, phase, L, seed):
-    # Tables extracted at the radius L itself, partial for most L; L = 1 on
-    # diag(2, 2) at n = 64 falls on the shifts of norm exactly 1.
+    # L = 1 on diag(2, 2) at n = 64 falls on the shifts of norm exactly 1;
+    # L = inf keeps every entry, the full sum A cross A^H.
     A, grid = gen
     lat = enumerate_lattice(A, grid)
     spec = GaborFrameSpec(gaussian_window(grid), lat)
@@ -243,10 +248,10 @@ def test_masked_assembly_matches_the_dense_mask(gen, phase, L, seed):
     T = make_fio(phase, bandlimited_symbol(grid, 2, seed=seed), grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # the spec need not be Parseval
-        tsym = extract_symbols(T, spec, cm, L)
+        tsym = extract_symbols(T, spec, cm)
     atoms = build_atoms(spec.window, lat.int_coords)
     cross = atoms.conj().T @ fio_matrix(T) @ atoms
     mask = integer_mask(lat, lat.indices_of(chi_prime_table(cm, lat)), L)
     dense = atoms @ (cross * mask) @ atoms.conj().T
-    masked = assemble_truncated(tsym, spec, L)
+    masked = assemble_truncated(tsym, L)
     assert np.max(np.abs(masked - dense)) <= 1e-12 * np.max(np.abs(dense))

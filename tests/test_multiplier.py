@@ -10,8 +10,7 @@ from gaborfio.fio import (constant_symbol, bandlimited_symbol,
 from gaborfio.multiplier import (GaborMultiplier, warp_indices,
                                  apply_multiplier, multiplier_matrix,
                                  extract_symbols, assemble_truncated,
-                                 truncation_error_curve, full_nu_radius,
-                                 ExtractionRadiusError)
+                                 truncation_error_curve)
 from gaborfio.windows import gaussian_window
 
 PHASES = [linear_phase(), dilation_phase(2.0), chirp_phase(0.25),
@@ -39,8 +38,7 @@ def test_full_nu_assembly_is_exact(n, a, b, phase):
     cm = canonical_map(phase)
     for sym in symbols_for(grid):
         T = make_fio(phase, sym, grid)
-        tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
-        rebuilt = assemble_truncated(tsym, spec, tsym.nu_radius)
+        rebuilt = assemble_truncated(extract_symbols(T, spec, cm), np.inf)
         assert np.max(np.abs(fio_matrix(T) - rebuilt)) < 1e-9
 
 
@@ -64,9 +62,10 @@ def test_identity_symbol_is_window_energy():
     grid, spec = tight_spec(16, 2, 2)
     cm = canonical_map(linear_phase())
     T = make_fio(linear_phase(), constant_symbol(grid), grid)
-    tsym = extract_symbols(T, spec, cm, 0.2)   # nu = 0 shell only
-    assert tsym.nu_indices.size == 1
-    assert np.max(np.abs(tsym.a[0] - spec.window.norm() ** 2)) < 1e-12
+    zero = np.flatnonzero(spec.lattice.torus_norms() <= 0.2)  # nu = 0 only
+    assert zero.size == 1
+    a, _ = extract_symbols(T, spec, cm).symbols(zero)
+    assert np.max(np.abs(a[0] - spec.window.norm() ** 2)) < 1e-12
 
 
 def test_truncation_at_zero_is_single_multiplier():
@@ -74,11 +73,11 @@ def test_truncation_at_zero_is_single_multiplier():
     phase = dilation_phase(2.0)
     cm = canonical_map(phase)
     T = make_fio(phase, constant_symbol(grid), grid)
-    tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
-    nu_norms = spec.lattice.torus_norms()[tsym.nu_indices]
-    zero = int(np.flatnonzero(nu_norms < 1e-12)[0])
-    M = GaborMultiplier(tsym.a[zero], spec, tsym.warp_idx)
-    assert np.max(np.abs(assemble_truncated(tsym, spec, 0.0)
+    tsym = extract_symbols(T, spec, cm)
+    zero = np.flatnonzero(spec.lattice.torus_norms() < 1e-12)[:1]
+    a, _ = tsym.symbols(zero)
+    M = GaborMultiplier(a[0], spec, tsym.warp_idx)
+    assert np.max(np.abs(assemble_truncated(tsym, 0.0)
                          - multiplier_matrix(M))) < 1e-12
 
 
@@ -126,21 +125,18 @@ def test_multiplier_shape_validation():
 
 # ------------------------------------------------------------- truncation
 
-def test_error_curve_non_increasing_and_extraction_guard():
+def test_error_curve_non_increasing_and_needs_three_radii():
     grid, spec = tight_spec(64, 4, 4)
     phase = dilation_phase(2.0)
     cm = canonical_map(phase)
     T = make_fio(phase, bandlimited_symbol(grid, 2), grid)
-    tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
-    curve, slope = truncation_error_curve(T, tsym, spec, [1, 2, 4, 8, 16])
+    tsym = extract_symbols(T, spec, cm)
+    curve, slope = truncation_error_curve(T, tsym, [1, 2, 4, 8, 16])
     for (l0, e0), (l1, e1) in zip(curve, curve[1:]):
         assert e1 <= e0 + 1e-10
     assert slope < 0
-    partial = extract_symbols(T, spec, cm, 2.0)
-    with pytest.raises(ExtractionRadiusError):
-        assemble_truncated(partial, spec, 4.0)
     with pytest.raises(ValueError):
-        truncation_error_curve(T, tsym, spec, [1, 2])
+        truncation_error_curve(T, tsym, [1, 2])
 
 
 def test_probe_sup_truncation_curve_runs():
@@ -148,7 +144,7 @@ def test_probe_sup_truncation_curve_runs():
     phase = chirp_phase(0.25)
     cm = canonical_map(phase)
     T = make_fio(phase, constant_symbol(grid), grid)
-    tsym = extract_symbols(T, spec, cm, full_nu_radius(spec))
+    tsym = extract_symbols(T, spec, cm)
     curve, slope = truncation_error_curve(
-        T, tsym, spec, [1, 2, 4], p=np.inf, m=Weight(1.0))
+        T, tsym, [1, 2, 4], p=np.inf, m=Weight(1.0))
     assert len(curve) == 3 and all(e >= 0 for _, e in curve)
