@@ -32,7 +32,7 @@ from .frames import (GaborFrameSpec, enumerate_lattice, frame_bounds,
                      warped_frame_check, LatticeError, NotAFrameError)
 from .phases import BUILTIN_PHASES, canonical_map, NewtonDivergenceError
 from .fio import (make_fio, constant_symbol, bandlimited_symbol,
-                  weighted_symbol, gabor_matrix, scan_distances,
+                  weighted_symbol, gabor_columns, scan_distances,
                   InsufficientDecayRangeError, MAX_DENSE_SIZE)
 from .multiplier import (extract_symbols, assemble_truncated,
                          truncation_error_curve)
@@ -57,6 +57,10 @@ ROW_TIE_RTOL = 1e-6
 # The most complex entries (1 GiB) a run's largest dense arrays may hold
 # at once; see _largest_array.
 MAX_DENSE_ENTRIES = 2 ** 26
+
+# The scaled weight of approximate stays >= 2^-WEIGHT_LOG2_RANGE, the
+# square root of the smallest normal double; see _max_weight_s.
+WEIGHT_LOG2_RANGE = 511
 
 # What the config part constructors raise on a value they cannot use
 # (float(10**400) raises OverflowError, a symbol's N = 0 ZeroDivisionError).
@@ -199,13 +203,26 @@ def _largest_array(command, grid, npoints):
     warped points form no lattice); the lattice paths fold over cosets
     and hold one atom per translation, so for frame-check the count is
     conservative.  n^{2d} bounds the Walnut blocks of the frame operator
-    and is warp-frame's Gram matrix; the FIO subcommands hold the N x N
-    Gabor matrix.
+    and is warp-frame's Gram matrix.  N^2 is the Gabor matrix, which
+    approximate and dilation-demo hold; decay-scan streams it in column
+    blocks of about 1 MiB, so for decay-scan that term is conservative.
     """
     sizes = [3 * grid.size * npoints, grid.size ** 2]
     if command in FIO_COMMANDS:
         sizes.append(npoints ** 2)
     return max(sizes)
+
+
+def _max_weight_s(grid):
+    """The largest weight_s approximate accepts on grid (d = 1).
+
+    The weight enters truncation_error_curve scaled to its lattice
+    maximum, ((1 + |z|^2) / (1 + R^2))^(s/2), and |z|^2 <= n/2 on the
+    torus, so its smallest value is at least (1 + n/2)^(-s/2).  That
+    stays >= 2^-WEIGHT_LOG2_RANGE: far from underflow, and a ratio of
+    two weights stays far from overflow.
+    """
+    return 2.0 * WEIGHT_LOG2_RANGE * math.log(2.0) / math.log1p(grid.n / 2.0)
 
 
 def _enumerate(gen, grid, command, field, problems):
@@ -279,6 +296,11 @@ def _configure(args):
         run.p = _number(cfg.get("p", 2.0), "p", problems, low=1)
         run.weight_s = _number(cfg.get("weight_s", 0.0), "weight_s", problems,
                                low=0)
+        limit = _max_weight_s(grid) if grid else math.inf
+        if run.weight_s is not None and run.weight_s > limit:
+            problems.add("weight_s", f"at most {limit:.6g} at n = {grid.n}, "
+                                     f"so that the scaled weight stays "
+                                     f"above 2^-{WEIGHT_LOG2_RANGE}")
     elif demo:
         if run.phase:
             run.s = _number(cfg["phase"].get("params", {}).get("s", 2.0),
@@ -362,8 +384,7 @@ def cmd_decay_scan(args, run):
     spec = tighten(GaborFrameSpec(run.window, run.lattice))
     cm = canonical_map(run.phase)
     T = make_fio(run.phase, run.symbol, run.grid)
-    G = gabor_matrix(T, spec)
-    scan = scan_distances(G, cm)
+    scan = scan_distances(spec.lattice, gabor_columns(T, spec), cm)
     transport = {"transport_max_dist": float(np.max(scan.dists)),
                  "transport_bound": scan.bound}
     try:

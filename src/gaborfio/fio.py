@@ -6,14 +6,18 @@ fhat the unitary DFT read in symmetric frequency order.  At desk scale
 (n^d <= 1024) the dense matrix of T is cheap and doubles as the oracle
 for every norm measurement.
 
-The decay and transport tests compare every |G[mu, lam]| with the torus
-distance |chi(mu) - lam|, the multiplier's mask with |chi'(mu) - lam|.
-It is never held as an N x N x 2d tensor: it is the sum of one table
-per phase-space axis, wrap(chi_a(mu) - x_j)^2 over the grid indices j
-that some lattice point has on that axis, gathered at each lam's row
-and read in row blocks of about 8 MB.  scan_distances reads |G| and
-these blocks once for both tests; the largest distance, which sets the
-decay bins, comes from the lattice's cosets without a pass.
+The Gabor matrix A^H T A comes as a stream: gabor_columns computes T A
+once and yields A^H T A one column block at a time, the 1 MiB blocks of
+frames.analysis, so decay-scan never holds the N x N matrix;
+gabor_matrix stores the same blocks.  The decay and transport tests
+compare every |G[mu, lam]| with the torus distance |chi(mu) - lam|, the
+multiplier's mask with |chi'(mu) - lam|.  It is never held as an
+N x N x 2d tensor: it is the sum of one table per phase-space axis,
+wrap(chi_a(mu) - x_j)^2 over the grid indices j that some lattice point
+has on that axis, gathered at each lam's row for the same column
+blocks.  scan_distances reads each block of |G| and of distances once
+for both tests; the largest distance, which sets the decay bins, comes
+from the lattice's cosets without a pass.
 """
 
 from dataclasses import dataclass
@@ -22,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Grid, Weight, TWO_PI
-from .frames import (_BLOCK_BYTES, GaborFrameSpec, Lattice, _cosets,
+from .frames import (GaborFrameSpec, Lattice, _column_blocks, _cosets,
                      analysis, is_parseval)
 from .phases import CanonicalMap, TamePhase, chi_prime_displacement_bound
 from .diagnostics import loglog_fit, DecayReport
@@ -163,19 +167,48 @@ class GaborMatrix:
     lattice: Lattice
     entries: np.ndarray
 
+    def column_blocks(self):
+        """(mus, (A^H T A)[:, mus]) over frames._column_blocks slices."""
+        cross = self.entries.T   # [lam, mu]
+        N = self.lattice.npoints
+        return ((mus, cross[:, mus]) for mus in _column_blocks(N, N))
+
+
+def _fio_on_atoms(T: FioOperator, spec: GaborFrameSpec) -> np.ndarray:
+    """T A = (A^H T^H)^H, n^d x N; warns when spec is not Parseval."""
+    if not is_parseval(spec):
+        warnings.warn("Gabor matrix of a non-Parseval frame spec",
+                      stacklevel=3)
+    return analysis(fio_matrix(T).conj().T, spec).conj().T
+
+
+def gabor_columns(T: FioOperator, spec: GaborFrameSpec):
+    """Yield (mus, (A^H T A)[:, mus]), indexed [lam, mu], block by block.
+
+    T A is computed once; each block is one more analysis of its columns,
+    so the N x N matrix is never held.  The slices are the column blocks
+    frames.analysis walks, so each block is bit for bit the same columns
+    of gabor_cross.
+    """
+    TA = _fio_on_atoms(T, spec)
+    N = spec.lattice.npoints
+    for mus in _column_blocks(N, max(N, TA.shape[0])):
+        yield mus, analysis(TA[:, mus], spec)
+
 
 def gabor_matrix(T: FioOperator, spec: GaborFrameSpec) -> GaborMatrix:
     """Gabor coefficient matrix of T over the frame atoms."""
-    if not is_parseval(spec):
-        warnings.warn("gabor_matrix called with a non-Parseval frame spec",
-                      stacklevel=2)
     return GaborMatrix(lattice=spec.lattice, entries=gabor_cross(T, spec).T)
 
 
 def gabor_cross(T: FioOperator, spec: GaborFrameSpec) -> np.ndarray:
-    """A^H T A, indexed [lam, mu], by two analyses: T A = (A^H T^H)^H."""
-    TA = analysis(fio_matrix(T).conj().T, spec).conj().T
-    return analysis(TA, spec)
+    """A^H T A, indexed [lam, mu]: the blocks of gabor_columns, stored.
+
+    One analysis of T A walks the same column blocks.  Filling a result
+    from gabor_columns gives the same bits but pages in more memory: it
+    cost approximate at n = 56 5 % more CPU time per run.
+    """
+    return analysis(_fio_on_atoms(T, spec), spec)
 
 
 def pair_distances(G: GaborMatrix, cmap: CanonicalMap) -> np.ndarray:
@@ -186,8 +219,7 @@ def pair_distances(G: GaborMatrix, cmap: CanonicalMap) -> np.ndarray:
     torus before taking the Japanese bracket.
     """
     tables = _distance_tables(G.lattice, cmap.forward(G.lattice.coords()))
-    blocks = _squared_distance_blocks(*tables)
-    return np.concatenate([np.sqrt(1.0 + d2) for _, d2 in blocks], axis=1).T
+    return np.sqrt(1.0 + _squared_distances(*tables, slice(None))).T
 
 
 def _distance_tables(lat: Lattice, points: np.ndarray):
@@ -199,7 +231,10 @@ def _distance_tables(lat: Lattice, points: np.ndarray):
     maps each lam to the row of its index p_a mod n.  Every lattice
     coordinate p h equals grid.coords()[p mod n] bit for bit, so
     |z(mu) - lam|^2, the difference wrapped to the torus, is the sum over
-    axes a of table_a[rows[a][lam], mu].
+    axes a of table_a[rows[a][lam], mu].  Lattice order is lexicographic
+    mod n, and every first coordinate carries the same number of points
+    (a coset of the kernel of that projection), so rows[0] runs through
+    the rows of axis 0 in equal consecutive runs.
     """
     grid = lat.grid
     x = grid.coords()
@@ -208,28 +243,30 @@ def _distance_tables(lat: Lattice, points: np.ndarray):
         used, row = np.unique(p, return_inverse=True)
         tables.append(np.square(grid.wrap_coord(z[None, :] - x[used, None])))
         rows.append(row)
+    n0 = len(tables[0])
+    assert np.array_equal(rows[0], np.repeat(np.arange(n0), lat.npoints // n0))
     return tables, np.array(rows)
 
 
-def _squared_distance_blocks(tables, rows):
-    """Yield (mus, d2), d2[lam, i] = |z(mu_i) - lam|^2 for mu_i in mus.
+def _squared_distances(tables, rows, mus):
+    """d2[lam, i] = |z(mu_i) - lam|^2 for the columns mus, a fresh array.
 
-    The blocks are [lam, mu] like A^H T A in gabor_matrix, and hold about
-    _BLOCK_BYTES each (the column block size of frames.analysis).  Each d2
-    is a fresh array the caller may overwrite.
+    Blocks are [lam, mu] like A^H T A, so they line up with any column
+    block of it.  Axis 0 is added by broadcast over its runs of rows;
+    a + b == b + a in floating point, so the sum is the axis-order sum
+    table_0 + table_1 + ... bit for bit.
     """
-    N = rows.shape[1]
-    step = max(1, _BLOCK_BYTES // (8 * N))
-    for start in range(0, N, step):
-        mus = slice(start, start + step)
-        d2 = tables[0][:, mus][rows[0]]
-        for table, row in zip(tables[1:], rows[1:]):
-            d2 += table[:, mus][row]
-        yield mus, d2
+    d2 = tables[1][:, mus][rows[1]]
+    n0 = len(tables[0])
+    runs = d2.reshape(n0, -1, d2.shape[1])
+    runs += tables[0][:, mus][:, None, :]
+    for table, row in zip(tables[2:], rows[2:]):
+        d2 += table[:, mus][row]
+    return d2
 
 
 def _max_squared_distance(lat: Lattice, tables, rows) -> float:
-    """The largest d2 of _squared_distance_blocks, bit for bit, without them.
+    """The largest d2 of _squared_distances over all columns, bit for bit.
 
     Over the translation x_t the lattice points are (x_t, m_t + M_k)
     (frames.Cosets), so lam's time row is fixed over k: take the maximum
@@ -254,6 +291,25 @@ def _decay_edges(r_max: float) -> Optional[np.ndarray]:
     if hi <= lo:
         return None
     return np.exp(np.linspace(np.log(lo), np.log(hi), DECAY_BINS + 1))
+
+
+def _squared_thresholds(edges: np.ndarray) -> np.ndarray:
+    """Per edge e, the least double x with fl(sqrt(fl(1 + x))) >= e.
+
+    That map is monotone in x, so r = sqrt(1 + d2), as pair_distances
+    forms it, is >= e exactly when d2 >= x: the decay bins are read off
+    d2 bit for bit without a sqrt.  x starts at e^2 - 1 and is walked
+    down, then up, one double at a time.
+    """
+    xs = []
+    for e in edges:
+        x = e * e - 1.0
+        while np.sqrt(1.0 + x) >= e:
+            x = np.nextafter(x, -np.inf)
+        while np.sqrt(1.0 + x) < e:
+            x = np.nextafter(x, np.inf)
+        xs.append(x)
+    return np.array(xs)
 
 
 @dataclass
@@ -293,32 +349,34 @@ class DistanceScan:
             verdict=bool(slope <= -s_claim + DECAY_TOLERANCE))
 
 
-def scan_distances(G: GaborMatrix, cmap: CanonicalMap) -> DistanceScan:
-    """Transport distances and decay bin maxima from one pass over |G|.
+def scan_distances(lat: Lattice, blocks, cmap: CanonicalMap) -> DistanceScan:
+    """Transport distances and decay bin maxima from one pass over blocks.
 
-    The distance tables are built once; r_max comes from the cosets, so
-    the bin edges are known before the one pass over the row blocks,
-    which takes |G| once per block for both tests.
+    blocks yields (mus, (A^H T A)[:, mus]) over column slices that cover
+    every mu once: gabor_columns, or GaborMatrix.column_blocks.  The
+    distance tables are built once; r_max comes from the cosets, so the
+    bin edges are known before the pass, which takes |G| once per block
+    for both tests.
     """
-    lat = G.lattice
-    cross = G.entries.T   # [lam, mu]
     tables, rows = _distance_tables(lat, cmap.forward(lat.coords()))
     # sqrt(1 + .) is monotone, so this is the largest r, bit for bit.
     r_max = float(np.sqrt(1.0 + _max_squared_distance(lat, tables, rows)))
     edges = _decay_edges(r_max)
-    # below every |G|: -1 marks an empty bin
-    binmax = None if edges is None else np.full(DECAY_BINS, -1.0)
-    d2_min = np.empty(lat.npoints)
-    for mus, d2 in _squared_distance_blocks(tables, rows):
-        mag = np.abs(cross[:, mus])
-        tied = mag >= (1.0 - TIE_RTOL) * np.max(mag, axis=0)
-        d2_min[mus] = np.min(np.where(tied, d2, np.inf), axis=0)
-        del tied
-        if edges is None:
+    if edges is None:
+        binmax = None
+    else:
+        binmax = np.full(DECAY_BINS, -1.0)   # below every |G|: an empty bin
+        bounds = _squared_thresholds(edges)
+    d2_min = np.full(lat.npoints, np.inf)
+    for mus, block in blocks:
+        mag = np.abs(block)
+        d2 = _squared_distances(tables, rows, mus)
+        lam, i = np.nonzero(mag >= (1.0 - TIE_RTOL) * np.max(mag, axis=0))
+        np.minimum.at(d2_min[mus], i, d2[lam, i])   # d2_min[mus] is a view
+        if binmax is None:
             continue
-        r = np.sqrt(np.add(d2, 1.0, out=d2), out=d2)
-        inside = (r >= edges[0]) & (r < edges[-1])
-        k = np.searchsorted(edges, r[inside], side="right") - 1
+        inside = (d2 >= bounds[0]) & (d2 < bounds[-1])
+        k = np.searchsorted(bounds, d2[inside], side="right") - 1
         np.maximum.at(binmax, k, mag[inside])
     return DistanceScan(dists=np.sqrt(d2_min),
                         bound=chi_prime_displacement_bound(lat) + 1.0,
@@ -338,7 +396,8 @@ def decay_envelope_fit(G: GaborMatrix, cmap: CanonicalMap,
     scan_distances; raises InsufficientDecayRangeError when the range is
     empty or fills fewer than 4 bins.
     """
-    return scan_distances(G, cmap).decay_fit(s_claim)
+    scan = scan_distances(G.lattice, G.column_blocks(), cmap)
+    return scan.decay_fit(s_claim)
 
 
 def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap):
@@ -353,7 +412,7 @@ def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap):
     again at the alias point chi(mu) + (sqrt(n)/2, 0)).  The distances
     come from scan_distances, which bins the decay fit in the same pass.
     """
-    scan = scan_distances(G, cmap)
+    scan = scan_distances(G.lattice, G.column_blocks(), cmap)
     return scan.dists, scan.bound
 
 

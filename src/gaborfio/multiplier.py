@@ -22,17 +22,16 @@ e^{2 pi i j_x m_eta / n} (looked up by the integer dot j_x m_eta) are
 gathered only for the shifts a caller names.
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import Signal, Weight, TWO_PI, random_signal
-from .frames import (GaborFrameSpec, analysis, gabor_mod_norm, is_parseval,
+from .frames import (GaborFrameSpec, _column_blocks, analysis, gabor_mod_norm,
                      synthesis)
 from .phases import CanonicalMap, chi_prime_table
-from .fio import (FioOperator, _distance_tables, _squared_distance_blocks,
+from .fio import (FioOperator, _distance_tables, _squared_distances,
                   fio_matrix, gabor_cross)
 from .diagnostics import loglog_fit, operator_norm
 
@@ -122,10 +121,10 @@ def commutation_factors(spec: GaborFrameSpec, nu_int: np.ndarray,
 
 def extract_symbols(T: FioOperator, spec: GaborFrameSpec,
                     cmap: CanonicalMap) -> MultiplierSymbolTable:
-    """The Gabor matrix of T and the warp chi' of cmap on spec's lattice."""
-    if not is_parseval(spec):
-        warnings.warn("extract_symbols called with a non-Parseval frame spec",
-                      stacklevel=2)
+    """The Gabor matrix of T and the warp chi' of cmap on spec's lattice.
+
+    fio.gabor_columns warns when spec is not Parseval.
+    """
     return MultiplierSymbolTable(spec=spec, cross=gabor_cross(T, spec),
                                  warp_idx=warp_indices(cmap, spec))
 
@@ -138,9 +137,10 @@ def assemble_truncated(tsym: MultiplierSymbolTable, L: float) -> np.ndarray:
     is A (cross o [|lambda - chi'(mu)| <= L]) A^H.
     """
     lat = tsym.spec.lattice
-    C = np.empty_like(tsym.cross)
+    C = np.empty_like(tsym.cross, order="F")   # synthesis reads its columns
     tables = _distance_tables(lat, lat.coords()[tsym.warp_idx])  # chi'(mu)
-    for mus, d2 in _squared_distance_blocks(*tables):
+    for mus in _column_blocks(*C.shape):
+        d2 = _squared_distances(*tables, mus)
         C[:, mus] = np.where(np.sqrt(d2) <= L + 1e-12, tsym.cross[:, mus], 0)
     return _sandwich(C, tsym.spec)
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 import warnings
 
@@ -130,16 +131,48 @@ def test_decay_scan_insufficient_range_exit_3(tmp_path):
 
 
 def test_decay_scan_reads_the_blocks_once(tmp_path, monkeypatch):
-    calls = {"_distance_tables": 0, "_squared_distance_blocks": 0}
+    # One set of distance tables, one analysis for T A and one per column
+    # block of A^H T A, each block computed once; no N x N Gabor matrix.
+    calls = {"_distance_tables": 0, "analysis": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(fio, name)):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(fio, name, counted)
+
+    def refuse(*args):
+        raise AssertionError("decay-scan formed the N x N Gabor matrix")
+    monkeypatch.setattr(fio, "gabor_matrix", refuse)
+    monkeypatch.setattr(fio, "gabor_cross", refuse)
+    columns = []
+
+    def recorded(*args, _f=fio.gabor_columns):
+        for mus, block in _f(*args):
+            columns.append(mus)
+            yield mus, block
+    monkeypatch.setattr(cli, "gabor_columns", recorded)
     cfg = write_cfg(tmp_path, "c.json", decay_cfg())
     assert main(["decay-scan", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 0
-    assert calls == {"_distance_tables": 1, "_squared_distance_blocks": 1}
+    N = 64 ** 2 // 4
+    assert len(columns) > 1
+    assert np.array_equal(np.concatenate([np.arange(N)[mus]
+                                          for mus in columns]), np.arange(N))
+    assert calls == {"_distance_tables": 1, "analysis": 1 + len(columns)}
+
+
+def test_decay_scan_holds_less_than_one_gabor_matrix(tmp_path):
+    # n = 160, diag(4, 4): N = 1600, and A^H T A would take N^2 x 16 B.
+    cfg = write_cfg(tmp_path, "c.json", decay_cfg(n=160, gen=((4, 0), (0, 4))))
+    tracemalloc.start()
+    try:
+        code = main(["decay-scan", "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1600 ** 2 * 16
 
 
 def test_decay_scan_rerun_byte_identical(tmp_path):
@@ -551,6 +584,7 @@ MALFORMED = [
                          lattice={"generator": [[20, 0], [0, 20]]}), "grid"),
     ("dilation-demo", dict(DILATION_CFG, nu_radius="far"), "nu_radius"),
     ("approximate", dict(approximate_cfg(), L_list=[1, 1, 1]), "L_list"),
+    ("approximate", dict(approximate_cfg(), weight_s=1e5), "weight_s"),
 ]
 
 
@@ -619,12 +653,22 @@ def value_slots(doc):
             yield from value_slots(value)
 
 
+# approximate's weight_s and p: in range, at the weight_s bound at n = 32
+# (250.03), and beyond it.
+WEIGHT_S = st.one_of(st.floats(0, 1e3), st.sampled_from([250.0, 1e5, 1e300]))
+POWERS = st.one_of(st.floats(1, 1e3), st.sampled_from([400.0, 1e300]))
+
+
 @st.composite
 def mutated_configs(draw):
     """A valid test config at n <= 32 with up to three values broken."""
     command = draw(st.sampled_from(sorted(VALID_CFGS)))
     doc = copy.deepcopy(VALID_CFGS[command])
     doc["grid"]["n"] = draw(st.sampled_from([8, 16, 24, 32]))
+    if command == "approximate":
+        for key, values in (("weight_s", WEIGHT_S), ("p", POWERS)):
+            if draw(st.booleans()):
+                doc[key] = draw(values)
     for _ in range(draw(st.integers(0, 3))):
         slots = list(value_slots(doc))
         if not slots:
@@ -651,8 +695,8 @@ def reject_constant(name):
     raise ValueError(f"report.json holds {name}")
 
 
-# approximate at n = 32, where p = 400 underflows an unscaled p-power sum
-# and weight_s = 1000 overflows an unscaled weight into NaN errors.
+# approximate at n = 32, where p = 400 underflows an unscaled p-power sum,
+# weight_s = 250 is at its bound and weight_s = 1000 beyond it (exit 1).
 SMALL_APPROXIMATE = dict(decay_cfg(n=32, gen=((4, 0), (0, 4))),
                          phase={"kind": "perturbed", "params": {"eps": 0.1}},
                          L_list=[1, 2, 4])
@@ -660,6 +704,7 @@ SMALL_APPROXIMATE = dict(decay_cfg(n=32, gen=((4, 0), (0, 4))),
 
 @with_examples(MALFORMED)
 @example(case=("approximate", dict(SMALL_APPROXIMATE, p=400)))
+@example(case=("approximate", dict(SMALL_APPROXIMATE, weight_s=250)))
 @example(case=("approximate", dict(SMALL_APPROXIMATE, weight_s=1000)))
 @settings(max_examples=100, deadline=None)
 @given(case=mutated_configs())
@@ -679,19 +724,37 @@ def test_every_config_ends_in_a_documented_exit(case):
             assert all(math.isfinite(float(cell)) for cell in cells)
 
 
+def run_cli_process(command, cfg, out):
+    """python -m gaborfio.cli in a fresh interpreter; the CompletedProcess."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["gaborfio"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "gaborfio.cli", command, "--config", cfg,
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["decay-scan", "dilation-demo"])
+def test_rerun_in_fresh_processes_byte_identical(tmp_path, command):
+    cfg = write_cfg(tmp_path, "c.json", VALID_CFGS[command])
+    outs = []
+    for name in ("a", "b"):
+        assert run_cli_process(command, cfg, tmp_path / name).returncode == 0
+        outs.append({p.name: p.read_bytes()
+                     for p in sorted((tmp_path / name).iterdir())})
+    assert "report.json" in outs[0]
+    assert any(name.endswith(".csv") for name in outs[0])
+    assert outs[0] == outs[1]
+
+
 def test_error_exit_stderr_is_one_json_object_with_the_warnings(tmp_path):
     # numpy warns about the overflow before Newton gives up; the warning
     # must join the error object, not precede it.
     doc = dict(WARP_CFG, phase={"kind": "chirp", "params": {"c": 1e300}})
     cfg = write_cfg(tmp_path, "c.json", doc)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        sys.modules["gaborfio"].__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gaborfio.cli", "warp-frame", "--config", cfg,
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_cli_process("warp-frame", cfg, tmp_path / "o")
     assert proc.returncode == 5
     doc = json.loads(proc.stderr)
     assert [e["field"] for e in doc["errors"]] == ["phase"]

@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gaborfio import fio, frames
+from gaborfio import frames
 from gaborfio.core import Grid, Signal, build_atoms
 from gaborfio.frames import (GaborFrameSpec, analysis, enumerate_lattice,
                              synthesis)
@@ -117,8 +117,5 @@ def test_sandwiches_match_the_dense_atoms(gen, k, block, seed):
         tsym = MultiplierSymbolTable(
             spec=spec, cross=random_complex(rng, N, N), warp_idx=warp_idx)
         C = tsym.cross * integer_mask(lat, warp_idx, L)
-        # The distance blocks take as many columns as the fold's blocks.
-        with mock.patch.object(fio, "_BLOCK_BYTES",
-                               8 * N * block_columns(block, k)):
-            masked = assemble_truncated(tsym, L)
+        masked = assemble_truncated(tsym, L)   # the mask's blocks too
         assert rel_err(masked, atoms @ C @ atoms.conj().T) < RTOL

@@ -1,11 +1,12 @@
-"""Property tests of the row-chunked distance pass of fio.py.
+"""Property tests of the column-block distance pass of fio.py.
 
 pair_distances and scan_distances read |chi(mu) - lam|^2 from per-axis
-tables over the used grid indices, in row blocks; scan_distances makes
-one pass for both transport_argmax_check and decay_envelope_fit, with
-the largest distance taken over the lattice's cosets.  Each is checked
-here, bit for bit, against the dense oracle kept below: the N x N x 2
-wrapped displacement tensor and the ten boolean bin masks.
+tables over the used grid indices, in column blocks; scan_distances
+makes one pass for both transport_argmax_check and decay_envelope_fit,
+with the largest distance taken over the lattice's cosets, over the
+blocks of a stored Gabor matrix or the stream of gabor_columns.  Each is
+checked here, bit for bit, against the dense oracle kept below: the
+N x N x 2 wrapped displacement tensor and the ten boolean bin masks.
 """
 
 import warnings
@@ -14,13 +15,13 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gaborfio import fio
+from gaborfio import fio, frames
 from gaborfio.core import Grid
 from gaborfio.diagnostics import DecayReport, loglog_fit
 from gaborfio.fio import (InsufficientDecayRangeError, bandlimited_symbol,
-                          constant_symbol, decay_envelope_fit, gabor_matrix,
-                          make_fio, pair_distances, scan_distances,
-                          transport_argmax_check)
+                          constant_symbol, decay_envelope_fit, gabor_columns,
+                          gabor_matrix, make_fio, pair_distances,
+                          scan_distances, transport_argmax_check)
 from gaborfio.frames import GaborFrameSpec, enumerate_lattice, tighten
 from gaborfio.phases import (CanonicalMap, canonical_map, chirp_phase,
                              dilation_phase, perturbed_phase)
@@ -84,12 +85,20 @@ def decay_or_error(fit, G, cmap):
 PHASES = [dilation_phase(2.0), perturbed_phase(0.1), chirp_phase(0.5)]
 
 
+def block_bytes(N, columns):
+    """frames._BLOCK_BYTES that makes the Gabor stream `columns` wide."""
+    return 16 * N * columns
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(commensurate_generators(sizes=((32, 48, 64, 96),), dims=(1,)),
        st.sampled_from(PHASES), st.sampled_from(["constant", "bandlimited"]),
        st.sampled_from(["one", "seven", "all"]), st.integers(0, 2 ** 16))
 @example((np.diag([2, 2]), Grid(16)), PHASES[0], "bandlimited", "seven", 0)
-def test_distance_blocks_match_the_dense_oracle(gen, phase, symbol, rows,
+# Non-separable, with a constant symbol: many tied row maxima.
+@example((np.array([[2, 0], [1, 4]]), Grid(32)), PHASES[0], "constant",
+         "one", 0)
+def test_distance_blocks_match_the_dense_oracle(gen, phase, symbol, columns,
                                                 seed):
     A, grid = gen
     lat = enumerate_lattice(A, grid)
@@ -98,24 +107,29 @@ def test_distance_blocks_match_the_dense_oracle(gen, phase, symbol, rows,
     cm = canonical_map(phase)
     S = constant_symbol(grid) if symbol == "constant" \
         else bandlimited_symbol(grid, 2, seed=seed)
-    with warnings.catch_warnings():
+    T = make_fio(phase, S, grid)
+    spec = GaborFrameSpec(gaussian_window(grid), lat)
+    width = {"one": 1, "seven": 7, "all": N + 3}[columns]
+    with warnings.catch_warnings(), \
+            mock.patch.object(frames, "_BLOCK_BYTES", block_bytes(N, width)):
         warnings.simplefilter("ignore")   # most draws are not tight frames
-        G = gabor_matrix(make_fio(phase, S, grid),
-                         GaborFrameSpec(gaussian_window(grid), lat))
-    block_rows = {"one": 1, "seven": 7, "all": N + 3}[rows]
-    with mock.patch.object(fio, "_BLOCK_BYTES", 8 * N * block_rows):
+        G = gabor_matrix(T, spec)
         r = pair_distances(G, cm)
         dists, _ = transport_argmax_check(G, cm)
         rep = decay_or_error(decay_envelope_fit, G, cm)
-        scan = scan_distances(G, cm)   # the pass cmd_decay_scan makes
+        stored = scan_distances(lat, G.column_blocks(), cm)
+        stream = scan_distances(lat, gabor_columns(T, spec), cm)
     assert np.array_equal(
         r, np.sqrt(1.0 + dense_squared_displacements(lat, cm)))
     oracle_dists = dense_transport(G, cm)
     assert np.array_equal(dists, oracle_dists)
-    assert np.array_equal(scan.dists, oracle_dists)
+    for scan in (stored, stream):   # the pass cmd_decay_scan makes
+        assert np.array_equal(scan.dists, oracle_dists)
+    assert stream.r_max == stored.r_max
+    assert np.array_equal(stream.binmax, stored.binmax)
     oracle = decay_or_error(dense_decay_fit, G, cm)
-    for fit in (rep, decay_or_error(lambda G, cm, s: scan.decay_fit(s),
-                                    G, cm)):
+    for fit in (rep, *(decay_or_error(lambda G, cm, s: scan.decay_fit(s),
+                                      G, cm) for scan in (stored, stream))):
         if isinstance(oracle, str):
             assert fit == oracle
         else:
@@ -123,6 +137,19 @@ def test_distance_blocks_match_the_dense_oracle(gen, phase, symbol, rows,
                           "tolerance", "verdict"):
                 assert np.array_equal(getattr(fit, field),
                                       getattr(oracle, field))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.floats(4.0 + 1e-9, 1e6))
+@example(4.5)
+def test_squared_thresholds_are_the_first_doubles_past_the_edges(r_max):
+    # sqrt(1 + x) reaches each decay edge first at its threshold x, so
+    # d2 >= x exactly when sqrt(1 + d2) >= the edge.
+    edges = fio._decay_edges(r_max)
+    xs = fio._squared_thresholds(edges)
+    assert np.all(np.diff(xs) > 0)
+    assert np.all(np.sqrt(1.0 + xs) >= edges)
+    assert np.all(np.sqrt(1.0 + np.nextafter(xs, 0.0)) < edges)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -135,9 +162,7 @@ def test_coset_maximum_is_the_block_maximum(gen, phase):
     lat = enumerate_lattice(A, grid)
     tables, rows = fio._distance_tables(
         lat, canonical_map(phase).forward(lat.coords()))
-    with mock.patch.object(fio, "_BLOCK_BYTES", 8 * lat.npoints * 7):
-        oracle = max(float(np.max(d2)) for _, d2 in
-                     fio._squared_distance_blocks(tables, rows))
+    oracle = float(np.max(fio._squared_distances(tables, rows, slice(None))))
     assert fio._max_squared_distance(lat, tables, rows) == oracle
 
 
@@ -155,7 +180,8 @@ def test_constant_symbol_ties_reach_the_tie_rule():
     mag = np.abs(G.entries)
     tied = mag >= (1.0 - 1e-9) * np.max(mag, axis=1, keepdims=True)
     assert np.all(np.sum(tied, axis=1) >= 2)
-    with mock.patch.object(fio, "_BLOCK_BYTES", 8 * lat.npoints * 7):
+    with mock.patch.object(frames, "_BLOCK_BYTES",
+                           block_bytes(lat.npoints, 7)):
         dists, _ = transport_argmax_check(G, cm)
     assert np.array_equal(dists, dense_transport(G, cm))
 
@@ -165,13 +191,14 @@ def test_canonical_map_runs_once_per_public_call():
     lat = enumerate_lattice(np.diag([2, 2]), grid)
     cm = canonical_map(dilation_phase(2.0))
     spec = tighten(GaborFrameSpec(gaussian_window(grid), lat))
-    G = gabor_matrix(make_fio(cm.phase, bandlimited_symbol(grid, 2), grid),
-                     spec)
+    T = make_fio(cm.phase, bandlimited_symbol(grid, 2), grid)
+    G = gabor_matrix(T, spec)
     forward = CanonicalMap.forward
     for call in (lambda: pair_distances(G, cm),
                  lambda: transport_argmax_check(G, cm),
                  lambda: decay_envelope_fit(G, cm, 4.0),
-                 lambda: scan_distances(G, cm)):
+                 lambda: scan_distances(lat, G.column_blocks(), cm),
+                 lambda: scan_distances(lat, gabor_columns(T, spec), cm)):
         with mock.patch.object(CanonicalMap, "forward", autospec=True,
                                side_effect=forward) as spy:
             call()

@@ -171,6 +171,8 @@ def test_row_table_indexes_the_shifted_curve(gen, phase, radius, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # the spec need not be Parseval
         tsym = extract_symbols(T, spec, cm)
+        # A second Gabor matrix is compared to roundoff, not bit for bit.
+        cross = gabor_cross(T, spec)
     # The shifts up to a fraction of the largest norm; radius >= 1 takes all.
     norms = lat.torus_norms()
     nu_indices = np.flatnonzero(norms <= radius * (np.max(norms) + 1.0))
@@ -180,8 +182,6 @@ def test_row_table_indexes_the_shifted_curve(gen, phase, radius, seed):
     rows = lat.indices_of(chi_int[None, :, :] + nu_int[:, None, :])
     assert np.array_equal(tsym.warp_idx, lat.indices_of(chi_int))
     assert np.array_equal(c, float_commutation_factors(n, 1, nu_int, chi_int))
-    # A second Gabor matrix is compared to roundoff, not bit for bit.
-    cross = gabor_cross(T, spec)
     assert np.max(np.abs(a - c * cross[rows, np.arange(lat.npoints)])) \
         <= 1e-12 * np.max(np.abs(cross))
 
