@@ -26,10 +26,11 @@ import numpy as np
 
 from . import __version__
 from .core import Grid, Weight, random_signal
-from .windows import make_window, WINDOW_KINDS
+from .windows import WINDOW_KINDS
 from .frames import (GaborFrameSpec, enumerate_lattice, frame_bounds,
                      is_frame, tighten, dual_window, analysis,
-                     warped_frame_check, LatticeError, NotAFrameError)
+                     warped_frame_check, LatticeError, NotAFrameError,
+                     NOT_A_FRAME_RTOL)
 from .phases import BUILTIN_PHASES, canonical_map, NewtonDivergenceError
 from .fio import (make_fio, constant_symbol, bandlimited_symbol,
                   weighted_symbol, gabor_columns, scan_distances,
@@ -38,7 +39,7 @@ from .multiplier import (extract_symbols, assemble_truncated,
                          truncation_error_curve)
 from .fio import fio_matrix
 from .diagnostics import write_report
-from .dilation import dilation_symbol_closed_form
+from .dilation import compare_dilation_symbols
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -50,8 +51,8 @@ EXIT_INTERNAL = 6
 # The subcommands that build the dense n^d x n^d FIO matrix.
 FIO_COMMANDS = ("decay-scan", "approximate", "dilation-demo")
 
-# dilation-demo's CSV: entries within this relative tolerance of a row's
-# maximum tie, and the first of them is written.
+# dilation-demo's CSV: entries within ROW_TIE_RTOL * max |closed form| of
+# a row's maximum tie, and the first of them is written.
 ROW_TIE_RTOL = 1e-6
 
 # The most complex entries (1 GiB) a run's largest dense arrays may hold
@@ -213,6 +214,13 @@ def _largest_array(command, grid, npoints):
     return max(sizes)
 
 
+def _unit_gaussian(grid, params):
+    """dilation-demo's window: its closed form is for e^{-pi t^2} only."""
+    if float(params.get("width", 1.0)) != 1.0:
+        raise ValueError("dilation-demo's closed form needs width 1")
+    return WINDOW_KINDS["gaussian"](grid, params)
+
+
 def _max_weight_s(grid):
     """The largest weight_s approximate accepts on grid (d = 1).
 
@@ -265,7 +273,7 @@ def _configure(args):
         problems.add("grid", f"{command} needs d = 1 and n <= {MAX_DENSE_SIZE}")
         grid = None
     demo = command == "dilation-demo"
-    kinds = {"gaussian": WINDOW_KINDS["gaussian"]} if demo else WINDOW_KINDS
+    kinds = {"gaussian": _unit_gaussian} if demo else WINDOW_KINDS
     run.window = _build_kind(cfg, "window", kinds, problems, grid) if grid \
         else None
     run.lattice = _build_lattice(cfg, grid, command, problems) if grid \
@@ -422,55 +430,24 @@ def cmd_approximate(args, run):
     return EXIT_OK
 
 
-def _first_near_max(table):
-    """Per row, the first column within ROW_TIE_RTOL of the row maximum.
-
-    Roundoff cannot then pick another of several equal maxima."""
-    top = np.max(table, axis=1, keepdims=True)
-    return np.argmax(table >= (1.0 - ROW_TIE_RTOL) * top, axis=1)
-
-
 def cmd_dilation_demo(args, run):
-    grid, lattice = run.grid, run.lattice
-    a_steps, b_steps = int(lattice.A[0, 0]), int(lattice.A[1, 1])
-    alpha, beta = a_steps * grid.h, b_steps * grid.h
-    spec = tighten(GaborFrameSpec(run.window, lattice))
-    # Calibrate the tight window against the unit Gaussian: at moderate
-    # redundancy it is a scalar multiple rho of the window to ~1e-10.
-    u = make_window(grid, "gaussian").values
-    rho = float(np.real(np.vdot(u, spec.window.values)) / np.vdot(u, u).real)
-    cm = canonical_map(run.phase)
-    T = make_fio(run.phase, constant_symbol(grid), grid)
-    nu_indices = np.flatnonzero(lattice.torus_norms()
-                                <= run.nu_radius + 1e-12)
-    a, factors = extract_symbols(T, spec, cm).symbols(nu_indices)
-    mu_int = lattice.int_coords
-    nu_int = lattice.int_coords[nu_indices]
-    k = mu_int[:, 0] / a_steps
-    l = mu_int[:, 1] / b_steps
-    kp = nu_int[:, 0] / a_steps
-    lp = nu_int[:, 1] / b_steps
-    closed = dilation_symbol_closed_form(run.s, alpha, beta, k[None, :],
-                                         l[None, :], kp[:, None], lp[:, None])
-    numeric = a * grid.h / rho ** 2
-    camp = np.abs(closed).ravel()
-    order = np.argsort(camp, kind="stable")[::-1]
-    csum = np.cumsum(camp[order])
-    keep = order[:int(np.searchsorted(csum, 0.99 * csum[-1])) + 1]
-    rel = (np.abs(numeric.ravel()[keep] - closed.ravel()[keep])
-           / camp[keep])
-    max_rel = float(np.max(rel))
-    c_mod_dev = float(np.max(np.abs(np.abs(factors) - 1.0)))
+    k, l, kp, lp, closed, numeric, max_rel, c_mod_dev = \
+        compare_dilation_symbols(run.window, run.lattice, run.s, run.nu_radius)
     # CSV rows, plot-ready: for each shift nu (a row of the (K, N) tables)
     # the entry of largest |closed| and the entry of largest error, one row
-    # when they coincide, in flat (K, N) order.  The summary metric above
-    # covers the full 99%-mass set.  np.hypot rounds as abs() of one
-    # complex does; np.abs of a complex array can be 2 ulp off it.
+    # when they coincide, in flat (K, N) order.  Entries within tol of a
+    # row's maximum tie and the first is written; tol is absolute because
+    # most errors are roundoff, whose relative size one ulp can change.
+    # The summary metric covers the full 99%-mass set.  np.hypot rounds as
+    # abs() of one complex does; np.abs of a complex array can be 2 ulp off
+    # it.
     K, N = closed.shape
+    camp = np.abs(closed)
     diff = numeric - closed
     err = np.hypot(diff.real, diff.imag)
-    cols = np.stack([_first_near_max(camp.reshape(K, N)),
-                     _first_near_max(err)], axis=1)
+    tol = ROW_TIE_RTOL * np.max(camp)
+    cols = np.stack([np.argmax(t >= np.max(t, axis=1, keepdims=True) - tol,
+                               axis=1) for t in (camp, err)], axis=1)
     r, c = np.divmod(np.unique(np.arange(K)[:, None] * N + cols), N)
     rows = np.column_stack([k[c], l[c], kp[r], lp[r],
                             closed.real[r, c], closed.imag[r, c],
@@ -481,8 +458,7 @@ def cmd_dilation_demo(args, run):
                 "numeric_re", "numeric_im", "abs_err"], rows.tolist())
     _report(args, run, {},
             {"max_relative_error_99pct": max_rel,
-             "commutation_modulus_deviation": c_mod_dev,
-             "calibration_rho": rho},
+             "commutation_modulus_deviation": c_mod_dev},
             {"closed_form_ok": max_rel < 5e-2,
              "unimodular_ok": c_mod_dev < 1e-12})
     return EXIT_OK
@@ -503,7 +479,7 @@ def cmd_warp_frame(args, run):
             {"warped_bounds": [lo, hi],
              "max_rounding_displacement": rep.max_rounding_displacement,
              "warped_density": rep.density},
-            {"is_frame": bool(lo > 1e-10 * hi)})
+            {"is_frame": bool(lo > NOT_A_FRAME_RTOL * hi)})
     return EXIT_OK
 
 

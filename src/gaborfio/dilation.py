@@ -15,11 +15,21 @@ v0 = alpha (floor(k/s) + k'), the integral evaluates to
 
 The full multiplier symbol additionally carries the commutation factor
 c_{nu,mu} = e^{2 pi i alpha k' beta floor(s l)}.
+
+compare_dilation_symbols sets these against the symbols read from the
+Gabor matrix of the raw Gaussian atoms: the one comparison that
+dilation-demo and the acceptance gate both make.
 """
+
+import warnings
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+from .core import Signal, TWO_PI
+from .frames import GaborFrameSpec, Lattice, NotAFrameError, is_frame
+from .phases import canonical_map, dilation_phase
+from .fio import constant_symbol, make_fio
+from .multiplier import extract_symbols
 
 
 def dilation_inner_product(s: float, alpha: float, beta: float,
@@ -69,3 +79,49 @@ def dilation_integrand_quadrature(s, alpha, beta, k, l, kp, lp,
             * np.exp(-np.pi * (s * t - alpha * k) ** 2)
             * np.exp(-np.pi * (t - alpha * (np.floor(k / s) + kp)) ** 2))
     return complex(np.sum(vals) * dt)
+
+
+def compare_dilation_symbols(window: Signal, lattice: Lattice, s: float,
+                             nu_radius: float):
+    """Symbols of D_s for the shifts |nu| <= nu_radius, closed form against
+    numeric, on the separable lattice diag(a, b) in grid steps.
+
+    window is the unit Gaussian sampled on its grid.  Its atoms are used
+    as they are, neither normalized nor tightened, so h a_nu(mu) is the
+    Riemann sum of the integral the closed form evaluates.  Returns
+    (k, l, kp, lp, closed, numeric, max_rel, c_mod_dev): mu = (alpha k,
+    beta l) per column and nu = (alpha kp, beta lp) per row of the (K, N)
+    tables of closed-form and numeric h a_nu(mu), the largest relative
+    error over the entries holding 99% of sum |closed|, and the largest
+    deviation of |c_{nu,mu}| from 1.  Raises NotAFrameError when the
+    lattice makes no frame.
+    """
+    grid = window.grid
+    spec = GaborFrameSpec(window, lattice, normalize=False)
+    if not is_frame(spec):
+        raise NotAFrameError("lower frame bound vanishes")
+    phase = dilation_phase(s)
+    T = make_fio(phase, constant_symbol(grid), grid)
+    with warnings.catch_warnings():
+        # Not Parseval on purpose: the closed form is the inner product of
+        # the raw Gaussian atoms, not of the canonical tight ones.
+        warnings.filterwarnings(
+            "ignore", "Gabor matrix of a non-Parseval frame spec")
+        tsym = extract_symbols(T, spec, canonical_map(phase))
+    nu_indices = np.flatnonzero(lattice.torus_norms() <= nu_radius + 1e-12)
+    a, factors = tsym.symbols(nu_indices)
+    steps = np.diag(lattice.A).astype(int)
+    k, l = (lattice.int_coords / steps).T
+    kp, lp = (lattice.int_coords[nu_indices] / steps).T
+    alpha, beta = steps * grid.h
+    closed = dilation_symbol_closed_form(s, alpha, beta, k[None, :],
+                                         l[None, :], kp[:, None], lp[:, None])
+    numeric = a * grid.h
+    camp = np.abs(closed).ravel()
+    order = np.argsort(camp, kind="stable")[::-1]
+    csum = np.cumsum(camp[order])
+    keep = order[:int(np.searchsorted(csum, 0.99 * csum[-1])) + 1]
+    rel = (np.abs(numeric.ravel()[keep] - closed.ravel()[keep])
+           / camp[keep])
+    return (k, l, kp, lp, closed, numeric, float(np.max(rel)),
+            float(np.max(np.abs(np.abs(factors) - 1.0))))

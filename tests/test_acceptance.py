@@ -23,7 +23,7 @@ from gaborfio.fio import (constant_symbol, bandlimited_symbol, make_fio,
                           transport_argmax_check)
 from gaborfio.multiplier import (extract_symbols, assemble_truncated,
                                  truncation_error_curve)
-from gaborfio.dilation import dilation_symbol_closed_form
+from gaborfio.dilation import compare_dilation_symbols
 
 PHASES = [linear_phase(), dilation_phase(2.0), chirp_phase(0.25),
           perturbed_phase(0.1)]
@@ -121,27 +121,8 @@ def test_acceptance_6_dilation_closed_form(capsys):
     t0 = time.time()
     grid = Grid(256)
     lat = separable_lattice(4, 4, grid)       # alpha = beta = 1/4
-    spec = tighten(GaborFrameSpec(gaussian_window(grid), lat))
-    u = gaussian_window(grid).values
-    rho = float(np.real(np.vdot(u, spec.window.values)) / np.vdot(u, u).real)
-    phase = dilation_phase(2.0)
-    cm = canonical_map(phase)
-    T = make_fio(phase, constant_symbol(grid), grid)
-    nu_indices = np.flatnonzero(lat.torus_norms() <= 3.0 + 1e-12)
-    a, c = extract_symbols(T, spec, cm).symbols(nu_indices)
-    nu_int = lat.int_coords[nu_indices]
-    k, l = lat.int_coords[:, 0] / 4.0, lat.int_coords[:, 1] / 4.0
-    kp, lp = nu_int[:, 0] / 4.0, nu_int[:, 1] / 4.0
-    closed = dilation_symbol_closed_form(2.0, 0.25, 0.25, k[None, :],
-                                         l[None, :], kp[:, None], lp[:, None])
-    numeric = a * grid.h / rho ** 2
-    camp = np.abs(closed).ravel()
-    order = np.argsort(camp, kind="stable")[::-1]
-    csum = np.cumsum(camp[order])
-    keep = order[:int(np.searchsorted(csum, 0.99 * csum[-1])) + 1]
-    rel = np.max(np.abs(numeric.ravel()[keep] - closed.ravel()[keep])
-                 / camp[keep])
-    cdev = float(np.max(np.abs(np.abs(c) - 1.0)))
+    *_, rel, cdev = compare_dilation_symbols(gaussian_window(grid), lat,
+                                             2.0, 3.0)
     ok = rel < 5e-2 and cdev <= 1e-15
     verdict(capsys, ok, "dilation closed form",
             f"max rel error {rel:.2e} < 5e-2 on 99%-mass entries, "

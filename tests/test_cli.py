@@ -19,12 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 from gaborfio import cli
 from gaborfio.cli import MAX_DENSE_ENTRIES, _configure, _write_csv, main
 from gaborfio.core import Grid
-from gaborfio.dilation import dilation_symbol_closed_form
-from gaborfio.fio import constant_symbol, make_fio
+from gaborfio.dilation import compare_dilation_symbols
 from gaborfio import fio, frames, multiplier
-from gaborfio.frames import GaborFrameSpec, enumerate_lattice, tighten
-from gaborfio.multiplier import extract_symbols
-from gaborfio.phases import canonical_map, dilation_phase
+from gaborfio.frames import enumerate_lattice
 from gaborfio.windows import make_window
 
 
@@ -244,56 +241,35 @@ DILATION_CFG = {
 }
 
 
-def test_dilation_demo(tmp_path):
-    cfg = write_cfg(tmp_path, "c.json", DILATION_CFG)
-    out = str(tmp_path / "out")
-    assert main(["dilation-demo", "--config", cfg, "--out", out]) == 0
-    rep = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert rep["verdicts"]["closed_form_ok"]
-    assert rep["verdicts"]["unimodular_ok"]
-    header = (tmp_path / "out" / "dilation_symbols.csv").read_text() \
-        .splitlines()[0]
-    assert header == ("k,l,kp,lp,closed_form_re,closed_form_im,"
-                      "numeric_re,numeric_im,abs_err")
-
-
-def test_dilation_demo_rejects_non_gaussian(tmp_path):
-    doc = {
-        "grid": {"n": 64, "d": 1},
-        "window": {"kind": "box"},
-        "lattice": {"generator": [[4, 0], [0, 4]]},
-        "phase": {"kind": "dilation", "params": {"s": 2.0}},
-    }
-    cfg = write_cfg(tmp_path, "c.json", doc)
-    assert main(["dilation-demo", "--config", cfg,
-                 "--out", str(tmp_path / "o")]) == 1
+@pytest.mark.parametrize("n,step", [(64, 4), (80, 4), (256, 4), (1024, 16)])
+def test_dilation_demo(n, step):
+    # Redundancy 4 (n = 64 and the dense cap), 5 (n = 80) and 16 (n = 256).
+    doc = dict(DILATION_CFG, grid={"n": n, "d": 1},
+               lattice={"generator": [[step, 0], [0, step]]})
+    code, err, files = run_and_read("dilation-demo", doc)
+    assert code == 0 and err == ""
+    rep = json.loads(files["report.json"])
+    assert rep["verdicts"] == {"closed_form_ok": True, "unimodular_ok": True}
+    assert set(rep["norms"]) == {"max_relative_error_99pct",
+                                 "commutation_modulus_deviation"}
+    assert files["dilation_symbols.csv"].splitlines()[0] == (
+        "k,l,kp,lp,closed_form_re,closed_form_im,numeric_re,numeric_im,"
+        "abs_err")
 
 
 def dilation_tables(n, nu_radius):
     """k, l (per mu), kp, lp (per nu) and the (K, N) closed-form and numeric
     symbol tables of dilation-demo at n with diag(4, 4) and s = 2."""
     grid = Grid(n)
-    lattice = enumerate_lattice([[4, 0], [0, 4]], grid)
-    spec = tighten(GaborFrameSpec(make_window(grid, "gaussian"), lattice))
-    u = make_window(grid, "gaussian").values
-    rho = float(np.real(np.vdot(u, spec.window.values)) / np.vdot(u, u).real)
-    phase = dilation_phase(2.0)
-    cm = canonical_map(phase)
-    nu_indices = np.flatnonzero(lattice.torus_norms() <= nu_radius + 1e-12)
-    a, _ = extract_symbols(make_fio(phase, constant_symbol(grid), grid),
-                           spec, cm).symbols(nu_indices)
-    k, l = (lattice.int_coords / 4).T
-    kp, lp = (lattice.int_coords[nu_indices] / 4).T
-    closed = dilation_symbol_closed_form(2.0, 4 * grid.h, 4 * grid.h,
-                                         k[None, :], l[None, :],
-                                         kp[:, None], lp[:, None])
-    return k, l, kp, lp, closed, a * grid.h / rho ** 2
+    return compare_dilation_symbols(
+        make_window(grid, "gaussian"),
+        enumerate_lattice([[4, 0], [0, 4]], grid), 2.0, nu_radius)[:6]
 
 
-def first_near_max(values, rtol=1e-6):
-    """First index within relative rtol of the maximum: the CSV's tie rule."""
+def first_near_max(values, tol):
+    """First index within tol of the maximum: the CSV's tie rule."""
     top = max(values)
-    return next(j for j, v in enumerate(values) if v >= (1 - rtol) * top)
+    return next(j for j, v in enumerate(values) if v >= top - tol)
 
 
 @pytest.mark.parametrize("nu_radius", [0.0, 1.5, 3.0])
@@ -311,14 +287,16 @@ def test_dilation_demo_rows_are_the_per_shift_maxima(tmp_path, nu_radius):
     mag = np.abs(closed).tolist()
     err = [[abs(numeric[i, j] - closed[i, j]) for j in range(N)]
            for i in range(K)]
+    tol = cli.ROW_TIE_RTOL * max(map(max, mag))   # one for both tables
     picked = set()
     for i in range(K):
-        picked |= {(i, first_near_max(mag[i])), (i, first_near_max(err[i]))}
+        picked |= {(i, first_near_max(mag[i], tol)),
+                   (i, first_near_max(err[i], tol))}
     picked = sorted(picked)
     assert len(rows) == len(picked) <= 2 * K
     for table in (mag, err):   # the global maximum is among the rows
         top = max(map(max, table))
-        assert any(table[i][j] >= (1 - 1e-6) * top for i, j in picked)
+        assert any(table[i][j] >= top - tol for i, j in picked)
     for row, (i, j) in zip(rows, picked):
         assert row[:8].tolist() == [k[j], l[j], kp[i], lp[i],
                                     closed[i, j].real, closed[i, j].imag,
@@ -585,6 +563,11 @@ MALFORMED = [
     ("dilation-demo", dict(DILATION_CFG, nu_radius="far"), "nu_radius"),
     ("approximate", dict(approximate_cfg(), L_list=[1, 1, 1]), "L_list"),
     ("approximate", dict(approximate_cfg(), weight_s=1e5), "weight_s"),
+    ("dilation-demo", dict(DILATION_CFG, window={"kind": "gaussian",
+                                                 "params": {"width": 2}}),
+     "window.params"),
+    ("dilation-demo", dict(DILATION_CFG, window={"kind": "box"}),
+     "window.kind"),
 ]
 
 
