@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import warnings
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,6 +63,10 @@ MAX_DENSE_ENTRIES = 2 ** 26
 # The scaled weight of approximate stays >= 2^-WEIGHT_LOG2_RANGE, the
 # square root of the smallest normal double; see _max_weight_s.
 WEIGHT_LOG2_RANGE = 511
+
+# The environment variables that set the BLAS thread pools, recorded in
+# report.json's provenance (null when unset).
+THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # What the config part constructors raise on a value they cannot use
 # (float(10**400) raises OverflowError, a symbol's N = 0 ZeroDivisionError).
@@ -333,17 +338,40 @@ def _configure(args):
 
 # ---------------------------------------------------------------- output
 
+# The values _write_csv writes as numbers; numpy integers are not among
+# them, so callers pass Python ints (.tolist(), range).
+_NUMBER = (int, float, np.floating)
+
+
 def _fmt(x):
     return format(float(x), ".17g")
 
 
 def _write_csv(path, header, rows):
-    """CSV with a header row, 17 significant digits, UNIX newlines."""
+    """CSV with a header row, 17 significant digits, UNIX newlines.
+
+    The rule is per value: an instance of _NUMBER is written as _fmt
+    writes it, anything else as str().  It is applied per column: a
+    column whose values' types are all _NUMBER types becomes one %.17g
+    field of the row format (the digits of _fmt), any other column is
+    converted value by value to a %s field.  The body is the row format,
+    repeated per row, applied with a single %.  The rows must be of one
+    length; no rows give a file of the header alone.
+    """
+    rows = list(rows)
+    cols = list(zip(*rows, strict=True))
+    fields = []
+    for k, col in enumerate(cols):
+        if all(issubclass(t, _NUMBER) for t in set(map(type, col))):
+            fields.append("%.17g")
+        else:
+            fields.append("%s")
+            cols[k] = [_fmt(v) if isinstance(v, _NUMBER) else str(v)
+                       for v in col]
+    values = tuple(chain.from_iterable(zip(*cols)))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row) + "\n")
+        fh.write((",".join(fields) + "\n") * len(rows) % values)
 
 
 def _report(args, run, slopes, norms, verdicts):
@@ -351,7 +379,10 @@ def _report(args, run, slopes, norms, verdicts):
     provenance = {"package": "gaborfio", "version": __version__,
                   "command": args.command, "seed": run.seed,
                   "threads": run.threads,
-                  "threads_applied": run.threads_applied}
+                  "threads_applied": run.threads_applied,
+                  "numpy_version": np.__version__,
+                  "thread_env": {name: os.environ.get(name)
+                                 for name in THREAD_ENV_VARS}}
     write_report(os.path.join(args.out, "report.json"), run.cfg, slopes,
                  norms, verdicts, provenance)
 
@@ -368,18 +399,15 @@ def cmd_frame_check(args, run):
     tight = tighten(spec)
     dual = dual_window(spec)
     rng = np.random.default_rng(run.seed)
-    probes = np.column_stack([random_signal(run.grid, rng).values
-                              for _ in range(20)])
+    probes = random_signal(run.grid, rng, count=20)
     energy = np.sum(np.abs(probes) ** 2, axis=0)
     coeff = np.sum(np.abs(analysis(probes, tight)) ** 2, axis=0)
     resid = float(np.max(np.abs(coeff - energy) / energy))
-    idx = np.arange(run.grid.size)
-    _write_csv(os.path.join(args.out, "tight_window.csv"),
-               ["index", "re", "im"],
-               zip(idx, tight.window.values.real, tight.window.values.imag))
-    _write_csv(os.path.join(args.out, "dual_window.csv"),
-               ["index", "re", "im"],
-               zip(idx, dual.values.real, dual.values.imag))
+    idx = range(run.grid.size)
+    for name, values in (("tight_window.csv", tight.window.values),
+                         ("dual_window.csv", dual.values)):
+        _write_csv(os.path.join(args.out, name), ["index", "re", "im"],
+                   zip(idx, values.real.tolist(), values.imag.tolist()))
     tlo, thi = frame_bounds(tight)
     _report(args, run, {},
             {"frame_bounds": [lo, hi], "tight_bounds": [tlo, thi],

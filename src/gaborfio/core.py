@@ -106,13 +106,20 @@ def build_atoms(window: Signal, int_coords: np.ndarray) -> np.ndarray:
     """Atoms pi(z) g at integer grid points z = (x, m), as (n^d, N) columns.
 
     Column i is g((j - x_i) mod n) e^{2 pi i j.m_i / n} over the samples j.
-    The two integer tables are temporaries, so the peak memory is three
-    complex (n^d, N) tables.
+    The phase column is computed once per distinct modulation m and
+    gathered (every coset representative of a separable lattice has
+    m = 0).  The shift index and the gathered phases are temporaries, so
+    the peak memory is three complex (n^d, N) tables.
     """
     grid = window.grid
     z = np.mod(int_coords, grid.n)
     atoms = window.values[_shift_index(grid, z[:, :grid.d])]
-    atoms *= np.exp(TWO_PI * 1j * _phase_index(grid, z[:, grid.d:]) / grid.n)
+    m = z[:, grid.d:]
+    _, first, which = np.unique(
+        np.ravel_multi_index(tuple(m.T), (grid.n,) * grid.d),
+        return_index=True, return_inverse=True)
+    phases = np.exp(TWO_PI * 1j * _phase_index(grid, m[first]) / grid.n)
+    atoms *= phases[:, which]
     return atoms
 
 
@@ -132,7 +139,16 @@ class Weight:
         return (1.0 + np.sum(z * z, axis=-1)) ** (self.s / 2.0)
 
 
-def random_signal(grid: Grid, rng) -> Signal:
-    """Complex standard normal test signal."""
-    vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-    return Signal(grid, vals)
+def random_signal(grid: Grid, rng, count=None):
+    """Complex standard normal test signal, or count of them.
+
+    With count, one draw gives the C-contiguous (n^d, count) array whose
+    columns are the signals count successive calls without it return,
+    bit for bit: each signal is its real then its imaginary samples.
+    """
+    if count is None:
+        vals = (rng.standard_normal(grid.size)
+                + 1j * rng.standard_normal(grid.size))
+        return Signal(grid, vals)
+    parts = rng.standard_normal((count, 2, grid.size))
+    return np.ascontiguousarray((parts[:, 0] + 1j * parts[:, 1]).T)

@@ -28,6 +28,17 @@ blocks of size n^d / |M|, one per coset of the annihilator of M (rows j
 with equal j.m mod n for all m in M).  Frame bounds, S^{-1/2} g and
 S^{-1} g come from one batched eigendecomposition of these blocks.
 
+The cosets are numbered in the lexicographic order of the rows'
+character vectors (j.M_k mod n)_k, with M in lattice order, without
+forming those vectors: each row gets one int64 label, refined over
+M_0, M_1, ... as rank(label * n + (j.M_k mod n)) and stopped once it
+takes |M| values.  That prefix of M already separates the cosets, and
+two vectors that differ first within it are ordered by it alone, so the
+labels order the cosets as the whole vectors do.  The re-ranking keeps
+each label below |M| n; without it the key grows n-fold per step and
+overflows int64 for M = Z_16^2 at n = 16.  Atoms take one exponential
+per distinct modulation (core.build_atoms).
+
 Analysis and synthesis fold over the same cosets.  The atom at the point
 (x_t, m_t + M_k) is G0[:, t] times the character e^{2 pi i j.M_k / n},
 which is constant on each coset c of rows, where it equals
@@ -245,17 +256,33 @@ class Cosets:
     index: np.ndarray    # (|M|, N_t) lattice index of (x_t, m_t + M_k)
 
 
+def _coset_labels(j: np.ndarray, M: np.ndarray, n: int) -> np.ndarray:
+    """Rank of each row's character vector (j.M_k mod n)_k in
+    lexicographic order, one int64 label per row of j, refined over a
+    prefix of M (see the module docstring)."""
+    label = np.zeros(j.shape[0], dtype=np.int64)
+    count = 1
+    for m in M:
+        if count == M.shape[0]:
+            break
+        used, label = np.unique(label * n + (j @ m) % n, return_inverse=True)
+        count = used.size
+    return label
+
+
 def _cosets(lat: Lattice) -> Cosets:
     """The coset tables of lat, computed once per lattice."""
     if lat._cosets is None:
         n, d = lat.grid.n, lat.grid.d
         ic = np.mod(lat.int_coords, n)
         M = ic[~np.any(ic[:, :d], axis=1), d:]
-        _, first = np.unique(ic[:, :d], axis=0, return_index=True)
+        # Points are in lexicographic mod-n order, so the first point over
+        # each translation is where the translation changes.
+        first = np.flatnonzero(np.any(np.diff(ic[:, :d], axis=0,
+                                              prepend=-1), axis=1))
         reps = lat.int_coords[first]
         j = lat.grid.multi_index()
-        _, label = np.unique((j @ M.T) % n, axis=0, return_inverse=True)
-        perm = np.argsort(label.ravel(), kind="stable")
+        perm = np.argsort(_coset_labels(j, M, n), kind="stable")
         jc = j[perm[::perm.size // M.shape[0]]]
         E = np.exp(-TWO_PI * 1j * ((M @ jc.T) % n) / n)
         pts = np.concatenate(np.broadcast_arrays(

@@ -172,8 +172,7 @@ def truncation_error_curve(T: FioOperator, tsym: MultiplierSymbolTable,
         m_out = (q / np.max(q)) ** (m.s / 2.0)
         m_in = m_out[tsym.warp_idx]       # m(chi'(mu)) per point mu, scaled
         rng = np.random.default_rng(seed)
-        probes = np.column_stack([random_signal(spec.window.grid, rng).values
-                                  for _ in range(PROBES)])
+        probes = random_signal(spec.window.grid, rng, count=PROBES)
         norms_in = gabor_mod_norm(probes, p, m_in, spec)   # > 0 on a frame
     curve = []
     for L in L_list:

@@ -411,6 +411,24 @@ def test_threads_applied_records_the_limit(tmp_path, monkeypatch):
     assert seen == [2]
 
 
+def test_provenance_records_the_numeric_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    expected = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                "MKL_NUM_THREADS": "3"}
+    # exit 0, and exit 2, which writes a report too
+    for gen, code in (([[4, 0], [0, 4]], 0), ([[8, 0], [0, 16]], 2)):
+        cfg = write_cfg(tmp_path, "c.json",
+                        dict(BASE, lattice={"generator": gen}))
+        out = tmp_path / str(code)
+        assert main(["frame-check", "--config", cfg, "--out", str(out)]) \
+            == code
+        prov = json.loads((out / "report.json").read_text())["provenance"]
+        assert prov["numpy_version"] == np.__version__
+        assert prov["thread_env"] == expected
+
+
 # (argv, GABORFIO_THREADS, the field its error names): usage and
 # environment problems exit 1 with an error list, like config problems.
 BAD_INVOCATIONS = [
@@ -514,6 +532,52 @@ def test_write_csv_golden_bytes(tmp_path):
                csv_bulk_rows())
     digest = hashlib.sha256((tmp_path / "bulk.csv").read_bytes()).hexdigest()
     assert digest == CSV_BULK_SHA256
+
+
+def per_value_csv(header, rows):
+    """The CSV bytes of the per-value rule: _fmt for an int, a float or a
+    numpy floating, str() for anything else."""
+    lines = [",".join(header)] + [
+        ",".join(cli._fmt(v) if isinstance(v, (int, float, np.floating))
+                 else str(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+# One strategy per column kind; "mixed" mixes numbers and strings.
+CSV_VALUES = {
+    "int": st.integers(-2 ** 60, 2 ** 60),
+    "bool": st.booleans(),
+    "float": st.floats(),                  # +-0, subnormals, +-inf, nan
+    "float64": st.floats().map(np.float64),
+    "float32": st.floats(width=32).map(np.float32),
+    "int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    "str": st.text(st.characters(codec="ascii"), max_size=5),
+}
+CSV_VALUES["mixed"] = st.one_of(*CSV_VALUES.values())
+
+
+@st.composite
+def csv_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CSV_VALUES)), min_size=1,
+                          max_size=4))
+    rows = draw(st.lists(st.tuples(*(CSV_VALUES[k] for k in kinds)),
+                         max_size=6))
+    return [f"c{k}" for k in range(len(kinds))], rows
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(csv_tables())
+@example(table=(["i", "x"], [(np.int64(2 ** 60), 2 ** 60)]))
+@example(table=(["a", "b"], [(-0.0, 5e-324), (float("-inf"), float("nan"))]))
+@example(table=(["s"], [("%s",), (1.5,), ("%.17g",)]))
+@example(table=(["density", "A_lo", "B_hi"], []))    # header alone
+def test_write_csv_is_the_per_value_rule(table):
+    header, rows = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        _write_csv(path, header, iter(rows))
+        with open(path, "rb") as fh:
+            assert fh.read() == per_value_csv(header, rows)
 
 
 # ------------------------------------------------ the contract on any config

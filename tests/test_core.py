@@ -115,3 +115,15 @@ def test_weight_polynomial():
     assert abs(v1(z)[0] - np.sqrt(26.0)) < 1e-12
     with pytest.raises(ValueError):
         Weight(-1.0)
+
+
+@pytest.mark.parametrize("grid", grids([16], [8]))
+def test_random_signal_count_is_successive_draws(grid):
+    # One draw of count signals is the columns of count successive calls,
+    # bit for bit, in a C-contiguous (n^d, count) array.
+    many = random_signal(grid, np.random.default_rng(5), count=7)
+    rng = np.random.default_rng(5)
+    one_by_one = np.column_stack([random_signal(grid, rng).values
+                                  for _ in range(7)])
+    assert many.shape == (grid.size, 7) and many.flags.c_contiguous
+    assert np.array_equal(many, one_by_one)

@@ -9,7 +9,8 @@ blocks of 1, 7 and k + 3 columns.  The sandwiches A C A^H behind
 assemble_truncated and multiplier_matrix, and the scatter of
 apply_multiplier, are checked the same way, with a warp that maps
 several points to one; assemble_truncated's mask is built from integer
-coordinates.
+coordinates.  The coset tables themselves are checked bit for bit
+against the full character vectors they are labelled by.
 """
 
 from unittest import mock
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gaborfio import frames
-from gaborfio.core import Grid, Signal, build_atoms
+from gaborfio.core import TWO_PI, Grid, Signal, build_atoms
 from gaborfio.frames import (GaborFrameSpec, analysis, enumerate_lattice,
                              synthesis)
 from gaborfio.multiplier import (GaborMultiplier, MultiplierSymbolTable,
@@ -119,3 +120,39 @@ def test_sandwiches_match_the_dense_atoms(gen, k, block, seed):
         C = tsym.cross * integer_mask(lat, warp_idx, L)
         masked = assemble_truncated(tsym, L)   # the mask's blocks too
         assert rel_err(masked, atoms @ C @ atoms.conj().T) < RTOL
+
+
+def full_vector_cosets(lat):
+    """(perm, reps, E, index) ordered by np.unique over the rows' whole
+    character vectors (j.M_k mod n)_k, one column per pure modulation."""
+    n, d = lat.grid.n, lat.grid.d
+    ic = np.mod(lat.int_coords, n)
+    M = ic[~np.any(ic[:, :d], axis=1), d:]
+    _, first = np.unique(ic[:, :d], axis=0, return_index=True)
+    reps = lat.int_coords[first]
+    j = lat.grid.multi_index()
+    _, label = np.unique((j @ M.T) % n, axis=0, return_inverse=True)
+    perm = np.argsort(label.ravel(), kind="stable")
+    jc = j[perm[::perm.size // M.shape[0]]]
+    E = np.exp(-TWO_PI * 1j * ((M @ jc.T) % n) / n)
+    pts = np.concatenate(np.broadcast_arrays(
+        reps[None, :, :d], reps[None, :, d:] + M[:, None, :]), axis=-1)
+    return perm, reps, E, lat.indices_of(pts)
+
+
+@SETTINGS
+@given(commensurate_generators())
+@example(gen=SHEARED)
+@example(gen=SHEARED_2D)
+# All of Z_16^2 is pure modulation, so the labels need a prefix of 17
+# modulations: without re-ranking they would overflow int64.
+@example(gen=(np.diag([2, 2, 1, 1]), Grid(16, 2)))
+@example(gen=(np.diag([4, 2, 1, 1]), Grid(16, 2)))
+def test_coset_tables_follow_the_full_character_vectors(gen):
+    lat = enumerate_lattice(*gen)
+    cos = frames._cosets(lat)
+    perm, reps, E, index = full_vector_cosets(lat)
+    assert np.array_equal(cos.perm, perm)
+    assert np.array_equal(cos.reps, reps)
+    assert np.array_equal(cos.E, E)
+    assert np.array_equal(cos.index, index)
