@@ -7,8 +7,10 @@ exchanges them exactly.
 
 One flattening rule holds in every dimension d: a signal is a vector of
 n^d samples in row-major order, and Grid.multi_index() is the (n^d, d)
-table of the multi-index of each sample.  One kernel, build_atoms, forms
-the time-frequency shifts pi(x, m) g = M_m T_x g for any d.
+table of the multi-index of each sample.  One kernel forms the
+time-frequency shifts pi(x, m) g = M_m T_x g for any d: atom_tables gives
+the window-free shift index and phases of the points, and build_atoms
+gathers a window through them.
 """
 
 from dataclasses import dataclass
@@ -102,25 +104,34 @@ def _phase_index(grid: Grid, m: np.ndarray) -> np.ndarray:
     return jm
 
 
-def build_atoms(window: Signal, int_coords: np.ndarray) -> np.ndarray:
-    """Atoms pi(z) g at integer grid points z = (x, m), as (n^d, N) columns.
+def atom_tables(grid: Grid, int_coords: np.ndarray):
+    """(index, phases) of the atoms at integer grid points z = (x, m).
 
-    Column i is g((j - x_i) mod n) e^{2 pi i j.m_i / n} over the samples j.
+    index[j, i] is the flat sample (j - x_i) mod n and phases[j, i] is
+    e^{2 pi i j.m_i / n}, both (n^d, N); neither depends on the window.
     The phase column is computed once per distinct modulation m and
     gathered (every coset representative of a separable lattice has
-    m = 0).  The shift index and the gathered phases are temporaries, so
-    the peak memory is three complex (n^d, N) tables.
+    m = 0).
     """
-    grid = window.grid
     z = np.mod(int_coords, grid.n)
-    atoms = window.values[_shift_index(grid, z[:, :grid.d])]
     m = z[:, grid.d:]
     _, first, which = np.unique(
         np.ravel_multi_index(tuple(m.T), (grid.n,) * grid.d),
         return_index=True, return_inverse=True)
     phases = np.exp(TWO_PI * 1j * _phase_index(grid, m[first]) / grid.n)
-    atoms *= phases[:, which]
-    return atoms
+    return _shift_index(grid, z[:, :grid.d]), phases[:, which]
+
+
+def build_atoms(window: Signal, int_coords: np.ndarray) -> np.ndarray:
+    """Atoms pi(z) g at integer grid points z = (x, m), as (n^d, N) columns.
+
+    Column i is g((j - x_i) mod n) e^{2 pi i j.m_i / n} over the samples
+    j: the window gathered through atom_tables' index times its phases.
+    The tables are temporaries, so the peak memory is three complex
+    (n^d, N) tables.
+    """
+    index, phases = atom_tables(window.grid, int_coords)
+    return window.values[index] * phases
 
 
 @dataclass

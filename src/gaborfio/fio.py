@@ -9,15 +9,19 @@ for every norm measurement.
 The Gabor matrix A^H T A comes as a stream: gabor_columns computes T A
 once and yields A^H T A one column block at a time, the 1 MiB blocks of
 frames.analysis, so decay-scan never holds the N x N matrix;
-gabor_matrix stores the same blocks.  The decay and transport tests
-compare every |G[mu, lam]| with the torus distance |chi(mu) - lam|, the
-multiplier's mask with |chi'(mu) - lam|.  It is never held as an
-N x N x 2d tensor: it is the sum of one table per phase-space axis,
-wrap(chi_a(mu) - x_j)^2 over the grid indices j that some lattice point
-has on that axis, gathered at each lam's row for the same column
-blocks.  scan_distances reads each block of |G| and of distances once
-for both tests; the largest distance, which sets the decay bins, comes
-from the lattice's cosets without a pass.
+gabor_matrix stores the same blocks.  A streamed block keeps the rows
+lam in the coset order the analysis kernel computes them in (row
+k N_t + t is frames.Cosets.index[k, t]): the scan reads each block once,
+so scattering it to lattice order would only be undone.  The decay and
+transport tests compare every |G[mu, lam]| with the torus distance
+|chi(mu) - lam|, the multiplier's mask with |chi'(mu) - lam|.  It is
+never held as an N x N x 2d tensor: it is the sum of one table per
+phase-space axis, wrap(chi_a(mu) - x_j)^2 over the grid indices j that
+some lattice point has on that axis, gathered at each lam's row for the
+same column blocks; scan_distances permutes those rows into coset order
+once.  It reads each block of |G| and of distances once for both tests;
+the largest distance, which sets the decay bins, comes from the
+lattice's cosets without a pass.
 """
 
 from dataclasses import dataclass
@@ -26,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .core import Grid, Weight, TWO_PI
-from .frames import (GaborFrameSpec, Lattice, _column_blocks, _cosets,
-                     analysis, is_parseval)
+from .frames import (GaborFrameSpec, Lattice, _column_blocks,
+                     _coset_analysis, _cosets, analysis, is_parseval)
 from .phases import CanonicalMap, TamePhase, chi_prime_displacement_bound
 from .diagnostics import loglog_fit, DecayReport
 
@@ -168,10 +172,12 @@ class GaborMatrix:
     entries: np.ndarray
 
     def column_blocks(self):
-        """(mus, (A^H T A)[:, mus]) over frames._column_blocks slices."""
+        """(mus, (A^H T A)[:, mus]) over frames._column_blocks slices,
+        rows gathered into coset order as gabor_columns yields them."""
         cross = self.entries.T   # [lam, mu]
+        order = _cosets(self.lattice).index.ravel()
         N = self.lattice.npoints
-        return ((mus, cross[:, mus]) for mus in _column_blocks(N, N))
+        return ((mus, cross[order, mus]) for mus in _column_blocks(N, N))
 
 
 def _fio_on_atoms(T: FioOperator, spec: GaborFrameSpec) -> np.ndarray:
@@ -183,17 +189,20 @@ def _fio_on_atoms(T: FioOperator, spec: GaborFrameSpec) -> np.ndarray:
 
 
 def gabor_columns(T: FioOperator, spec: GaborFrameSpec):
-    """Yield (mus, (A^H T A)[:, mus]), indexed [lam, mu], block by block.
+    """Yield (mus, (A^H T A)[:, mus]), indexed [lam, mu], block by block,
+    with the rows lam in coset order.
 
-    T A is computed once; each block is one more analysis of its columns,
-    so the N x N matrix is never held.  The slices are the column blocks
-    frames.analysis walks, so each block is bit for bit the same columns
-    of gabor_cross.
+    T A is computed once; each block is one frames._coset_analysis of
+    its columns, so the N x N matrix is never held.  The rows stay in the
+    kernel's coset order: row k N_t + t is lam = Cosets.index[k, t], so
+    no block is scattered to lattice order only to be read once.  The
+    slices are the column blocks frames.analysis walks, so each block is
+    bit for bit gabor_cross[order, mus], order = Cosets.index.ravel().
     """
     TA = _fio_on_atoms(T, spec)
     N = spec.lattice.npoints
     for mus in _column_blocks(N, max(N, TA.shape[0])):
-        yield mus, analysis(TA[:, mus], spec)
+        yield mus, _coset_analysis(TA[:, mus], spec)
 
 
 def gabor_matrix(T: FioOperator, spec: GaborFrameSpec) -> GaborMatrix:
@@ -252,33 +261,41 @@ def _squared_distances(tables, rows, mus):
     """d2[lam, i] = |z(mu_i) - lam|^2 for the columns mus, a fresh array.
 
     Blocks are [lam, mu] like A^H T A, so they line up with any column
-    block of it.  Axis 0 is added by broadcast over its runs of rows;
-    a + b == b + a in floating point, so the sum is the axis-order sum
+    block of it, with rows in lattice order (as _distance_tables gives
+    them) or in coset order (rows[:, Cosets.index.ravel()], as
+    gabor_columns yields them).  Axis 0's rows are arange(n0) in runs of
+    equal rows either way: one run of N / n0 per row in lattice order,
+    runs of 1 repeated |M| times in coset order, where row k N_t + t has
+    time row t.  So axis 0 is added by broadcast over the runs; a + b ==
+    b + a in floating point, so the sum is the axis-order sum
     table_0 + table_1 + ... bit for bit.
     """
     d2 = tables[1][:, mus][rows[1]]
     n0 = len(tables[0])
-    runs = d2.reshape(n0, -1, d2.shape[1])
+    # The length of the first run of equal time rows (all N if n0 == 1).
+    run = int(np.argmax(rows[0] != rows[0][0])) or rows[0].size
+    runs = d2.reshape(-1, n0, run, d2.shape[1])
     runs += tables[0][:, mus][:, None, :]
     for table, row in zip(tables[2:], rows[2:]):
         d2 += table[:, mus][row]
     return d2
 
 
-def _max_squared_distance(lat: Lattice, tables, rows) -> float:
-    """The largest d2 of _squared_distances over all columns, bit for bit.
+def _max_squared_distance(tables, rows) -> float:
+    """The largest d2 of _squared_distances over all columns, bit for bit,
+    from rows in coset order.
 
-    Over the translation x_t the lattice points are (x_t, m_t + M_k)
-    (frames.Cosets), so lam's time row is fixed over k: take the maximum
-    over k of the frequency table first, once per distinct set of rows
-    {m_t + M_k}, then add the time table.  fl(a + b) is monotone in b, so
-    this is the pairwise maximum.  Two axes: the FIO engine is d = 1.
+    Row k N_t + t is the lattice point (x_t, m_t + M_k) (frames.Cosets),
+    so its time row is t for every k: take the maximum over k of the
+    frequency table first, once per distinct set of rows {m_t + M_k},
+    then add the time table.  fl(a + b) is monotone in b, so this is the
+    pairwise maximum.  Two axes: the FIO engine is d = 1.
     """
-    index = _cosets(lat).index                     # (|M|, N_t)
-    sets, which = np.unique(np.sort(rows[1][index], axis=0), axis=1,
+    freq_rows = rows[1].reshape(-1, len(tables[0]))   # (|M|, N_t)
+    sets, which = np.unique(np.sort(freq_rows, axis=0), axis=1,
                             return_inverse=True)
-    freq_max = np.max(tables[1][sets], axis=0)     # (sets, N)
-    return float(np.max(tables[0][rows[0][index[0]]] + freq_max[which]))
+    freq_max = np.max(tables[1][sets], axis=0)        # (sets, N)
+    return float(np.max(tables[0] + freq_max[which]))
 
 
 class InsufficientDecayRangeError(ValueError):
@@ -353,14 +370,17 @@ def scan_distances(lat: Lattice, blocks, cmap: CanonicalMap) -> DistanceScan:
     """Transport distances and decay bin maxima from one pass over blocks.
 
     blocks yields (mus, (A^H T A)[:, mus]) over column slices that cover
-    every mu once: gabor_columns, or GaborMatrix.column_blocks.  The
-    distance tables are built once; r_max comes from the cosets, so the
+    every mu once, with the rows lam in coset order: gabor_columns, or
+    GaborMatrix.column_blocks.  The distance tables are built once and
+    their lattice rows permuted once into the same order, so no block is
+    scattered back to lattice order.  r_max comes from the cosets, so the
     bin edges are known before the pass, which takes |G| once per block
-    for both tests.
+    for both tests.  Min and max do not depend on the row order.
     """
     tables, rows = _distance_tables(lat, cmap.forward(lat.coords()))
+    rows = rows[:, _cosets(lat).index.ravel()]   # coset order
     # sqrt(1 + .) is monotone, so this is the largest r, bit for bit.
-    r_max = float(np.sqrt(1.0 + _max_squared_distance(lat, tables, rows)))
+    r_max = float(np.sqrt(1.0 + _max_squared_distance(tables, rows)))
     edges = _decay_edges(r_max)
     if edges is None:
         binmax = None
@@ -371,8 +391,10 @@ def scan_distances(lat: Lattice, blocks, cmap: CanonicalMap) -> DistanceScan:
     for mus, block in blocks:
         mag = np.abs(block)
         d2 = _squared_distances(tables, rows, mus)
-        lam, i = np.nonzero(mag >= (1.0 - TIE_RTOL) * np.max(mag, axis=0))
-        np.minimum.at(d2_min[mus], i, d2[lam, i])   # d2_min[mus] is a view
+        # Tied maxima as flat indices into the block; hit % w is the column.
+        hit = np.flatnonzero(mag >= (1.0 - TIE_RTOL) * np.max(mag, axis=0))
+        np.minimum.at(d2_min[mus], hit % mag.shape[1],   # a view of d2_min
+                      d2.ravel()[hit])
         if binmax is None:
             continue
         inside = (d2 >= bounds[0]) & (d2 < bounds[-1])
@@ -410,7 +432,10 @@ def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap):
     the operator output has a sub-torus periodicity (the s = 2 dilation
     output is half-torus periodic in time, so each row maximum appears
     again at the alias point chi(mu) + (sqrt(n)/2, 0)).  The distances
-    come from scan_distances, which bins the decay fit in the same pass.
+    come from scan_distances, which bins the decay fit in the same pass:
+    per column block, one flat search finds every tied entry, and one
+    minimum over the block's columns (flat index mod block width) keeps
+    the nearest per mu.
     """
     scan = scan_distances(G.lattice, G.column_blocks(), cmap)
     return scan.dists, scan.bound

@@ -37,7 +37,7 @@ two vectors that differ first within it are ordered by it alone, so the
 labels order the cosets as the whole vectors do.  The re-ranking keeps
 each label below |M| n; without it the key grows n-fold per step and
 overflows int64 for M = Z_16^2 at n = 16.  Atoms take one exponential
-per distinct modulation (core.build_atoms).
+per distinct modulation (core.atom_tables).
 
 Analysis and synthesis fold over the same cosets.  The atom at the point
 (x_t, m_t + M_k) is G0[:, t] times the character e^{2 pi i j.M_k / n},
@@ -51,8 +51,14 @@ with the coefficients in the (k, t) order of the coset tables.  This is
 n^d N_t + |M| N operations per column instead of n^d N, for any d and any
 commensurate lattice; the dense n^d x N atom matrix is never formed.
 Columns are processed in blocks of about _BLOCK_BYTES, 1 MiB, so that a
-block and its products stay in a 2 MiB L2 cache; fio streams the Gabor
-matrix A^H T A through the same column blocks.
+block and its products stay in a 2 MiB L2 cache.  One kernel,
+_coset_analysis, computes A^H X for a block with its rows in that coset
+order (row k N_t + t is the point index[k, t]); analysis scatters them to
+lattice order, while fio streams the Gabor matrix A^H T A through the
+same column blocks in coset order, with no scatter, since its one reader
+permutes its distance tables once instead.  The shift index and phase
+columns of the atoms G0 depend on the lattice only and are kept with the
+coset tables, so a spec and its tightened spec share them.
 """
 
 from dataclasses import dataclass, field
@@ -60,7 +66,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Grid, Signal, TWO_PI, build_atoms
+from .core import Grid, Signal, TWO_PI, atom_tables, build_atoms
 
 NOT_A_FRAME_RTOL = 1e-10
 
@@ -233,6 +239,7 @@ class GaborFrameSpec:
         self.window = Signal(window.grid, window.values / scale)
         self.lattice = lattice
         self._G0 = None
+        self._G0h = None
         self._blocks = None
         self._S = None
         self._eig = None
@@ -247,13 +254,18 @@ class Cosets:
     With M the pure modulations, x_t the distinct translations and m_t
     the modulation of the first lattice point over x_t, the lattice is
     {(x_t, m_t + M_k)}.  The rows perm[c s:(c+1) s] are the c-th coset of
-    the annihilator of M, s = n^d / |M|.
+    the annihilator of M, s = n^d / |M|.  shift and phases are
+    core.atom_tables of the points (x_t, m_t) with their rows in perm
+    order: they depend on the lattice only, so every window on it
+    gathers its atoms G0 from them.
     """
 
     perm: np.ndarray     # (n^d,) rows grouped by coset
     reps: np.ndarray     # (N_t, 2d) the points (x_t, m_t)
     E: np.ndarray        # (|M|, |M|) [k, c] e^{-2 pi i (j_c.M_k mod n) / n}
     index: np.ndarray    # (|M|, N_t) lattice index of (x_t, m_t + M_k)
+    shift: np.ndarray    # (n^d, N_t) sample of (j - x_t) mod n, perm rows
+    phases: np.ndarray   # (n^d, N_t) e^{2 pi i j.m_t / n}, perm rows
 
 
 def _coset_labels(j: np.ndarray, M: np.ndarray, n: int) -> np.ndarray:
@@ -287,18 +299,21 @@ def _cosets(lat: Lattice) -> Cosets:
         E = np.exp(-TWO_PI * 1j * ((M @ jc.T) % n) / n)
         pts = np.concatenate(np.broadcast_arrays(
             reps[None, :, :d], reps[None, :, d:] + M[:, None, :]), axis=-1)
+        shift, phases = atom_tables(lat.grid, reps)
         lat._cosets = Cosets(perm=perm, reps=reps, E=E,
-                             index=lat.indices_of(pts))
+                             index=lat.indices_of(pts), shift=shift[perm],
+                             phases=phases[perm])
     return lat._cosets
 
 
 def _coset_atoms(spec: GaborFrameSpec) -> np.ndarray:
     """G0: one atom pi(x_t, m_t) g per translation, rows grouped by coset,
-    shape (|M|, s, N_t)."""
+    shape (|M|, s, N_t); core.build_atoms' product, from the lattice's
+    tables."""
     if spec._G0 is None:
         cos = _cosets(spec.lattice)
-        G0 = build_atoms(spec.window, cos.reps)
-        spec._G0 = G0[cos.perm].reshape(cos.E.shape[0], -1, G0.shape[1])
+        G0 = spec.window.values[cos.shift] * cos.phases
+        spec._G0 = G0.reshape(cos.E.shape[0], -1, G0.shape[1])
     return spec._G0
 
 
@@ -400,6 +415,21 @@ def _column_blocks(ncols: int, rows: int):
     return [slice(i, i + step) for i in range(0, ncols, step)]
 
 
+def _coset_analysis(X: np.ndarray, spec: GaborFrameSpec) -> np.ndarray:
+    """A^H X for one column block X, (n^d, w), with its rows in coset order.
+
+    Row k N_t + t is the lattice point Cosets.index[k, t], (x_t, m_t +
+    M_k).  analysis scatters the rows to lattice order; fio's stream of
+    A^H T A reads them as they are.
+    """
+    cos = _cosets(spec.lattice)
+    if spec._G0h is None:
+        spec._G0h = _coset_atoms(spec).conj().transpose(0, 2, 1)
+    K, Nt, s = spec._G0h.shape
+    Y = spec._G0h @ X[cos.perm].reshape(K, s, -1)
+    return (cos.E @ Y.reshape(K, -1)).reshape(K * Nt, -1)
+
+
 def analysis(f, spec: GaborFrameSpec) -> np.ndarray:
     """Coefficients <f, pi(lambda) g> over the lattice, A^H f.
 
@@ -407,14 +437,11 @@ def analysis(f, spec: GaborFrameSpec) -> np.ndarray:
     the result has N rows in lattice order and the same columns.
     """
     X = f.values if isinstance(f, Signal) else np.asarray(f)
-    cos = _cosets(spec.lattice)
-    G0h = _coset_atoms(spec).conj().transpose(0, 2, 1)
-    K, Nt, s = G0h.shape
+    order = _cosets(spec.lattice).index.ravel()
     cols = X.reshape(X.shape[0], -1)
-    out = np.empty((K * Nt, cols.shape[1]), dtype=complex)
-    for b in _column_blocks(cols.shape[1], max(K * Nt, cols.shape[0])):
-        Y = G0h @ cols[cos.perm, b].reshape(K, s, -1)
-        out[cos.index, b] = (cos.E @ Y.reshape(K, -1)).reshape(K, Nt, -1)
+    out = np.empty((order.size, cols.shape[1]), dtype=complex)
+    for b in _column_blocks(cols.shape[1], max(order.size, cols.shape[0])):
+        out[order, b] = _coset_analysis(cols[:, b], spec)
     return out.reshape((-1,) + X.shape[1:])
 
 

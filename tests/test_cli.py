@@ -128,9 +128,10 @@ def test_decay_scan_insufficient_range_exit_3(tmp_path):
 
 
 def test_decay_scan_reads_the_blocks_once(tmp_path, monkeypatch):
-    # One set of distance tables, one analysis for T A and one per column
-    # block of A^H T A, each block computed once; no N x N Gabor matrix.
-    calls = {"_distance_tables": 0, "analysis": 0}
+    # One set of distance tables, one analysis for T A and one coset-order
+    # analysis kernel call per column block of A^H T A, each block computed
+    # once; no N x N Gabor matrix.
+    calls = {"_distance_tables": 0, "analysis": 0, "_coset_analysis": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(fio, name)):
             calls[_name] += 1
@@ -155,7 +156,8 @@ def test_decay_scan_reads_the_blocks_once(tmp_path, monkeypatch):
     assert len(columns) > 1
     assert np.array_equal(np.concatenate([np.arange(N)[mus]
                                           for mus in columns]), np.arange(N))
-    assert calls == {"_distance_tables": 1, "analysis": 1 + len(columns)}
+    assert calls == {"_distance_tables": 1, "analysis": 1,
+                     "_coset_analysis": len(columns)}
 
 
 def test_decay_scan_holds_less_than_one_gabor_matrix(tmp_path):

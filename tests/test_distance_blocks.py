@@ -7,6 +7,8 @@ with the largest distance taken over the lattice's cosets, over the
 blocks of a stored Gabor matrix or the stream of gabor_columns.  Each is
 checked here, bit for bit, against the dense oracle kept below: the
 N x N x 2 wrapped displacement tensor and the ten boolean bin masks.
+The stream's blocks keep their rows in the analysis kernel's coset
+order, checked against the stored matrix and analysis.
 """
 
 import warnings
@@ -16,13 +18,14 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gaborfio import fio, frames
-from gaborfio.core import Grid
+from gaborfio.core import Grid, random_signal
 from gaborfio.diagnostics import DecayReport, loglog_fit
 from gaborfio.fio import (InsufficientDecayRangeError, bandlimited_symbol,
                           constant_symbol, decay_envelope_fit, gabor_columns,
-                          gabor_matrix, make_fio, pair_distances,
+                          gabor_cross, gabor_matrix, make_fio, pair_distances,
                           scan_distances, transport_argmax_check)
-from gaborfio.frames import GaborFrameSpec, enumerate_lattice, tighten
+from gaborfio.frames import (GaborFrameSpec, analysis, enumerate_lattice,
+                             tighten)
 from gaborfio.phases import (CanonicalMap, canonical_map, chirp_phase,
                              dilation_phase, perturbed_phase)
 from gaborfio.windows import gaussian_window
@@ -139,6 +142,48 @@ def test_distance_blocks_match_the_dense_oracle(gen, phase, symbol, columns,
                                       getattr(oracle, field))
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(commensurate_generators(dims=(1,)),
+       st.sampled_from(["constant", "bandlimited"]),
+       st.sampled_from(["one", "seven", "all"]), st.integers(0, 2 ** 16))
+@example((np.array([[2, 0], [1, 4]]), Grid(32)), "bandlimited", "seven", 0)
+def test_stream_blocks_are_in_coset_order(gen, symbol, columns, seed):
+    # gabor_columns yields the analysis kernel's blocks unscattered: row
+    # k N_t + t is the lattice point Cosets.index[k, t].
+    A, grid = gen
+    lat = enumerate_lattice(A, grid)
+    N = lat.npoints
+    assume(N <= MAX_POINTS)
+    cos = frames._cosets(lat)
+    order = cos.index.ravel()
+    S = constant_symbol(grid) if symbol == "constant" \
+        else bandlimited_symbol(grid, 2, seed=seed)
+    T = make_fio(dilation_phase(2.0), S, grid)
+    spec = GaborFrameSpec(gaussian_window(grid), lat)
+    X = random_signal(grid, np.random.default_rng(seed), count=9)
+    height = max(N, grid.size)   # the stream's and analysis' block height
+    width = {"one": 1, "seven": 7, "all": N + 3}[columns]
+    with warnings.catch_warnings(), mock.patch.object(
+            frames, "_BLOCK_BYTES", block_bytes(height, width)):
+        warnings.simplefilter("ignore")   # most draws are not tight frames
+        cross = gabor_cross(T, spec)
+        blocks = list(gabor_columns(T, spec))
+        coeffs = analysis(X, spec)
+        kernel = [(b, frames._coset_analysis(X[:, b], spec))
+                  for b in frames._column_blocks(X.shape[1], height)]
+    covered = np.concatenate([np.arange(N)[mus] for mus, _ in blocks])
+    assert np.array_equal(np.sort(covered), np.arange(N))
+    for mus, block in blocks:
+        assert np.array_equal(block, cross[:, mus][order])
+    scattered = np.empty_like(coeffs)
+    for b, Y in kernel:
+        scattered[order, b] = Y
+    assert np.array_equal(coeffs, scattered)
+    _, rows = fio._distance_tables(lat, lat.coords())
+    Nt = cos.reps.shape[0]
+    assert np.array_equal(rows[0][order], np.tile(np.arange(Nt), N // Nt))
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.floats(4.0 + 1e-9, 1e6))
 @example(4.5)
@@ -163,27 +208,34 @@ def test_coset_maximum_is_the_block_maximum(gen, phase):
     tables, rows = fio._distance_tables(
         lat, canonical_map(phase).forward(lat.coords()))
     oracle = float(np.max(fio._squared_distances(tables, rows, slice(None))))
-    assert fio._max_squared_distance(lat, tables, rows) == oracle
+    coset_rows = rows[:, frames._cosets(lat).index.ravel()]
+    assert fio._max_squared_distance(tables, coset_rows) == oracle
 
 
 def test_constant_symbol_ties_reach_the_tie_rule():
     # The s = 2 dilation output is half-torus periodic, so with a constant
     # symbol every row maximum is tied with its alias; the rule must report
-    # the nearer of the two, as the dense oracle does.
+    # the nearer of the two, as the dense oracle does, over the stored
+    # matrix and over the stream alike.
     grid = Grid(64)
     lat = enumerate_lattice(np.diag([4, 4]), grid)
     cm = canonical_map(dilation_phase(2.0))
+    T = make_fio(cm.phase, constant_symbol(grid), grid)
+    spec = GaborFrameSpec(gaussian_window(grid), lat)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        G = gabor_matrix(make_fio(cm.phase, constant_symbol(grid), grid),
-                         GaborFrameSpec(gaussian_window(grid), lat))
+        G = gabor_matrix(T, spec)
     mag = np.abs(G.entries)
     tied = mag >= (1.0 - 1e-9) * np.max(mag, axis=1, keepdims=True)
     assert np.all(np.sum(tied, axis=1) >= 2)
-    with mock.patch.object(frames, "_BLOCK_BYTES",
-                           block_bytes(lat.npoints, 7)):
+    oracle = dense_transport(G, cm)
+    with warnings.catch_warnings(), mock.patch.object(
+            frames, "_BLOCK_BYTES", block_bytes(lat.npoints, 7)):
+        warnings.simplefilter("ignore")
         dists, _ = transport_argmax_check(G, cm)
-    assert np.array_equal(dists, dense_transport(G, cm))
+        stream = scan_distances(lat, gabor_columns(T, spec), cm)
+    assert np.array_equal(dists, oracle)
+    assert np.array_equal(stream.dists, oracle)
 
 
 def test_canonical_map_runs_once_per_public_call():
