@@ -6,12 +6,18 @@ report.json into --out, and is deterministic given (config, seed): CSV
 bodies are byte-identical across reruns.  One builder checks every config
 field before any computation starts.
 
-Exit codes: 0 success, 1 config or usage error (a bad flag or thread
-count, an --out that cannot be created), 2 not a frame, 3 insufficient
-decay range, 5 the canonical map's Newton solve diverged, 6 internal
-error (an unexpected exception); 4 is unused.  On exits 1, 2, 5 and 6
-stderr is one JSON object: the error list, plus the warnings the run
-raised, if any.
+Exit codes: 0 success, 1 config or usage error (a bad flag, an --out
+that cannot be created), 2 not a frame, 3 insufficient decay range, 5
+the canonical map's Newton solve diverged, 6 internal error (an
+unexpected exception); 4 is unused.  On exits 1, 2, 5 and 6 stderr is
+one JSON object: the error list, plus the warnings the run raised, if
+any.
+
+A run is one process, so its BLAS thread count is set as any process's
+is, by OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS, which
+report.json records.  Each verdict reads its gate where the judged value
+is computed (frames.PARSEVAL_TOL, multiplier.RECONSTRUCTION_TOL, ...),
+and the acceptance tests read the same names.
 """
 
 import argparse
@@ -29,18 +35,20 @@ from . import __version__
 from .core import Grid, Weight, random_signal
 from .windows import WINDOW_KINDS
 from .frames import (GaborFrameSpec, enumerate_lattice, frame_bounds,
-                     is_frame, tighten, dual_window, analysis,
-                     warped_frame_check, LatticeError, NotAFrameError,
-                     NOT_A_FRAME_RTOL)
+                     is_frame, bounds_make_frame, tighten, dual_window,
+                     analysis, warped_frame_check, LatticeError,
+                     NotAFrameError, PARSEVAL_TOL)
 from .phases import BUILTIN_PHASES, canonical_map, NewtonDivergenceError
 from .fio import (make_fio, constant_symbol, bandlimited_symbol,
                   weighted_symbol, gabor_columns, scan_distances,
                   InsufficientDecayRangeError, MAX_DENSE_SIZE)
 from .multiplier import (extract_symbols, assemble_truncated,
-                         truncation_error_curve)
+                         truncation_error_curve, non_increasing,
+                         RECONSTRUCTION_TOL)
 from .fio import fio_matrix
 from .diagnostics import write_report
-from .dilation import compare_dilation_symbols
+from .dilation import (compare_dilation_symbols, CLOSED_FORM_RTOL,
+                       UNIMODULAR_TOL)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -142,23 +150,6 @@ def _resolve_seed(args, cfg, problems):
     return 0
 
 
-def _resolve_threads(args, problems):
-    """The --threads flag, else GABORFIO_THREADS, else 0 (the library
-    default); 0 after a problem."""
-    field, threads = "--threads", args.threads
-    if threads is None:
-        field, threads = "GABORFIO_THREADS", os.environ.get(
-            "GABORFIO_THREADS", "0")
-        try:
-            threads = int(threads)
-        except ValueError:
-            pass
-    if _is_int(threads) and threads >= 0:
-        return threads
-    problems.add(field, "non-negative integer required")
-    return 0
-
-
 def _build_grid(cfg, problems):
     g = _object(cfg.get("grid", {}), "grid", problems)
     if g is None:
@@ -210,8 +201,11 @@ def _largest_array(command, grid, npoints):
     and hold one atom per translation, so for frame-check the count is
     conservative.  n^{2d} bounds the Walnut blocks of the frame operator
     and is warp-frame's Gram matrix.  N^2 is the Gabor matrix, which
-    approximate and dilation-demo hold; decay-scan streams it in column
-    blocks of about 1 MiB, so for decay-scan that term is conservative.
+    approximate and dilation-demo hold.  decay-scan streams that matrix in
+    column blocks of about 1 MiB, but the term still bounds its
+    fio._max_squared_distance gather, a float64 (|M|, sets, N) array with
+    sets <= N_t and |M| N_t = N: up to N^2 entries.  Dropping the term for
+    decay-scan first needs that gather bounded.
     """
     sizes = [3 * grid.size * npoints, grid.size ** 2]
     if command in FIO_COMMANDS:
@@ -264,13 +258,11 @@ def _configure(args):
     ConfigError with every problem found.
     """
     problems = ConfigError()
-    threads = _resolve_threads(args, problems)
     cfg = _load_json(args.config, problems)
     if cfg is None:
         raise problems
     command = args.command
-    run = SimpleNamespace(cfg=cfg, seed=_resolve_seed(args, cfg, problems),
-                          threads=threads, threads_applied=None)
+    run = SimpleNamespace(cfg=cfg, seed=_resolve_seed(args, cfg, problems))
     grid = run.grid = _build_grid(cfg, problems)
     if grid and command in FIO_COMMANDS and (grid.d != 1
                                              or grid.size > MAX_DENSE_SIZE):
@@ -338,48 +330,28 @@ def _configure(args):
 
 # ---------------------------------------------------------------- output
 
-# The values _write_csv writes as numbers; numpy integers are not among
-# them, so callers pass Python ints (.tolist(), range).
-_NUMBER = (int, float, np.floating)
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def _write_csv(path, header, rows):
-    """CSV with a header row, 17 significant digits, UNIX newlines.
+    """CSV with a header row, UNIX newlines, every field %.17g.
 
-    The rule is per value: an instance of _NUMBER is written as _fmt
-    writes it, anything else as str().  It is applied per column: a
-    column whose values' types are all _NUMBER types becomes one %.17g
-    field of the row format (the digits of _fmt), any other column is
-    converted value by value to a %s field.  The body is the row format,
-    repeated per row, applied with a single %.  The rows must be of one
-    length; no rows give a file of the header alone.
+    Every value is a number: a Python int or float or a numpy floating,
+    written with the 17 significant digits of format(float(v), ".17g");
+    a str raises TypeError.  A row of another length than the header's
+    raises ValueError.  The body is one row format, repeated per row,
+    applied with a single %; no rows give a file of the header alone.
     """
     rows = list(rows)
-    cols = list(zip(*rows, strict=True))
-    fields = []
-    for k, col in enumerate(cols):
-        if all(issubclass(t, _NUMBER) for t in set(map(type, col))):
-            fields.append("%.17g")
-        else:
-            fields.append("%s")
-            cols[k] = [_fmt(v) if isinstance(v, _NUMBER) else str(v)
-                       for v in col]
-    values = tuple(chain.from_iterable(zip(*cols)))
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"every row must have {len(header)} values")
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    body = line * len(rows) % tuple(chain.from_iterable(rows))
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write((",".join(fields) + "\n") * len(rows) % values)
+        fh.write(",".join(header) + "\n" + body)
 
 
 def _report(args, run, slopes, norms, verdicts):
     """Write report.json: the config, the results and the provenance."""
     provenance = {"package": "gaborfio", "version": __version__,
                   "command": args.command, "seed": run.seed,
-                  "threads": run.threads,
-                  "threads_applied": run.threads_applied,
                   "numpy_version": np.__version__,
                   "thread_env": {name: os.environ.get(name)
                                  for name in THREAD_ENV_VARS}}
@@ -412,7 +384,7 @@ def cmd_frame_check(args, run):
     _report(args, run, {},
             {"frame_bounds": [lo, hi], "tight_bounds": [tlo, thi],
              "parseval_residual": resid},
-            {"is_frame": True, "parseval_ok": resid < 1e-8})
+            {"is_frame": True, "parseval_ok": resid < PARSEVAL_TOL})
     return EXIT_OK
 
 
@@ -432,8 +404,7 @@ def cmd_decay_scan(args, run):
                ["distance", "max_abs_G"],
                [(np.exp(lx), np.exp(ly)) for lx, ly in rep.pairs])
     _report(args, run, {"envelope": rep.to_dict()}, transport,
-            {"decay_ok": rep.verdict,
-             "transport_ok": bool(np.max(scan.dists) <= scan.bound)})
+            {"decay_ok": rep.verdict, "transport_ok": scan.transport_ok})
     return EXIT_OK
 
 
@@ -449,12 +420,10 @@ def cmd_approximate(args, run):
     resid = float(np.max(np.abs(fio_matrix(T) - full)))
     _write_csv(os.path.join(args.out, "truncation_error.csv"),
                ["L", "error"], curve)
-    nonincr = all(curve[i + 1][1] <= curve[i][1] + 1e-10
-                  for i in range(len(curve) - 1))
     _report(args, run, {"truncation_slope": slope},
             {"full_reconstruction_residual_max": resid},
-            {"non_increasing": nonincr,
-             "full_reconstruction_ok": resid < 1e-9})
+            {"non_increasing": non_increasing(curve),
+             "full_reconstruction_ok": resid < RECONSTRUCTION_TOL})
     return EXIT_OK
 
 
@@ -487,8 +456,8 @@ def cmd_dilation_demo(args, run):
     _report(args, run, {},
             {"max_relative_error_99pct": max_rel,
              "commutation_modulus_deviation": c_mod_dev},
-            {"closed_form_ok": max_rel < 5e-2,
-             "unimodular_ok": c_mod_dev < 1e-12})
+            {"closed_form_ok": max_rel < CLOSED_FORM_RTOL,
+             "unimodular_ok": c_mod_dev < UNIMODULAR_TOL})
     return EXIT_OK
 
 
@@ -507,7 +476,7 @@ def cmd_warp_frame(args, run):
             {"warped_bounds": [lo, hi],
              "max_rounding_displacement": rep.max_rounding_displacement,
              "warped_density": rep.density},
-            {"is_frame": bool(lo > NOT_A_FRAME_RTOL * hi)})
+            {"is_frame": bounds_make_frame(lo, hi)})
     return EXIT_OK
 
 
@@ -538,7 +507,6 @@ def _parser():
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=".")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=None)
     return ap
 
 
@@ -550,17 +518,8 @@ def _run(argv):
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             return EXIT_CONFIG, [{"field": "--out", "error": str(exc)}]
-        runner = COMMANDS[args.command]
         run = _configure(args)
-        if run.threads > 0:
-            try:
-                from threadpoolctl import threadpool_limits
-            except ImportError:
-                return runner(args, run), None
-            with threadpool_limits(limits=run.threads):
-                run.threads_applied = run.threads  # the BLAS limit in force
-                return runner(args, run), None
-        return runner(args, run), None
+        return COMMANDS[args.command](args, run), None
     except ConfigError as exc:
         return EXIT_CONFIG, exc.errors
     except NotAFrameError as exc:

@@ -31,6 +31,11 @@ from .phases import canonical_map, dilation_phase
 from .fio import constant_symbol, make_fio
 from .multiplier import extract_symbols
 
+# The gates of compare_dilation_symbols' two numbers: the largest relative
+# error on the 99%-mass entries, and the deviation of |c_{nu,mu}| from 1.
+CLOSED_FORM_RTOL = 5e-2
+UNIMODULAR_TOL = 1e-12
+
 
 def dilation_inner_product(s: float, alpha: float, beta: float,
                            k, l, kp, lp) -> np.ndarray:

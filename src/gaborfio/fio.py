@@ -344,6 +344,11 @@ class DistanceScan:
     r_max: float
     binmax: Optional[np.ndarray]
 
+    @property
+    def transport_ok(self) -> bool:
+        """Whether every row's nearest maximizer lies within the bound."""
+        return bool(np.max(self.dists) <= self.bound)
+
     def decay_fit(self, s_claim: float) -> DecayReport:
         """Fit the binned maxima on log-log axes; see decay_envelope_fit."""
         edges = _decay_edges(self.r_max)

@@ -70,7 +70,9 @@ from .core import Grid, Signal, TWO_PI, atom_tables, build_atoms
 
 NOT_A_FRAME_RTOL = 1e-10
 
-# Both frame bounds within PARSEVAL_TOL of 1 make a Parseval frame.
+# Both frame bounds within PARSEVAL_TOL of 1 make a Parseval frame; it is
+# also the largest relative energy error frame-check's Parseval test and
+# the acceptance gate accept.
 PARSEVAL_TOL = 1e-8
 
 # Bytes of one complex column block of analysis, synthesis and fio's
@@ -361,9 +363,13 @@ def frame_bounds(spec: GaborFrameSpec):
     return lo, hi
 
 
-def is_frame(spec: GaborFrameSpec) -> bool:
-    lo, hi = frame_bounds(spec)
+def bounds_make_frame(lo: float, hi: float) -> bool:
+    """Whether frame bounds (lo, hi) make a frame: lo > NOT_A_FRAME_RTOL hi."""
     return lo > NOT_A_FRAME_RTOL * hi
+
+
+def is_frame(spec: GaborFrameSpec) -> bool:
+    return bounds_make_frame(*frame_bounds(spec))
 
 
 def is_parseval(spec: GaborFrameSpec) -> bool:

@@ -40,6 +40,10 @@ from .diagnostics import loglog_fit, operator_norm
 PROBES = 200
 ERROR_FLOOR = 1e-16
 
+# The largest entry error of the full-shift reassembly A cross A^H against
+# the dense T that counts as an exact representation.
+RECONSTRUCTION_TOL = 1e-9
+
 
 @dataclass
 class GaborMultiplier:
@@ -186,3 +190,9 @@ def truncation_error_curve(T: FioOperator, tsym: MultiplierSymbolTable,
     pts = np.array([(L, max(e, ERROR_FLOOR)) for L, e in curve])
     slope, _, _ = loglog_fit(pts)
     return curve, slope
+
+
+def non_increasing(curve) -> bool:
+    """Whether the errors of a truncation curve [(L, error), ...] do not
+    grow with L, up to a slack of 1e-10 for roundoff."""
+    return all(e1 <= e0 + 1e-10 for (_, e0), (_, e1) in zip(curve, curve[1:]))
