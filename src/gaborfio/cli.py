@@ -201,14 +201,15 @@ def _largest_array(command, grid, npoints):
     and hold one atom per translation, so for frame-check the count is
     conservative.  n^{2d} bounds the Walnut blocks of the frame operator
     and is warp-frame's Gram matrix.  N^2 is the Gabor matrix, which
-    approximate and dilation-demo hold.  decay-scan streams that matrix in
-    column blocks of about 1 MiB, but the term still bounds its
-    fio._max_squared_distance gather, a float64 (|M|, sets, N) array with
-    sets <= N_t and |M| N_t = N: up to N^2 entries.  Dropping the term for
-    decay-scan first needs that gather bounded.
+    approximate and dilation-demo hold.  decay-scan holds no array with N
+    columns of either: it makes T A only for the translations one column
+    block meets, n^d x |M| each, and streams A^H T A in column blocks of
+    about 1 MiB.  Its float64 distance tables and
+    fio._max_squared_distance gather hold at most n^d N entries each,
+    within the atoms' term.
     """
     sizes = [3 * grid.size * npoints, grid.size ** 2]
-    if command in FIO_COMMANDS:
+    if command in ("approximate", "dilation-demo"):
         sizes.append(npoints ** 2)
     return max(sizes)
 

@@ -6,22 +6,26 @@ fhat the unitary DFT read in symmetric frequency order.  At desk scale
 (n^d <= 1024) the dense matrix of T is cheap and doubles as the oracle
 for every norm measurement.
 
-The Gabor matrix A^H T A comes as a stream: gabor_columns computes T A
-once and yields A^H T A one column block at a time, the 1 MiB blocks of
-frames.analysis, so decay-scan never holds the N x N matrix;
-gabor_matrix stores the same blocks.  A streamed block keeps the rows
-lam in the coset order the analysis kernel computes them in (row
-k N_t + t is frames.Cosets.index[k, t]): the scan reads each block once,
-so scattering it to lattice order would only be undone.  The decay and
-transport tests compare every |G[mu, lam]| with the torus distance
-|chi(mu) - lam|, the multiplier's mask with |chi'(mu) - lam|.  It is
-never held as an N x N x 2d tensor: it is the sum of one table per
-phase-space axis, wrap(chi_a(mu) - x_j)^2 over the grid indices j that
-some lattice point has on that axis, gathered at each lam's row for the
-same column blocks; scan_distances permutes those rows into coset order
-once.  It reads each block of |G| and of distances once for both tests;
-the largest distance, which sets the decay bins, comes from the
-lattice's cosets without a pass.
+The dense matrix is the row-wise FFT of the quadrature kernel.
+
+The Gabor matrix A^H T A comes as a stream: gabor_columns yields it one
+column block at a time, the 1 MiB blocks of frames.analysis, so
+decay-scan never holds the N x N matrix; gabor_matrix stores the same
+blocks.  Nor is T A held, an n x N matrix: _fio_on_atoms makes it
+translation by translation, the analysis kernel with those translations'
+atoms only, and each block is cut from the translations it meets.  A
+streamed block keeps the rows lam in the coset order the analysis kernel
+computes them in (row k N_t + t is frames.Cosets.index[k, t]): the scan
+reads each block once, so scattering it to lattice order would only be
+undone.  The decay and transport tests compare every |G[mu, lam]| with
+the torus distance |chi(mu) - lam|, the multiplier's mask with
+|chi'(mu) - lam|.  It is never held as an N x N x 2d tensor: it is the
+sum of one table per phase-space axis, wrap(chi_a(mu) - x_j)^2 over the
+grid indices j that some lattice point has on that axis, gathered at
+each lam's row for the same column blocks; scan_distances permutes
+those rows into coset order once.  It reads each block of |G| and of
+distances once for both tests; the largest distance, which sets the
+decay bins, comes from the lattice's cosets without a pass.
 """
 
 from dataclasses import dataclass
@@ -30,8 +34,10 @@ from typing import Optional
 import numpy as np
 
 from .core import Grid, Weight, TWO_PI
+from . import frames
 from .frames import (GaborFrameSpec, Lattice, _column_blocks,
-                     _coset_analysis, _cosets, analysis, is_parseval)
+                     _conj_coset_atoms, _coset_analysis, _coset_fold,
+                     _cosets, is_parseval)
 from .phases import CanonicalMap, TamePhase, chi_prime_displacement_bound
 from .diagnostics import loglog_fit, DecayReport
 
@@ -155,12 +161,11 @@ def fio_matrix(T: FioOperator) -> np.ndarray:
     X, E = np.meshgrid(x, eta, indexing="ij")
     phi = T.phase.phi(X[..., None], E[..., None])
     kernel = np.exp(TWO_PI * 1j * phi) * T.symbol.values * grid.h
-    # Unitary DFT rows in symmetric frequency order: row m of F maps f to
-    # fhat(eta_m); the symmetric reordering is absorbed because the kernel
-    # uses the same index m for eta_m.
-    j = np.arange(n)
-    F = np.exp(-TWO_PI * 1j * np.outer(j, j) / n) / np.sqrt(n)
-    T._matrix = kernel @ F
+    # T = kernel @ F with F the unitary DFT, row m of F mapping f to
+    # fhat(eta_m): the symmetric frequency order is absorbed because the
+    # kernel uses the same index m for eta_m.  kernel @ F is the FFT of
+    # each kernel row.
+    T._matrix = np.fft.fft(kernel, axis=1) / np.sqrt(n)
     return T._matrix
 
 
@@ -180,29 +185,78 @@ class GaborMatrix:
         return ((mus, cross[order, mus]) for mus in _column_blocks(N, N))
 
 
-def _fio_on_atoms(T: FioOperator, spec: GaborFrameSpec) -> np.ndarray:
-    """T A = (A^H T^H)^H, n^d x N; warns when spec is not Parseval."""
+def _fio_on_atoms(T: FioOperator, spec: GaborFrameSpec, blocks):
+    """Yield (mus, (T A)[:, mus]) for each slice mus of blocks, in turn.
+
+    blocks are ascending slices of the lattice indices, as
+    frames._column_blocks gives them.  T A = (A^H T^H)^H is made a few
+    translations at a time: T^H's rows are gathered into coset order once,
+    and the analysis kernel with only the conjugate atoms G0^H[:, t] of a
+    translation x_t gives the |M| rows of A^H T^H at the points
+    Cosets.index[:, t].  For d = 1 these are the lattice indices t |M|,
+    ..., (t + 1) |M| - 1 in order: the points over x_t are consecutive in
+    lexicographic order, and their modulations m_t + M_k, with M = q Z_n
+    and m_t < q the least of them, do not wrap.  So a slice is cut from
+    the n x |M| columns of the translations it meets: those it meets
+    first are made in one kernel call, and the last is kept for the next
+    slice.  Each translation is made once, and only the current slice's
+    translations are held, never an n x N array.  Warns when spec is not
+    Parseval.
+    """
     if not is_parseval(spec):
         warnings.warn("Gabor matrix of a non-Parseval frame spec",
                       stacklevel=3)
-    return analysis(fio_matrix(T).conj().T, spec).conj().T
+    cos = _cosets(spec.lattice)
+    G0h = _conj_coset_atoms(spec)
+    K, Nt, s = G0h.shape
+    N = K * Nt
+    assert np.array_equal(cos.index, np.arange(N).reshape(Nt, K).T)
+    THc = fio_matrix(T).T[cos.perm]     # T^H's rows in coset order, once
+    np.conjugate(THc, out=THc)
+    THc = THc.reshape(K, s, -1)
+    n = THc.shape[2]
+    Y = np.empty(0, dtype=complex)      # the kernel's product, reused
+    lo, cols = 0, np.empty((0, n), dtype=complex)  # T A's columns from lo K
+    for mus in blocks:
+        start, stop = mus.start, min(mus.stop, N)
+        t0, t1 = start // K, -(-stop // K)    # the translations it meets
+        hi = lo + len(cols) // K
+        if t1 > hi:
+            a = max(t0, hi)
+            m = t1 - a
+            if Y.size < K * m * n:
+                Y = np.empty(K * m * n, dtype=complex)
+            # Row k m + j of the kernel's result is the point (a + j) K + k;
+            # conjugated and put in lattice order, after the kept columns.
+            rows = _coset_fold(G0h[:, a:t1], THc, cos.E,
+                               Y[:K * m * n].reshape(K, m, n))
+            keep = cols[(t0 - lo) * K:]   # the kept translation it meets
+            cols = np.empty((len(keep) + m * K, n), dtype=complex)
+            cols[:len(keep)] = keep
+            np.conjugate(rows.reshape(K, m, n).transpose(1, 0, 2),
+                         out=cols[len(keep):].reshape(m, K, n))
+            lo = t0
+        yield mus, cols[start - lo * K:stop - lo * K].T
 
 
 def gabor_columns(T: FioOperator, spec: GaborFrameSpec):
     """Yield (mus, (A^H T A)[:, mus]), indexed [lam, mu], block by block,
     with the rows lam in coset order.
 
-    T A is computed once; each block is one frames._coset_analysis of
-    its columns, so the N x N matrix is never held.  The rows stay in the
-    kernel's coset order: row k N_t + t is lam = Cosets.index[k, t], so
-    no block is scattered to lattice order only to be read once.  The
-    slices are the column blocks frames.analysis walks, so each block is
-    bit for bit gabor_cross[order, mus], order = Cosets.index.ravel().
+    Each block is one frames._coset_analysis of the columns (T A)[:, mus]
+    that _fio_on_atoms makes for it, over the column slices
+    frames.analysis walks, so neither the N x N matrix nor the n x N
+    matrix T A is ever held.  The rows stay in the kernel's coset order:
+    row k N_t + t is lam = Cosets.index[k, t], so no block is scattered
+    to lattice order only to be read once.  The kernel's product G0^H X_c
+    goes into one buffer per call; each yielded block is a fresh array,
+    so it stays valid after the next one is drawn.
     """
-    TA = _fio_on_atoms(T, spec)
     N = spec.lattice.npoints
-    for mus in _column_blocks(N, max(N, TA.shape[0])):
-        yield mus, _coset_analysis(TA[:, mus], spec)
+    blocks = _column_blocks(N, max(N, T.grid.size))
+    buf = np.empty(N * len(range(N)[blocks[0]]), dtype=complex)
+    for mus, TA in _fio_on_atoms(T, spec, blocks):
+        yield mus, _coset_analysis(TA, spec, buf)
 
 
 def gabor_matrix(T: FioOperator, spec: GaborFrameSpec) -> GaborMatrix:
@@ -211,13 +265,24 @@ def gabor_matrix(T: FioOperator, spec: GaborFrameSpec) -> GaborMatrix:
 
 
 def gabor_cross(T: FioOperator, spec: GaborFrameSpec) -> np.ndarray:
-    """A^H T A, indexed [lam, mu]: the blocks of gabor_columns, stored.
+    """A^H T A, indexed [lam, mu]: the blocks of gabor_columns, stored
+    with their rows scattered to lattice order, so a stored column equals
+    the streamed one bit for bit.
 
-    One analysis of T A walks the same column blocks.  Filling a result
-    from gabor_columns gives the same bits but pages in more memory: it
-    cost approximate at n = 56 5 % more CPU time per run.
+    The result is allocated once the first block is made, so it can take
+    the heap space that block's temporaries have freed.  Allocated before
+    them, it leaves them at the top of the heap, which glibc gives back to
+    the system and the next run faults in again: in the benchmark's
+    approximate-n56 loop that was 3,539 minor faults per execution
+    against 739.
     """
-    return analysis(_fio_on_atoms(T, spec), spec)
+    order = _cosets(spec.lattice).index.ravel()
+    cross = None
+    for mus, block in gabor_columns(T, spec):
+        if cross is None:
+            cross = np.empty((order.size, order.size), dtype=complex)
+        cross[order, mus] = block
+    return cross
 
 
 def pair_distances(G: GaborMatrix, cmap: CanonicalMap) -> np.ndarray:
@@ -294,7 +359,12 @@ def _max_squared_distance(tables, rows) -> float:
     freq_rows = rows[1].reshape(-1, len(tables[0]))   # (|M|, N_t)
     sets, which = np.unique(np.sort(freq_rows, axis=0), axis=1,
                             return_inverse=True)
-    freq_max = np.max(tables[1][sets], axis=0)        # (sets, N)
+    # The float64 (|M|, sets, N) gather, a few sets at a time: as many as
+    # fit one block of frames._BLOCK_BYTES, or one, |M| N = N^2 / N_t.
+    K, N = sets.shape[0], tables[1].shape[1]
+    step = max(1, frames._BLOCK_BYTES // (8 * K * N))
+    freq_max = np.concatenate([np.max(tables[1][sets[:, i:i + step]], axis=0)
+                               for i in range(0, sets.shape[1], step)])
     return float(np.max(tables[0] + freq_max[which]))
 
 
@@ -393,8 +463,11 @@ def scan_distances(lat: Lattice, blocks, cmap: CanonicalMap) -> DistanceScan:
         binmax = np.full(DECAY_BINS, -1.0)   # below every |G|: an empty bin
         bounds = _squared_thresholds(edges)
     d2_min = np.full(lat.npoints, np.inf)
+    buf = np.empty(0)   # |G| of each block, in one buffer per call
     for mus, block in blocks:
-        mag = np.abs(block)
+        if buf.size < block.size:
+            buf = np.empty(block.size)
+        mag = np.abs(block, out=buf[:block.size].reshape(block.shape))
         d2 = _squared_distances(tables, rows, mus)
         # Tied maxima as flat indices into the block; hit % w is the column.
         hit = np.flatnonzero(mag >= (1.0 - TIE_RTOL) * np.max(mag, axis=0))

@@ -52,13 +52,16 @@ n^d N_t + |M| N operations per column instead of n^d N, for any d and any
 commensurate lattice; the dense n^d x N atom matrix is never formed.
 Columns are processed in blocks of about _BLOCK_BYTES, 1 MiB, so that a
 block and its products stay in a 2 MiB L2 cache.  One kernel,
-_coset_analysis, computes A^H X for a block with its rows in that coset
-order (row k N_t + t is the point index[k, t]); analysis scatters them to
-lattice order, while fio streams the Gabor matrix A^H T A through the
-same column blocks in coset order, with no scatter, since its one reader
-permutes its distance tables once instead.  The shift index and phase
-columns of the atoms G0 depend on the lattice only and are kept with the
-coset tables, so a spec and its tightened spec share them.
+_coset_fold, computes E (G0^H X_c) with its rows in that coset order
+(row k N_t + t is the point index[k, t]).  _coset_analysis runs it on a
+block of columns; analysis scatters the rows to lattice order, while fio
+streams the Gabor matrix A^H T A through the same column blocks in coset
+order, with no scatter, since its one reader permutes its distance
+tables once instead.  fio also runs the kernel with the atoms of a few
+translations only, to make T A translation by translation.  The shift
+index and phase columns of the atoms G0 depend on the lattice only and
+are kept with the coset tables, so a spec and its tightened spec share
+them.
 """
 
 from dataclasses import dataclass, field
@@ -421,19 +424,45 @@ def _column_blocks(ncols: int, rows: int):
     return [slice(i, i + step) for i in range(0, ncols, step)]
 
 
-def _coset_analysis(X: np.ndarray, spec: GaborFrameSpec) -> np.ndarray:
+def _conj_coset_atoms(spec: GaborFrameSpec) -> np.ndarray:
+    """G0^H per coset, (|M|, N_t, s): the analysis kernel's atoms."""
+    if spec._G0h is None:
+        spec._G0h = _coset_atoms(spec).conj().transpose(0, 2, 1)
+    return spec._G0h
+
+
+def _coset_fold(G0h: np.ndarray, Xc: np.ndarray, E: np.ndarray,
+                Y: Optional[np.ndarray] = None) -> np.ndarray:
+    """E (G0h Xc), (|M| N_t', w): the analysis kernel on rows in coset order.
+
+    Xc is (|M|, s, w), one coset of rows per leading index; G0h is
+    (|M|, N_t', s), the conjugate atoms of all N_t translations or of N_t'
+    consecutive ones.  Row k N_t' + t is the point (x_t, m_t + M_k), x_t
+    the t-th of those translations.  Y, if given, is a C-contiguous
+    (|M|, N_t', w) buffer that takes G0h Xc.
+    """
+    K, Nt = G0h.shape[:2]
+    Y = np.matmul(G0h, Xc, out=Y)
+    return (E @ Y.reshape(K, -1)).reshape(K * Nt, -1)
+
+
+def _coset_analysis(X: np.ndarray, spec: GaborFrameSpec,
+                    buf: Optional[np.ndarray] = None) -> np.ndarray:
     """A^H X for one column block X, (n^d, w), with its rows in coset order.
 
     Row k N_t + t is the lattice point Cosets.index[k, t], (x_t, m_t +
     M_k).  analysis scatters the rows to lattice order; fio's stream of
-    A^H T A reads them as they are.
+    A^H T A reads them as they are.  buf, a flat complex array of at
+    least N w entries, takes the product G0^H X_c, so that a caller
+    walking many blocks allocates it once; the result is always fresh.
     """
     cos = _cosets(spec.lattice)
-    if spec._G0h is None:
-        spec._G0h = _coset_atoms(spec).conj().transpose(0, 2, 1)
-    K, Nt, s = spec._G0h.shape
-    Y = spec._G0h @ X[cos.perm].reshape(K, s, -1)
-    return (cos.E @ Y.reshape(K, -1)).reshape(K * Nt, -1)
+    G0h = _conj_coset_atoms(spec)
+    K, Nt, s = G0h.shape
+    Xc = X[cos.perm].reshape(K, s, -1)
+    Y = None if buf is None else \
+        buf[:K * Nt * Xc.shape[2]].reshape(K, Nt, -1)
+    return _coset_fold(G0h, Xc, cos.E, Y)
 
 
 def analysis(f, spec: GaborFrameSpec) -> np.ndarray:

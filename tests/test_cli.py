@@ -128,36 +128,62 @@ def test_decay_scan_insufficient_range_exit_3(tmp_path):
 
 
 def test_decay_scan_reads_the_blocks_once(tmp_path, monkeypatch):
-    # One set of distance tables, one analysis for T A and one coset-order
-    # analysis kernel call per column block of A^H T A, each block computed
-    # once; no N x N Gabor matrix.
-    calls = {"_distance_tables": 0, "analysis": 0, "_coset_analysis": 0}
+    # One set of distance tables; one coset-order analysis kernel call per
+    # column block of A^H T A, each block computed once and every mu in
+    # exactly one block.  T A comes translation by translation, each
+    # translation's columns made once (the fio._coset_fold calls that make
+    # them take N_t translations in all), in chunks as wide as their
+    # block: no n x N matrix T A, and no N x N Gabor matrix.
+    calls = {"_distance_tables": 0, "_coset_analysis": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(fio, name)):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(fio, name, counted)
+    made = []
+
+    def fold(G0h, *args, _f=fio._coset_fold):
+        made.append(G0h.shape[1])   # the translations this call makes
+        return _f(G0h, *args)
+    monkeypatch.setattr(fio, "_coset_fold", fold)
 
     def refuse(*args):
         raise AssertionError("decay-scan formed the N x N Gabor matrix")
     monkeypatch.setattr(fio, "gabor_matrix", refuse)
     monkeypatch.setattr(fio, "gabor_cross", refuse)
-    columns = []
+    columns, chunks = [], []
 
     def recorded(*args, _f=fio.gabor_columns):
         for mus, block in _f(*args):
             columns.append(mus)
             yield mus, block
     monkeypatch.setattr(cli, "gabor_columns", recorded)
+
+    def producer(*args, _f=fio._fio_on_atoms):
+        for mus, TA in _f(*args):
+            chunks.append((mus, TA.shape))
+            yield mus, TA
+    monkeypatch.setattr(fio, "_fio_on_atoms", producer)
     cfg = write_cfg(tmp_path, "c.json", decay_cfg())
     assert main(["decay-scan", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 0
-    N = 64 ** 2 // 4
+    n, N = 64, 64 ** 2 // 4
     assert len(columns) > 1
     assert np.array_equal(np.concatenate([np.arange(N)[mus]
                                           for mus in columns]), np.arange(N))
-    assert calls == {"_distance_tables": 1, "analysis": 1,
-                     "_coset_analysis": len(columns)}
+    assert calls == {"_distance_tables": 1, "_coset_analysis": len(columns)}
+    assert [mus for mus, _ in chunks] == columns
+    assert all(shape == (n, len(range(N)[mus])) for mus, shape in chunks)
+    lat = enumerate_lattice(np.diag([2, 2]), Grid(n))
+    assert sum(made) == frames._cosets(lat).reps.shape[0]
+
+
+# decay-scan's tracemalloc peak at n = 160, diag(4, 4), with T A made one
+# translation at a time: 8.5 MB on a process's first run, 7.5 MB after
+# (numpy 2, x86-64), so the bound leaves a 12 % margin.  Holding T A and
+# its conjugate-transpose copy, two n x N arrays of 4.1 MB each, peaked
+# at 10.8-11.9 MB.
+DECAY_SCAN_PEAK_BYTES = 9.5e6
 
 
 def test_decay_scan_holds_less_than_one_gabor_matrix(tmp_path):
@@ -172,6 +198,7 @@ def test_decay_scan_holds_less_than_one_gabor_matrix(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 1600 ** 2 * 16
+    assert peak < DECAY_SCAN_PEAK_BYTES
 
 
 def test_decay_scan_rerun_byte_identical(tmp_path):
@@ -819,9 +846,9 @@ def configure(command, doc):
     # 4096 x 1,048,576 atoms
     ("frame-check", dict(BASE, grid={"n": 64, "d": 2},
                          lattice={"generator": np.diag([2] * 4).tolist()})),
-    # a 16384 x 16384 Gabor matrix
+    # 1024 x 65,536 atoms, which build_atoms would hold three times
     ("decay-scan", dict(decay_cfg(), grid={"n": 1024, "d": 1},
-                        lattice={"generator": [[8, 0], [0, 8]]})),
+                        lattice={"generator": [[4, 0], [0, 4]]})),
     # a 16384 x 16384 Gram matrix
     ("warp-frame", dict(WARP_CFG, grid={"n": 16384, "d": 1},
                         lattice={"generator": [[1024, 0], [0, 1024]]},
@@ -853,6 +880,27 @@ def test_dense_size_cap_admits_the_dense_fio_limit(command):
     if command == "warp-frame":
         doc["density_sweep"] = [doc["lattice"]["generator"]]
     assert configure(command, doc).lattice.npoints == 4096
+
+
+def test_decay_scan_is_not_charged_for_a_gabor_matrix(monkeypatch):
+    # n = 1024 with diag(8, 8), N = 16384: decay-scan streams A^H T A and
+    # holds no N x N array, so the cap admits it; approximate and
+    # dilation-demo hold the 16384 x 16384 Gabor matrix and are refused.
+    # Only the config is built: nothing runs.
+    doc = {"grid": {"n": 1024, "d": 1},
+           "lattice": {"generator": [[8, 0], [0, 8]]}}
+    assert configure("decay-scan", dict(VALID_CFGS["decay-scan"], **doc)
+                     ).lattice.npoints == 16384
+
+    def no_lattice(*args):
+        raise AssertionError("lattice enumerated")
+    monkeypatch.setattr("gaborfio.cli.enumerate_lattice", no_lattice)
+    for command in ("approximate", "dilation-demo"):
+        with pytest.raises(cli.ConfigError) as caught:
+            configure(command, dict(VALID_CFGS[command], **doc))
+        [error] = caught.value.errors
+        assert error["field"] == "lattice.generator"
+        assert f"above {MAX_DENSE_ENTRIES}" in error["error"]
 
 
 # ------------------------------------------------------------- d = 2

@@ -8,7 +8,9 @@ blocks of a stored Gabor matrix or the stream of gabor_columns.  Each is
 checked here, bit for bit, against the dense oracle kept below: the
 N x N x 2 wrapped displacement tensor and the ten boolean bin masks.
 The stream's blocks keep their rows in the analysis kernel's coset
-order, checked against the stored matrix and analysis.
+order, checked against the stored matrix and analysis, and the T A they
+are made from, translation by translation, is checked against the dense
+atoms.
 """
 
 import warnings
@@ -18,12 +20,13 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gaborfio import fio, frames
-from gaborfio.core import Grid, random_signal
+from gaborfio.core import Grid, build_atoms, random_signal
 from gaborfio.diagnostics import DecayReport, loglog_fit
 from gaborfio.fio import (InsufficientDecayRangeError, bandlimited_symbol,
-                          constant_symbol, decay_envelope_fit, gabor_columns,
-                          gabor_cross, gabor_matrix, make_fio, pair_distances,
-                          scan_distances, transport_argmax_check)
+                          constant_symbol, decay_envelope_fit, fio_matrix,
+                          gabor_columns, gabor_cross, gabor_matrix, make_fio,
+                          pair_distances, scan_distances,
+                          transport_argmax_check)
 from gaborfio.frames import (GaborFrameSpec, analysis, enumerate_lattice,
                              tighten)
 from gaborfio.phases import (CanonicalMap, canonical_map, chirp_phase,
@@ -182,6 +185,42 @@ def test_stream_blocks_are_in_coset_order(gen, symbol, columns, seed):
     _, rows = fio._distance_tables(lat, lat.coords())
     Nt = cos.reps.shape[0]
     assert np.array_equal(rows[0][order], np.tile(np.arange(Nt), N // Nt))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(commensurate_generators(dims=(1,)), st.sampled_from(PHASES),
+       st.sampled_from(["constant", "bandlimited"]),
+       st.sampled_from(["one", "seven", "all"]), st.integers(0, 2 ** 16))
+@example((np.diag([4, 4]), Grid(32)), PHASES[1], "bandlimited", "seven", 0)
+@example((np.array([[2, 0], [1, 4]]), Grid(32)), PHASES[2], "bandlimited",
+         "one", 0)
+def test_translation_stream_is_t_times_the_atoms(gen, phase, symbol, columns,
+                                                 seed):
+    # fio._fio_on_atoms makes T A translation by translation and cuts it to
+    # the column slices it is given; side by side, its chunks are T A from
+    # the dense atoms, to 1e-12 relative, one chunk per slice and each as
+    # wide as its slice.
+    A, grid = gen
+    lat = enumerate_lattice(A, grid)
+    N = lat.npoints
+    assume(N <= MAX_POINTS)
+    S = constant_symbol(grid) if symbol == "constant" \
+        else bandlimited_symbol(grid, 2, seed=seed)
+    T = make_fio(phase, S, grid)
+    spec = GaborFrameSpec(gaussian_window(grid), lat)
+    height = max(N, grid.size)   # the stream's block height
+    width = {"one": 1, "seven": 7, "all": N + 3}[columns]
+    with warnings.catch_warnings(), mock.patch.object(
+            frames, "_BLOCK_BYTES", block_bytes(height, width)):
+        warnings.simplefilter("ignore")   # most draws are not tight frames
+        slices = frames._column_blocks(N, height)
+        chunks = list(fio._fio_on_atoms(T, spec, slices))
+    assert [mus for mus, _ in chunks] == slices
+    for mus, TA in chunks:
+        assert TA.shape == (grid.size, len(range(N)[mus]))
+    oracle = fio_matrix(T) @ build_atoms(spec.window, lat.int_coords)
+    stream = np.hstack([TA for _, TA in chunks])
+    assert np.max(np.abs(stream - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 @settings(max_examples=200, deadline=None, database=None)
