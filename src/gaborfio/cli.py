@@ -404,7 +404,7 @@ def cmd_decay_scan(args, run):
     _write_csv(os.path.join(args.out, "decay_bins.csv"),
                ["distance", "max_abs_G"],
                [(np.exp(lx), np.exp(ly)) for lx, ly in rep.pairs])
-    _report(args, run, {"envelope": rep.to_dict()}, transport,
+    _report(args, run, {"envelope": rep}, transport,
             {"decay_ok": rep.verdict, "transport_ok": scan.transport_ok})
     return EXIT_OK
 

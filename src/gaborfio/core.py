@@ -144,11 +144,6 @@ class Weight:
         if self.s < 0:
             raise ValueError("polynomial weight needs s >= 0")
 
-    def __call__(self, z) -> np.ndarray:
-        """Evaluate at phase-space vectors z of shape (..., 2d)."""
-        z = np.asarray(z, dtype=float)
-        return (1.0 + np.sum(z * z, axis=-1)) ** (self.s / 2.0)
-
 
 def random_signal(grid: Grid, rng, count=None):
     """Complex standard normal test signal, or count of them.

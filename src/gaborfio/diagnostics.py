@@ -1,10 +1,14 @@
 """Log-log regression, the exact operator norm, and JSON run reports."""
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, is_dataclass
 from typing import List, Tuple
 
 import numpy as np
+
+# The largest n^d whose dense n^d x n^d matrices (the FIO matrix, its
+# operator norm) a run forms.
+MAX_DENSE_SIZE = 1024
 
 
 @dataclass
@@ -19,17 +23,11 @@ class DecayReport:
     tolerance: float
     verdict: bool
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class NormEstimate:
     value: float
     confidence_note: str
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def loglog_fit(points) -> Tuple[float, float, float]:
@@ -57,8 +55,9 @@ def operator_norm(M) -> NormEstimate:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("operator_norm expects a square matrix")
-    if M.shape[0] > 1024:
-        raise ValueError("dense operator_norm limited to n^d <= 1024")
+    if M.shape[0] > MAX_DENSE_SIZE:
+        raise ValueError(
+            f"dense operator_norm limited to n^d <= {MAX_DENSE_SIZE}")
     return NormEstimate(float(np.linalg.norm(M, 2)), "exact singular value")
 
 
@@ -83,6 +82,6 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (DecayReport, NormEstimate)):
-        return obj.to_dict()
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return asdict(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")

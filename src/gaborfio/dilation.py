@@ -69,23 +69,6 @@ def dilation_symbol_closed_form(s: float, alpha: float, beta: float,
         * dilation_inner_product(s, alpha, beta, k, l, kp, lp)
 
 
-def dilation_integrand_quadrature(s, alpha, beta, k, l, kp, lp,
-                                  span: float = 12.0, points: int = 40_000):
-    """Fine Riemann quadrature of the defining integral (continuum oracle).
-
-    integral over t of e^{2 pi i theta t} g(s t - alpha k)
-    conj(g)(t - alpha floor(k/s) - alpha k') dt, g = e^{-pi t^2}.
-    """
-    theta = beta * (s * l - np.floor(s * l) - lp)
-    center = 0.5 * (alpha * k / s + alpha * (np.floor(k / s) + kp))
-    t = np.linspace(center - span, center + span, points)
-    dt = t[1] - t[0]
-    vals = (np.exp(TWO_PI * 1j * theta * t)
-            * np.exp(-np.pi * (s * t - alpha * k) ** 2)
-            * np.exp(-np.pi * (t - alpha * (np.floor(k / s) + kp)) ** 2))
-    return complex(np.sum(vals) * dt)
-
-
 def compare_dilation_symbols(window: Signal, lattice: Lattice, s: float,
                              nu_radius: float):
     """Symbols of D_s for the shifts |nu| <= nu_radius, closed form against

@@ -33,17 +33,15 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Grid, Weight, TWO_PI
+from .core import Grid, TWO_PI
 from . import frames
 from .frames import (GaborFrameSpec, Lattice, _column_blocks,
                      _conj_coset_atoms, _coset_analysis, _coset_fold,
                      _cosets, is_parseval)
 from .phases import CanonicalMap, TamePhase, chi_prime_displacement_bound
-from .diagnostics import loglog_fit, DecayReport
+from .diagnostics import loglog_fit, DecayReport, MAX_DENSE_SIZE
 
 import warnings
-
-MAX_DENSE_SIZE = 1024
 
 # decay_envelope_fit: the number of log-distance bins, and how far above
 # -s_claim the fitted slope may lie.
@@ -517,45 +515,3 @@ def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap):
     """
     scan = scan_distances(G.lattice, G.column_blocks(), cmap)
     return scan.dists, scan.bound
-
-
-@dataclass
-class EnvelopeReport:
-    bins: np.ndarray         # (K, 2d) displacement bin centers
-    envelope: np.ndarray     # (K,) per-bin max of |G|
-    l1_mass: float           # sum of envelope * m(u)
-
-
-def envelope_function_audit(G: GaborMatrix, phase: TamePhase,
-                            m: Optional[Weight] = None,
-                            bin_width: float = 0.5) -> EnvelopeReport:
-    """Empirical envelope H(u) over the displacement u(mu, lam).
-
-    u = (eta' - grad_x Phi(x', eta), x - grad_eta Phi(x', eta)) with
-    mu = (x, eta) the input point and lam = (x', eta') the output point;
-    displacements are wrapped to the torus and binned on a cubic mesh of
-    the given width.
-    """
-    if m is None:
-        m = Weight()
-    lat = G.lattice
-    grid = lat.grid
-    d = grid.d
-    c = lat.coords()
-    x, eta = c[:, :d], c[:, d:]
-    xp, etap = c[:, :d], c[:, d:]
-    gx = phase.grad_x(xp[None, :, :], eta[:, None, :])      # [mu, lam, d]
-    ge = phase.grad_eta(xp[None, :, :], eta[:, None, :])
-    u = np.concatenate([etap[None, :, :] - gx, x[:, None, :] - ge], axis=-1)
-    u = grid.wrap_coord(u)
-    keys = np.round(u / bin_width).astype(int).reshape(-1, 2 * d)
-    # One row-major integer per bin key sorts like the key rows, and fast.
-    lo = keys.min(axis=0)
-    span = keys.max(axis=0) - lo + 1
-    flat, inverse = np.unique(np.ravel_multi_index(tuple((keys - lo).T), span),
-                              return_inverse=True)
-    env = np.zeros(flat.size)
-    np.maximum.at(env, inverse.reshape(-1), np.abs(G.entries).reshape(-1))
-    centers = (np.column_stack(np.unravel_index(flat, span)) + lo) * bin_width
-    mass = float(np.sum(env * m(centers)))
-    return EnvelopeReport(bins=centers, envelope=env, l1_mass=mass)

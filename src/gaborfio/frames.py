@@ -527,7 +527,6 @@ def gabor_mod_norm(f, p: float, m: np.ndarray, spec: GaborFrameSpec):
 class WarpedFrameReport:
     bounds: tuple
     max_rounding_displacement: float
-    npoints: int
     density: float
 
 
@@ -555,5 +554,4 @@ def warped_frame_check(window: Signal, lattice: Lattice,
     uniq = np.unique(np.mod(ic, grid.n), axis=0).shape[0]
     return WarpedFrameReport(bounds=bounds,
                              max_rounding_displacement=displacement,
-                             npoints=lattice.npoints,
                              density=uniq / grid.size)

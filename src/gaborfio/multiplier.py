@@ -1,21 +1,26 @@
-"""Warped Gabor multipliers and the shifted-multiplier representation of an FIO.
+"""The shifted-multiplier representation of an FIO and its truncation.
 
 With a Parseval frame the finite algebra is exact: the symbols
 
     a_nu(mu) = c_{nu,mu} <T pi(mu) g, pi(chi'(mu) + nu) g>
 
 over the whole lattice group, re-assembled as sum_nu pi(nu) M_{a_nu},
-reproduce the dense operator matrix to machine precision.  Each symbol
-is the Gabor matrix cross = A^H T A read along a shifted curve,
-a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu], and pi(nu) M_{a_nu} puts
-a_nu(mu) conj(c_{nu,mu}) back at the same entry.  Truncating the nu-sum
-to |nu| <= L is therefore a mask on the Gabor matrix,
+reproduce the dense operator matrix to machine precision.  Here M_a f =
+sum_mu a(mu) <f, pi(mu) g> pi(chi'(mu)) g is the warped Gabor
+multiplier.  Each symbol is the Gabor matrix cross = A^H T A read along
+a shifted curve, a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu], and
+pi(nu) M_{a_nu} puts a_nu(mu) conj(c_{nu,mu}) back at the same entry.
+Truncating the nu-sum to |nu| <= L is therefore a mask on the Gabor
+matrix,
 
     T_L = A (cross o [|lambda - chi'(mu)| <= L]) A^H,
 
-and truncation_error_curve measures how fast ||T - T_L|| decays.
+and truncation_error_curve measures how fast ||T - T_L|| decays.  So no
+multiplier M_a is ever formed or applied: these masked sums are the
+modified Gabor multipliers, and the elementary ones serve the tests as
+an oracle (tests/oracles.py).
 
-So the symbol table is cross itself, and each T_L masks it by the torus
+The symbol table is cross itself, and each T_L masks it by the torus
 distance |lambda - chi'(mu)| from fio's distance tables; L = inf gives
 A cross A^H = T.  The symbols a_nu and the factors c_{nu,mu} =
 e^{2 pi i j_x m_eta / n} (looked up by the integer dot j_x m_eta) are
@@ -27,9 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Signal, Weight, TWO_PI, random_signal
-from .frames import (GaborFrameSpec, _column_blocks, analysis, gabor_mod_norm,
-                     synthesis)
+from .core import Weight, TWO_PI, random_signal
+from .frames import GaborFrameSpec, _column_blocks, gabor_mod_norm, synthesis
 from .phases import CanonicalMap, chi_prime_table
 from .fio import (FioOperator, _distance_tables, _squared_distances,
                   fio_matrix, gabor_cross)
@@ -45,42 +49,9 @@ ERROR_FLOOR = 1e-16
 RECONSTRUCTION_TOL = 1e-9
 
 
-@dataclass
-class GaborMultiplier:
-    """M_a f = sum_lambda a_lambda <f, pi(lambda) g> pi(chi'(lambda)) g."""
-
-    a: np.ndarray            # complex, one value per lattice point
-    spec: GaborFrameSpec
-    warp_idx: np.ndarray     # lattice index of chi'(lambda) per point
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=complex).reshape(-1)
-        N = self.spec.lattice.npoints
-        if self.a.size != N or self.warp_idx.size != N:
-            raise ValueError("symbol/warp length must match the lattice size")
-
-
 def warp_indices(cm: CanonicalMap, spec: GaborFrameSpec) -> np.ndarray:
     """Lattice index of chi'(lambda) for every lattice point."""
     return spec.lattice.indices_of(chi_prime_table(cm, spec.lattice))
-
-
-def apply_multiplier(M: GaborMultiplier, f: Signal) -> Signal:
-    """One synthesis of a * <f, pi(lambda) g> placed at chi'(lambda).
-
-    chi' is only almost injective, so coefficients landing on the same
-    point add up."""
-    c = np.zeros(M.a.size, dtype=complex)
-    np.add.at(c, M.warp_idx, M.a * analysis(f, M.spec))
-    return synthesis(c, M.spec)
-
-
-def multiplier_matrix(M: GaborMultiplier) -> np.ndarray:
-    """A C A^H with C[chi'(lambda), lambda] = a_lambda."""
-    N = M.a.size
-    C = np.zeros((N, N), dtype=complex)
-    C[M.warp_idx, np.arange(N)] = M.a
-    return _sandwich(C, M.spec)
 
 
 def _sandwich(C: np.ndarray, spec: GaborFrameSpec) -> np.ndarray:

@@ -129,7 +129,7 @@ NEWTON_MAX_ITER = 50
 
 @dataclass
 class CanonicalMap:
-    """chi and chi^{-1} solved from the phase by damped Newton iteration."""
+    """chi solved from the phase by damped Newton iteration."""
 
     phase: TamePhase
 
@@ -146,20 +146,6 @@ class CanonicalMap:
             seed=y.copy())
         xi = self.phase.grad_x(x, eta)
         out = np.concatenate([x, xi], axis=-1)
-        return out[0] if single else out
-
-    def inverse(self, z) -> np.ndarray:
-        """chi^{-1}(x, xi) = (y, eta), shaped as forward."""
-        single = np.ndim(z) == 1
-        z = np.atleast_2d(np.asarray(z, dtype=float))
-        x, xi = self.phase.split(z)
-        eta = self._newton(
-            target=xi, fixed=x,
-            func=lambda u: self.phase.grad_x(x, u),
-            jac=lambda u: self.phase.mixed_hessian(x, u),
-            seed=xi.copy())
-        y = self.phase.grad_eta(x, eta)
-        out = np.concatenate([y, eta], axis=-1)
         return out[0] if single else out
 
     def _newton(self, target, fixed, func, jac, seed):
@@ -200,76 +186,6 @@ def canonical_map(phase: TamePhase) -> CanonicalMap:
     return CanonicalMap(phase)
 
 
-@dataclass
-class TamenessReport:
-    min_det_mixed_hessian: float
-    max_second_derivative: float
-    max_third_derivative: float
-    max_gradient_mismatch: float
-    passes: bool
-
-
-def tameness_audit(phase: TamePhase, box: float = 4.0, samples: int = 200,
-                   seed: int = 0, fd_step: float = 1e-5) -> TamenessReport:
-    """Sampled audit of the tameness conditions.
-
-    Checks |det mixed Hessian| >= declared_delta, bounds second/third
-    finite-difference derivatives against declared_deriv_bound, and
-    verifies the supplied gradients against central differences.
-    """
-    rng = np.random.default_rng(seed)
-    d = phase.d
-    x = rng.uniform(-box, box, size=(samples, d))
-    e = rng.uniform(-box, box, size=(samples, d))
-    dets = np.abs(np.linalg.det(phase.mixed_hessian(x, e)))
-
-    # Gradient consistency by central differences on Phi.
-    mismatch = 0.0
-    for i in range(d):
-        step = np.zeros(d)
-        step[i] = fd_step
-        gx = (phase.phi(x + step, e) - phase.phi(x - step, e)) / (2 * fd_step)
-        ge = (phase.phi(x, e + step) - phase.phi(x, e - step)) / (2 * fd_step)
-        denom = 1.0 + np.abs(phase.grad_x(x, e)[:, i])
-        mismatch = max(mismatch,
-                       float(np.max(np.abs(gx - phase.grad_x(x, e)[:, i]) / denom)),
-                       float(np.max(np.abs(ge - phase.grad_eta(x, e)[:, i]) /
-                                    (1.0 + np.abs(phase.grad_eta(x, e)[:, i])))))
-
-    # Second/third derivative magnitudes of the full gradient by differences
-    # in each of the 2d phase-space directions (step 1e-3 keeps the third
-    # difference above the rounding floor).
-    h2 = 1e-3
-    z = np.concatenate([x, e], axis=-1)
-
-    def grad(zz):
-        xx, ee = zz[..., :d], zz[..., d:]
-        return np.concatenate([phase.grad_x(xx, ee), phase.grad_eta(xx, ee)],
-                              axis=-1)
-
-    max2 = 0.0
-    max3 = 0.0
-    for i in range(2 * d):
-        step = np.zeros(2 * d)
-        step[i] = h2
-        gp, g0, gm = grad(z + step), grad(z), grad(z - step)
-        second = (gp - gm) / (2 * h2)
-        third = (gp - 2 * g0 + gm) / h2 ** 2
-        max2 = max(max2, float(np.max(np.abs(second))))
-        max3 = max(max3, float(np.max(np.abs(third))))
-
-    passes = (float(np.min(dets)) >= phase.declared_delta - 1e-9
-              and mismatch < 1e-6
-              and max2 <= phase.declared_deriv_bound + 1e-6
-              and max3 <= phase.declared_deriv_bound + 1e-3)
-    return TamenessReport(
-        min_det_mixed_hessian=float(np.min(dets)),
-        max_second_derivative=max2,
-        max_third_derivative=max3,
-        max_gradient_mismatch=mismatch,
-        passes=passes)
-
-
 def chi_prime_table(cm: CanonicalMap, lattice: Lattice) -> np.ndarray:
     """Lattice-rounded map chi'(lambda) = A floor(A^{-1} chi(lambda)).
 
@@ -291,9 +207,3 @@ def chi_prime_displacement_bound(lattice: Lattice) -> float:
     d = lattice.grid.d
     A_cont = lattice.A * lattice.grid.h
     return float(np.sqrt(2 * d) * np.linalg.norm(A_cont, 2))
-
-
-def chi_prime_multiplicity(cm: CanonicalMap, lattice: Lattice) -> int:
-    """Max preimage count of chi' over the lattice (almost-injectivity report)."""
-    return int(np.bincount(
-        lattice.indices_of(chi_prime_table(cm, lattice))).max())

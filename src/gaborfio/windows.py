@@ -55,13 +55,3 @@ WINDOW_KINDS = {
     "box": lambda grid, params: box_window(
         grid, float(params.get("halfwidth", 0.5))),
 }
-
-
-def make_window(grid: Grid, kind: str, params=None) -> Signal:
-    params = params or {}
-    try:
-        factory = WINDOW_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown window kind {kind!r}; "
-                         f"choose from {sorted(WINDOW_KINDS)}") from None
-    return factory(grid, params)

@@ -22,7 +22,7 @@ from gaborfio.core import Grid
 from gaborfio.dilation import compare_dilation_symbols
 from gaborfio import fio, frames, multiplier
 from gaborfio.frames import enumerate_lattice
-from gaborfio.windows import make_window
+from gaborfio.windows import WINDOW_KINDS
 
 
 def write_cfg(tmp_path, name, doc):
@@ -291,7 +291,7 @@ def dilation_tables(n, nu_radius):
     symbol tables of dilation-demo at n with diag(4, 4) and s = 2."""
     grid = Grid(n)
     return compare_dilation_symbols(
-        make_window(grid, "gaussian"),
+        WINDOW_KINDS["gaussian"](grid, {}),
         enumerate_lattice([[4, 0], [0, 4]], grid), 2.0, nu_radius)[:6]
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from gaborfio.core import Grid, Signal, Weight, build_atoms, random_signal
 from gaborfio.frames import GaborFrameSpec, analysis, enumerate_lattice
+from oracles import polynomial_weight
 
 NS = [16, 32, 64]
 D2_NS = [8, 12]
@@ -112,7 +113,7 @@ def test_stft_rejects_zero_window():
 def test_weight_polynomial():
     v1 = Weight(1.0)
     z = np.array([[3.0, 4.0]])
-    assert abs(v1(z)[0] - np.sqrt(26.0)) < 1e-12
+    assert abs(polynomial_weight(v1, z)[0] - np.sqrt(26.0)) < 1e-12
     with pytest.raises(ValueError):
         Weight(-1.0)
 

@@ -6,8 +6,8 @@ Each is checked here against the dense oracle A = build_atoms over every
 lattice point, for d = 1 and d = 2, separable and non-separable
 lattices, random complex windows, one and several columns, and column
 blocks of 1, 7 and k + 3 columns.  The sandwiches A C A^H behind
-assemble_truncated and multiplier_matrix, and the scatter of
-apply_multiplier, are checked the same way, with a warp that maps
+assemble_truncated and the oracle multiplier_matrix, and the scatter of
+the oracle apply_multiplier (tests/oracles.py), are checked the same way, with a warp that maps
 several points to one; assemble_truncated's mask is built from integer
 coordinates.  The coset tables themselves are checked bit for bit
 against the full character vectors they are labelled by.
@@ -22,9 +22,8 @@ from gaborfio import frames
 from gaborfio.core import TWO_PI, Grid, Signal, build_atoms
 from gaborfio.frames import (GaborFrameSpec, analysis, enumerate_lattice,
                              synthesis)
-from gaborfio.multiplier import (GaborMultiplier, MultiplierSymbolTable,
-                                 apply_multiplier, assemble_truncated,
-                                 multiplier_matrix)
+from gaborfio.multiplier import MultiplierSymbolTable, assemble_truncated
+from oracles import GaborMultiplier, apply_multiplier, multiplier_matrix
 from test_lattice_algebra import commensurate_generators, integer_mask
 
 MAX_POINTS = 1024

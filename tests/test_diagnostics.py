@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from gaborfio.diagnostics import (DecayReport, NormEstimate, loglog_fit,
-                                  operator_norm, write_report)
+from gaborfio import cli, fio
+from gaborfio.diagnostics import (MAX_DENSE_SIZE, DecayReport, NormEstimate,
+                                  loglog_fit, operator_norm, write_report)
 
 
 def test_loglog_fit_recovers_power_law():
@@ -46,6 +47,15 @@ def test_operator_norm_validation():
     with pytest.raises(ValueError):
         operator_norm(np.ones((3, 4)))
     assert operator_norm(np.zeros((5, 5))).value == 0.0
+
+
+def test_operator_norm_refuses_past_the_dense_limit():
+    # One limit for the dense matrices: the FIO matrix, the CLI's grid
+    # check and the operator norm all read diagnostics.MAX_DENSE_SIZE.
+    assert fio.MAX_DENSE_SIZE is cli.MAX_DENSE_SIZE is MAX_DENSE_SIZE
+    big = np.broadcast_to(0.0, (MAX_DENSE_SIZE + 1,) * 2)   # no allocation
+    with pytest.raises(ValueError, match=f"n\\^d <= {MAX_DENSE_SIZE}"):
+        operator_norm(big)
 
 
 def test_write_report_roundtrip(tmp_path):

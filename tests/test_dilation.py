@@ -3,8 +3,8 @@ import pytest
 
 from gaborfio.dilation import (dilation_inner_product,
                                dilation_commutation_factor,
-                               dilation_symbol_closed_form,
-                               dilation_integrand_quadrature)
+                               dilation_symbol_closed_form)
+from oracles import dilation_integrand_quadrature
 
 ALPHA = BETA = 0.25
 

@@ -9,8 +9,9 @@ from gaborfio.fio import (SymbolTable, constant_symbol, bandlimited_symbol,
                           weighted_symbol, bandlimit_for, make_fio,
                           fio_matrix, gabor_matrix,
                           pair_distances, decay_envelope_fit,
-                          transport_argmax_check, envelope_function_audit,
+                          transport_argmax_check,
                           InsufficientDecayRangeError, MAX_DENSE_SIZE)
+from oracles import envelope_function_audit
 
 PHASES = [linear_phase(), dilation_phase(2.0), chirp_phase(0.25),
           perturbed_phase(0.1)]

