@@ -37,29 +37,46 @@ CLOSED_FORM_RTOL = 5e-2
 UNIMODULAR_TOL = 1e-12
 
 
+def _distinct(x):
+    """The distinct values of x as floats and, in the shape of x, the index
+    of each."""
+    x = np.asarray(x, dtype=float)
+    values, inverse = np.unique(x, return_inverse=True)
+    return values, inverse.reshape(x.shape)
+
+
 def dilation_inner_product(s: float, alpha: float, beta: float,
                            k, l, kp, lp) -> np.ndarray:
-    """Closed form of <D_s pi(mu) g, pi(chi'(mu)+nu) g> for g = e^{-pi t^2}."""
-    k = np.asarray(k, dtype=float)
-    l = np.asarray(l, dtype=float)
-    kp = np.asarray(kp, dtype=float)
-    lp = np.asarray(lp, dtype=float)
-    theta = beta * (s * l - np.floor(s * l) - lp)
-    u0 = alpha * k / s
-    v0 = alpha * (np.floor(k / s) + kp)
+    """Closed form of <D_s pi(mu) g, pi(chi'(mu)+nu) g> for g = e^{-pi t^2}.
+
+    (k, kp) enter only through u0 and v0 and (l, lp) only through theta,
+    so the closed form is tabulated once per distinct (k, kp, theta) and
+    gathered: bit for bit what numpy's elementwise arithmetic gives each
+    entry of the broadcast arguments, scalar arguments included.
+    """
+    k, ki = _distinct(k)
+    kp, kpi = _distinct(kp)
+    l, li = _distinct(l)
+    lp, lpi = _distinct(lp)
+    theta, ti = _distinct(
+        beta * (s * l[:, None] - np.floor(s * l[:, None]) - lp[None, :]))
+    u0 = (alpha * k / s)[:, None, None]
+    v0 = (alpha * (np.floor(k / s)[:, None] + kp[None, :]))[:, :, None]
     denom = s * s + 1.0
     mag = np.exp(-np.pi * (s * s * (u0 - v0) ** 2 + theta ** 2) / denom) \
         / np.sqrt(denom)
     phase = np.exp(TWO_PI * 1j * theta * (s * s * u0 + v0) / denom)
-    return mag * phase
+    return (mag * phase)[ki, kpi, ti[li, lpi]]
 
 
 def dilation_commutation_factor(s: float, alpha: float, beta: float,
                                 l, kp) -> np.ndarray:
-    """c_{nu,mu} = e^{2 pi i x_nu . eta_{chi'(mu)}} for the dilation setup."""
-    l = np.asarray(l, dtype=float)
-    kp = np.asarray(kp, dtype=float)
-    return np.exp(TWO_PI * 1j * alpha * kp * beta * np.floor(s * l))
+    """c_{nu,mu} = e^{2 pi i x_nu . eta_{chi'(mu)}} for the dilation setup,
+    computed once per distinct (kp, l) and gathered."""
+    l, li = _distinct(l)
+    kp, kpi = _distinct(kp)
+    return np.exp(TWO_PI * 1j * alpha * kp[:, None] * beta
+                  * np.floor(s * l[None, :]))[kpi, li]
 
 
 def dilation_symbol_closed_form(s: float, alpha: float, beta: float,
@@ -67,6 +84,24 @@ def dilation_symbol_closed_form(s: float, alpha: float, beta: float,
     """a_nu(mu) = c_{nu,mu} <D_s pi(mu) g, pi(chi'(mu)+nu) g>, closed form."""
     return dilation_commutation_factor(s, alpha, beta, l, kp) \
         * dilation_inner_product(s, alpha, beta, k, l, kp, lp)
+
+
+def _mass_set(camp: np.ndarray) -> np.ndarray:
+    """Indices of the largest entries of camp (>= 0) holding 99% of its sum.
+
+    They are the first entries of the descending order that reverses a
+    stable ascending sort, with the running sum of that order reaching
+    99% of the total: every entry above the last value taken, tau, and
+    of the entries equal to tau as many as are needed, the highest
+    indices first.  One value sort gives the running sum, bit for bit.
+    """
+    desc = np.sort(camp)[::-1]
+    csum = np.cumsum(desc)
+    count = int(np.searchsorted(csum, 0.99 * csum[-1])) + 1
+    tau = desc[count - 1]
+    above = np.flatnonzero(camp > tau)
+    ties = np.flatnonzero(camp == tau)
+    return np.concatenate([above, ties[ties.size - (count - above.size):]])
 
 
 def compare_dilation_symbols(window: Signal, lattice: Lattice, s: float,
@@ -106,9 +141,7 @@ def compare_dilation_symbols(window: Signal, lattice: Lattice, s: float,
                                          l[None, :], kp[:, None], lp[:, None])
     numeric = a * grid.h
     camp = np.abs(closed).ravel()
-    order = np.argsort(camp, kind="stable")[::-1]
-    csum = np.cumsum(camp[order])
-    keep = order[:int(np.searchsorted(csum, 0.99 * csum[-1])) + 1]
+    keep = _mass_set(camp)
     rel = (np.abs(numeric.ravel()[keep] - closed.ravel()[keep])
            / camp[keep])
     return (k, l, kp, lp, closed, numeric, float(np.max(rel)),

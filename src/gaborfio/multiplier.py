@@ -28,6 +28,7 @@ gathered only for the shifts a caller names.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,6 +78,13 @@ class MultiplierSymbolTable:
         rows = lat.add(nu_indices[:, None], self.warp_idx[None, :])
         return c * self.cross[rows, np.arange(self.warp_idx.size)], c
 
+    @cached_property
+    def distance_tables(self):
+        """fio's distance tables of the torus distances |lambda - chi'(mu)|,
+        built on the first call and shared by every truncation."""
+        lat = self.spec.lattice
+        return _distance_tables(lat, lat.coords()[self.warp_idx])
+
 
 def commutation_factors(spec: GaborFrameSpec, nu_int: np.ndarray,
                         chi_int: np.ndarray) -> np.ndarray:
@@ -111,11 +119,9 @@ def assemble_truncated(tsym: MultiplierSymbolTable, L: float) -> np.ndarray:
     M_{a_nu} puts cross[chi'(mu) + nu, mu] back at its entry, and the sum
     is A (cross o [|lambda - chi'(mu)| <= L]) A^H.
     """
-    lat = tsym.spec.lattice
     C = np.empty_like(tsym.cross, order="F")   # synthesis reads its columns
-    tables = _distance_tables(lat, lat.coords()[tsym.warp_idx])  # chi'(mu)
     for mus in _column_blocks(*C.shape):
-        d2 = _squared_distances(*tables, mus)
+        d2 = _squared_distances(*tsym.distance_tables, mus)
         C[:, mus] = np.where(np.sqrt(d2) <= L + 1e-12, tsym.cross[:, mus], 0)
     return _sandwich(C, tsym.spec)
 

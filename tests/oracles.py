@@ -9,7 +9,10 @@ collected):
   truncated sum T_L masks the Gabor matrix, A (cross o [|lambda -
   chi'(mu)| <= L]) A^H, which the multiplier tests check against these.
 - dilation_integrand_quadrature is a fine Riemann sum of the integral the
-  dilation closed form evaluates.
+  dilation closed form evaluates.  dilation_inner_product,
+  dilation_commutation_factor and mass_set are the library's dilation
+  closed form and 99%-mass set computed entry by entry, which its
+  tabulated and single-sort forms must equal bit for bit.
 - canonical_inverse solves chi^{-1} by the same damped Newton iteration
   as CanonicalMap.forward, so a round trip checks the forward solve.
 - tameness_audit, chi_prime_multiplicity and envelope_function_audit
@@ -83,6 +86,37 @@ def dilation_integrand_quadrature(s, alpha, beta, k, l, kp, lp,
             * np.exp(-np.pi * (s * t - alpha * k) ** 2)
             * np.exp(-np.pi * (t - alpha * (np.floor(k / s) + kp)) ** 2))
     return complex(np.sum(vals) * dt)
+
+
+def dilation_inner_product(s, alpha, beta, k, l, kp, lp) -> np.ndarray:
+    """dilation.dilation_inner_product evaluated entry by entry on the
+    broadcast arguments, with no table of distinct values."""
+    k = np.asarray(k, dtype=float)
+    l = np.asarray(l, dtype=float)
+    kp = np.asarray(kp, dtype=float)
+    lp = np.asarray(lp, dtype=float)
+    theta = beta * (s * l - np.floor(s * l) - lp)
+    u0 = alpha * k / s
+    v0 = alpha * (np.floor(k / s) + kp)
+    denom = s * s + 1.0
+    mag = np.exp(-np.pi * (s * s * (u0 - v0) ** 2 + theta ** 2) / denom) \
+        / np.sqrt(denom)
+    phase = np.exp(TWO_PI * 1j * theta * (s * s * u0 + v0) / denom)
+    return mag * phase
+
+
+def dilation_commutation_factor(s, alpha, beta, l, kp) -> np.ndarray:
+    """dilation.dilation_commutation_factor entry by entry."""
+    l = np.asarray(l, dtype=float)
+    kp = np.asarray(kp, dtype=float)
+    return np.exp(TWO_PI * 1j * alpha * kp * beta * np.floor(s * l))
+
+
+def mass_set(camp: np.ndarray) -> np.ndarray:
+    """dilation._mass_set as a prefix of the reversed stable argsort."""
+    order = np.argsort(camp, kind="stable")[::-1]
+    csum = np.cumsum(camp[order])
+    return order[:int(np.searchsorted(csum, 0.99 * csum[-1])) + 1]
 
 
 # ----------------------------------------------------------------- phases

@@ -234,6 +234,25 @@ def test_approximate_gathers_no_symbols(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+def test_approximate_builds_the_distance_tables_once(tmp_path, monkeypatch):
+    # One set of distance tables |lambda - chi'(mu)| per symbol table,
+    # masked once per L and once more for the full reconstruction.
+    calls = {"_distance_tables": 0, "assemble_truncated": 0}
+    for modules, name in (((multiplier,), "_distance_tables"),
+                          ((multiplier, cli), "assemble_truncated")):
+        def counted(*args, _name=name, _f=getattr(multiplier, name)):
+            calls[_name] += 1
+            return _f(*args)
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    doc = approximate_cfg()
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    assert main(["approximate", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"_distance_tables": 1,
+                     "assemble_truncated": len(doc["L_list"]) + 1}
+
+
 def test_approximate_partial_radius_reconstructs_in_full(tmp_path):
     # The full reconstruction is A cross A^H, whatever the largest L or a
     # stray nu_radius, which approximate does not read.
