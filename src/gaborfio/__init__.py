@@ -15,8 +15,8 @@ from .fio import (SymbolTable, FioOperator, GaborMatrix, make_fio, fio_matrix,
                   constant_symbol, bandlimited_symbol, weighted_symbol,
                   InsufficientDecayRangeError)
 from .multiplier import (MultiplierSymbolTable, extract_symbols,
-                         assemble_truncated, truncation_error_curve,
-                         warp_indices)
+                         shift_symbols, assemble_truncated,
+                         truncation_error_curve, warp_indices)
 from .diagnostics import (DecayReport, NormEstimate, loglog_fit,
                           operator_norm, write_report)
 from .windows import gaussian_window, bspline_window, box_window

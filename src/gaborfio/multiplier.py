@@ -24,7 +24,9 @@ The symbol table is cross itself, and each T_L masks it by the torus
 distance |lambda - chi'(mu)| from fio's distance tables; L = inf gives
 A cross A^H = T.  The symbols a_nu and the factors c_{nu,mu} =
 e^{2 pi i j_x m_eta / n} (looked up by the integer dot j_x m_eta) are
-gathered only for the shifts a caller names.
+read only for the shifts a caller names, by shift_symbols, straight from
+fio's stream of Gabor-matrix column blocks: K x N entries, never the
+N x N matrix.
 """
 
 from dataclasses import dataclass
@@ -34,10 +36,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Weight, TWO_PI, random_signal
-from .frames import GaborFrameSpec, _column_blocks, gabor_mod_norm, synthesis
+from .frames import (GaborFrameSpec, _column_blocks, _cosets, gabor_mod_norm,
+                     synthesis)
 from .phases import CanonicalMap, chi_prime_table
 from .fio import (FioOperator, _distance_tables, _squared_distances,
-                  fio_matrix, gabor_cross)
+                  fio_matrix, gabor_columns, gabor_cross)
 from .diagnostics import loglog_fit, operator_norm
 
 # truncation_error_curve: random signals per weighted norm estimate, and
@@ -62,21 +65,12 @@ def _sandwich(C: np.ndarray, spec: GaborFrameSpec) -> np.ndarray:
 
 @dataclass
 class MultiplierSymbolTable:
-    """The Gabor matrix of T, from which every shift's symbol is read."""
+    """The Gabor matrix of T and the warp chi', which every truncation
+    masks."""
 
     spec: GaborFrameSpec
     cross: np.ndarray          # (N, N) complex, A^H T A indexed [lam, mu]
     warp_idx: np.ndarray       # (N,) lattice index of chi'(mu)
-
-    def symbols(self, nu_indices: np.ndarray):
-        """(a, c) for the K shifts nu_indices (lattice indices): the (K, N)
-        symbols a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu] and the unit
-        factors c_{nu,mu}."""
-        lat = self.spec.lattice
-        ic = lat.int_coords
-        c = commutation_factors(self.spec, ic[nu_indices], ic[self.warp_idx])
-        rows = lat.add(nu_indices[:, None], self.warp_idx[None, :])
-        return c * self.cross[rows, np.arange(self.warp_idx.size)], c
 
     @cached_property
     def distance_tables(self):
@@ -110,6 +104,35 @@ def extract_symbols(T: FioOperator, spec: GaborFrameSpec,
     """
     return MultiplierSymbolTable(spec=spec, cross=gabor_cross(T, spec),
                                  warp_idx=warp_indices(cmap, spec))
+
+
+def shift_symbols(T: FioOperator, spec: GaborFrameSpec, cmap: CanonicalMap,
+                  nu_indices: np.ndarray):
+    """(a, c) for the K shifts nu_indices (lattice indices): the (K, N)
+    symbols a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu] and the unit
+    factors c_{nu,mu}, cross = A^H T A.
+
+    The row table chi'(mu) + nu, put into the coset order of
+    fio.gabor_columns' rows, and the factors are built once; each column
+    block of the stream then gives its K entries per column, so no N x N
+    matrix is held.  The product is a *= c whatever K is, so a shift's
+    symbols have the same bits in any shift set: numpy computes c * (a
+    temporary) of 256 KiB or more as (temporary) * c, in place, and the
+    two operand orders of a complex product can round differently.
+    fio.gabor_columns warns when spec is not Parseval.
+    """
+    lat = spec.lattice
+    warp_idx = warp_indices(cmap, spec)
+    ic = lat.int_coords
+    c = commutation_factors(spec, ic[nu_indices], ic[warp_idx])
+    pos = np.empty(lat.npoints, dtype=np.intp)   # lattice index -> block row
+    pos[_cosets(lat).index.ravel()] = np.arange(lat.npoints)
+    rows = pos[lat.add(nu_indices[:, None], warp_idx[None, :])]
+    a = np.empty(rows.shape, dtype=complex)
+    for mus, block in gabor_columns(T, spec):
+        a[:, mus] = block[rows[:, mus], np.arange(block.shape[1])]
+    a *= c
+    return a, c
 
 
 def assemble_truncated(tsym: MultiplierSymbolTable, L: float) -> np.ndarray:

@@ -8,6 +8,10 @@ collected):
   elementary warped multipliers.  The library never applies one: its
   truncated sum T_L masks the Gabor matrix, A (cross o [|lambda -
   chi'(mu)| <= L]) A^H, which the multiplier tests check against these.
+- symbols reads a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu] from a
+  stored Gabor matrix, extract_symbols' table; the library's
+  shift_symbols reads the same entries from the column-block stream and
+  must equal it bit for bit.
 - dilation_integrand_quadrature is a fine Riemann sum of the integral the
   dilation closed form evaluates.  dilation_inner_product,
   dilation_commutation_factor and mass_set are the library's dilation
@@ -31,7 +35,8 @@ from gaborfio.core import Signal, Weight, TWO_PI
 from gaborfio.frames import GaborFrameSpec, Lattice, analysis, synthesis
 from gaborfio.phases import CanonicalMap, TamePhase, chi_prime_table
 from gaborfio.fio import GaborMatrix
-from gaborfio.multiplier import _sandwich
+from gaborfio.multiplier import (MultiplierSymbolTable, _sandwich,
+                                 commutation_factors)
 
 
 # ------------------------------------------------------------ multipliers
@@ -67,6 +72,20 @@ def multiplier_matrix(M: GaborMultiplier) -> np.ndarray:
     C = np.zeros((N, N), dtype=complex)
     C[M.warp_idx, np.arange(N)] = M.a
     return _sandwich(C, M.spec)
+
+
+def symbols(tsym: MultiplierSymbolTable, nu_indices: np.ndarray):
+    """(a, c) for the K shifts nu_indices (lattice indices): the (K, N)
+    symbols a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu] gathered from the
+    stored Gabor matrix, and the unit factors c_{nu,mu}.  The product is
+    a *= c, in shift_symbols' operand order."""
+    lat = tsym.spec.lattice
+    ic = lat.int_coords
+    c = commutation_factors(tsym.spec, ic[nu_indices], ic[tsym.warp_idx])
+    rows = lat.add(nu_indices[:, None], tsym.warp_idx[None, :])
+    a = tsym.cross[rows, np.arange(tsym.warp_idx.size)]
+    a *= c
+    return a, c
 
 
 # --------------------------------------------------------------- dilation

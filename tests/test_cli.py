@@ -20,7 +20,7 @@ from gaborfio import cli
 from gaborfio.cli import MAX_DENSE_ENTRIES, _configure, _write_csv, main
 from gaborfio.core import Grid
 from gaborfio.dilation import compare_dilation_symbols
-from gaborfio import fio, frames, multiplier
+from gaborfio import dilation, fio, frames, multiplier
 from gaborfio.frames import enumerate_lattice
 from gaborfio.windows import WINDOW_KINDS
 
@@ -201,6 +201,24 @@ def test_decay_scan_holds_less_than_one_gabor_matrix(tmp_path):
     assert peak < DECAY_SCAN_PEAK_BYTES
 
 
+def test_dilation_demo_holds_less_than_one_gabor_matrix(tmp_path):
+    # The dense cap, n = 1024, diag(16, 16): N = 4096, and A^H T A would
+    # take N^2 x 16 B = 268 MB.  The 113 shifts with |nu| <= 3 are read
+    # from the column-block stream; storing the matrix peaked at 351 MB.
+    doc = dict(DILATION_CFG, grid={"n": 1024, "d": 1},
+               lattice={"generator": [[16, 0], [0, 16]]})
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    tracemalloc.start()
+    try:
+        code = main(["dilation-demo", "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4096 ** 2 * 16
+
+
 def test_decay_scan_rerun_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", decay_cfg())
     outs = []
@@ -367,17 +385,19 @@ def test_dilation_demo_rows_survive_one_ulp(tmp_path, monkeypatch, n,
 
     plain = keys(str(tmp_path / "plain"))
     rng = np.random.default_rng(0)
-    symbols = multiplier.MultiplierSymbolTable.symbols
+    shift_symbols = dilation.shift_symbols
+    calls = []
 
-    def perturbed(tsym, nu_indices):
-        a, c = symbols(tsym, nu_indices)
+    def perturbed(*args):
+        a, c = shift_symbols(*args)
+        calls.append(a.shape)
         up = rng.choice([-np.inf, np.inf], size=(2,) + a.shape)
         return (np.nextafter(a.real, up[0])
                 + 1j * np.nextafter(a.imag, up[1]), c)
 
-    monkeypatch.setattr(multiplier.MultiplierSymbolTable, "symbols",
-                        perturbed)
+    monkeypatch.setattr(dilation, "shift_symbols", perturbed)
     assert np.array_equal(keys(str(tmp_path / "ulp")), plain)
+    assert len(calls) == 1     # the run read its symbols through the patch
 
 
 WARP_CFG = {

@@ -22,8 +22,10 @@ from gaborfio.phases import (dilation_phase, perturbed_phase, canonical_map,
                              chi_prime_table)
 from gaborfio.fio import bandlimited_symbol, fio_matrix, gabor_cross, make_fio
 from gaborfio.multiplier import (extract_symbols, assemble_truncated,
-                                 commutation_factors)
+                                 commutation_factors, shift_symbols,
+                                 warp_indices)
 from gaborfio.windows import gaussian_window
+from oracles import symbols
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -168,19 +170,18 @@ def test_row_table_indexes_the_shifted_curve(gen, phase, radius, seed):
     spec = GaborFrameSpec(gaussian_window(grid), lat)
     cm = canonical_map(phase)
     T = make_fio(phase, bandlimited_symbol(grid, 2, seed=seed), grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # the spec need not be Parseval
-        tsym = extract_symbols(T, spec, cm)
-        # A second Gabor matrix is compared to roundoff, not bit for bit.
-        cross = gabor_cross(T, spec)
     # The shifts up to a fraction of the largest norm; radius >= 1 takes all.
     norms = lat.torus_norms()
     nu_indices = np.flatnonzero(norms <= radius * (np.max(norms) + 1.0))
-    a, c = tsym.symbols(nu_indices)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # the spec need not be Parseval
+        a, c = shift_symbols(T, spec, cm, nu_indices)
+        # A second Gabor matrix is compared to roundoff, not bit for bit.
+        cross = gabor_cross(T, spec)
     chi_int = chi_prime_table(cm, lat)
     nu_int = lat.int_coords[nu_indices]
     rows = lat.indices_of(chi_int[None, :, :] + nu_int[:, None, :])
-    assert np.array_equal(tsym.warp_idx, lat.indices_of(chi_int))
+    assert np.array_equal(warp_indices(cm, spec), lat.indices_of(chi_int))
     assert np.array_equal(c, float_commutation_factors(n, 1, nu_int, chi_int))
     assert np.max(np.abs(a - c * cross[rows, np.arange(lat.npoints)])) \
         <= 1e-12 * np.max(np.abs(cross))
@@ -195,7 +196,7 @@ def per_shift_sum(tsym, L):
     chi_int = lat.int_coords[tsym.warp_idx]
     out = np.zeros((atoms.shape[0], atoms.shape[0]), dtype=complex)
     nu_indices = np.flatnonzero(lat.torus_norms() <= L + 1e-12)
-    a, c = tsym.symbols(nu_indices)
+    a, c = symbols(tsym, nu_indices)
     for k, nu in enumerate(lat.int_coords[nu_indices]):
         lam = [where[tuple(row)] for row in np.mod(chi_int + nu, n)]
         weights = a[k] * np.conj(c[k])
