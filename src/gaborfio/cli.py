@@ -39,13 +39,12 @@ from .frames import (GaborFrameSpec, enumerate_lattice, frame_bounds,
                      analysis, warped_frame_check, LatticeError,
                      NotAFrameError, PARSEVAL_TOL)
 from .phases import BUILTIN_PHASES, canonical_map, NewtonDivergenceError
-from .fio import (make_fio, constant_symbol, bandlimited_symbol,
+from .fio import (make_fio, fio_matrix, constant_symbol, bandlimited_symbol,
                   weighted_symbol, gabor_columns, scan_distances,
                   InsufficientDecayRangeError, MAX_DENSE_SIZE)
 from .multiplier import (extract_symbols, assemble_truncated,
                          truncation_error_curve, non_increasing,
                          RECONSTRUCTION_TOL)
-from .fio import fio_matrix
 from .diagnostics import write_report
 from .dilation import (compare_dilation_symbols, CLOSED_FORM_RTOL,
                        UNIMODULAR_TOL)
@@ -491,8 +490,7 @@ COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is a config error on the field "argv"; the
-    subcommand parsers inherit this class."""
+    """A usage error is a config error on the field "argv"."""
 
     def error(self, message):
         problems = ConfigError()
@@ -501,13 +499,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parser():
+    """One parser: every subcommand takes the same three options, and a
+    subparser per command tripled the parser's cost on every run."""
     ap = _Parser(prog="gaborfio", description=__doc__.splitlines()[0])
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True)
-        sp.add_argument("--out", default=".")
-        sp.add_argument("--seed", type=int, default=None)
+    ap.add_argument("command", choices=list(COMMANDS))
+    ap.add_argument("--config", required=True)
+    ap.add_argument("--out", default=".")
+    ap.add_argument("--seed", type=int, default=None)
     return ap
 
 

@@ -25,8 +25,19 @@ and summing e^{2 pi i m.(j - k)/n} over M gives |M| or 0, so
 with G0 one atom pi(x, m_x) g per distinct translation.  This holds for
 every commensurate lattice, separable or not, in any d: S splits into |M|
 blocks of size n^d / |M|, one per coset of the annihilator of M (rows j
-with equal j.m mod n for all m in M).  Frame bounds, S^{-1/2} g and
-S^{-1} g come from one batched eigendecomposition of these blocks.
+with equal j.m mod n for all m in M).
+
+Most of these blocks are copies of each other.  S commutes with every
+pi(x_t, m_t), so S[j, k] = phi(j) S[j - x_t, k - x_t] conj(phi(k)) with
+phi(j) = e^{2 pi i m_t.j / n}, and the translation j -> j - x_t carries
+each coset onto a whole coset.  So the block of a coset c is the block of
+the least coset r in c's orbit under the translations, gathered at the
+positions p of c's rows minus x_t among r's rows and twisted by phi over
+c's rows: B_c = diag(phi) B_r[p][:, p] diag(phi)^H.  Only the orbits'
+least cosets are built and decomposed, in one batched eigendecomposition;
+every other coset takes w_c = w_r and V_c = phi V_r[p].  For diag(16, 16)
+at n = 640 that is 8 blocks of 16 x 16 instead of 40.  Frame bounds,
+S^{-1/2} g and S^{-1} g come from these eigenpairs.
 
 The cosets are numbered in the lexicographic order of the rows'
 character vectors (j.M_k mod n)_k, with M in lattice order, without
@@ -233,7 +244,10 @@ def separable_lattice(a: int, b: int, grid: Grid) -> Lattice:
 class GaborFrameSpec:
     """Window + lattice bundle with cached frame machinery.
 
-    The input window is normalized to unit l2 norm on construction.
+    The input window is normalized to unit l2 norm on construction, unless
+    normalize is False, which keeps its scale (a tightened window keeps
+    ||g_t||^2 = 1/redundancy, and dilation-demo's sampled unit Gaussian
+    keeps its grid norm, so its symbols are Riemann sums).
     """
 
     def __init__(self, window: Signal, lattice: Lattice, normalize: bool = True):
@@ -263,6 +277,12 @@ class Cosets:
     core.atom_tables of the points (x_t, m_t) with their rows in perm
     order: they depend on the lattice only, so every window on it
     gathers its atoms G0 from them.
+
+    The orbit tables carry the Walnut block of each orbit's least coset
+    (roots) to every coset c of the orbit (see the module docstring):
+    with (x_t, m_t) the first point of reps that carries the root to c,
+    row i of c minus x_t is row carry[c, i] of the root, and twist[c] is
+    e^{2 pi i j.m_t / n} over c's rows j.
     """
 
     perm: np.ndarray     # (n^d,) rows grouped by coset
@@ -271,6 +291,10 @@ class Cosets:
     index: np.ndarray    # (|M|, N_t) lattice index of (x_t, m_t + M_k)
     shift: np.ndarray    # (n^d, N_t) sample of (j - x_t) mod n, perm rows
     phases: np.ndarray   # (n^d, N_t) e^{2 pi i j.m_t / n}, perm rows
+    roots: np.ndarray    # (R,) the least coset of each orbit, ascending
+    orbit: np.ndarray    # (|M|,) position in roots of c's orbit
+    carry: np.ndarray    # (|M|, s) row of the root under row i of c - x_t
+    twist: np.ndarray    # (|M|, s) e^{2 pi i j.m_t / n} over c's rows
 
 
 def _coset_labels(j: np.ndarray, M: np.ndarray, n: int) -> np.ndarray:
@@ -305,10 +329,31 @@ def _cosets(lat: Lattice) -> Cosets:
         pts = np.concatenate(np.broadcast_arrays(
             reps[None, :, :d], reps[None, :, d:] + M[:, None, :]), axis=-1)
         shift, phases = atom_tables(lat.grid, reps)
+        shift, phases = shift[perm], phases[perm]
         lat._cosets = Cosets(perm=perm, reps=reps, E=E,
-                             index=lat.indices_of(pts), shift=shift[perm],
-                             phases=phases[perm])
+                             index=lat.indices_of(pts), shift=shift,
+                             phases=phases,
+                             **_orbit_tables(perm, shift, phases, M.shape[0]))
     return lat._cosets
+
+
+def _orbit_tables(perm, shift, phases, K) -> dict:
+    """roots, orbit, carry and twist of Cosets from the atom tables in
+    perm order: the translation x_t takes the coset c to the coset of
+    c's first row minus x_t, and the least of these over t is c's root."""
+    s = perm.size // K
+    coset = np.empty_like(perm)
+    coset[perm] = np.repeat(np.arange(K), s)
+    pos = np.empty_like(perm)
+    pos[perm] = np.tile(np.arange(s), K)
+    image = coset[shift[::s]]                       # (K, N_t)
+    root = image.min(axis=1)
+    t = np.argmax(image == root[:, None], axis=1)   # first such x_t
+    cs = np.arange(K)
+    roots, orbit = np.unique(root, return_inverse=True)
+    return dict(roots=roots, orbit=orbit,
+                carry=pos[shift.reshape(K, s, -1)[cs, :, t]],
+                twist=phases.reshape(K, s, -1)[cs, :, t])
 
 
 def _coset_atoms(spec: GaborFrameSpec) -> np.ndarray:
@@ -322,39 +367,46 @@ def _coset_atoms(spec: GaborFrameSpec) -> np.ndarray:
     return spec._G0
 
 
-def _walnut_blocks(spec: GaborFrameSpec):
-    """Coset permutation and stacked diagonal blocks of the frame operator.
-
-    Returns (perm, blocks): blocks[c] is S on the rows and columns of the
-    c-th coset, |M| G0 G0^H over one atom per translation.
+def _walnut_blocks(spec: GaborFrameSpec) -> np.ndarray:
+    """The diagonal blocks of the frame operator on the orbits' least
+    cosets, (R, s, s): blocks[r] is S on the rows and columns of the coset
+    Cosets.roots[r], |M| G0 G0^H over one atom per translation.
     """
     if spec._blocks is None:
         G0 = _coset_atoms(spec)
-        spec._blocks = (_cosets(spec.lattice).perm,
-                        G0.shape[0] * (G0 @ G0.conj().transpose(0, 2, 1)))
+        Gr = G0[_cosets(spec.lattice).roots]
+        spec._blocks = G0.shape[0] * (Gr @ Gr.conj().transpose(0, 2, 1))
     return spec._blocks
 
 
 def frame_operator(spec: GaborFrameSpec) -> np.ndarray:
     """Dense frame operator S = sum_lambda pi(lambda) g (pi(lambda) g)^H.
 
-    Scattered from the Walnut blocks; the frame computations below work on
-    the blocks and never form S.
+    Every coset's block is carried from its root's by the orbit tables
+    and scattered; the frame computations below work on the roots' blocks
+    and never form S.
     """
     if spec._S is None:
-        perm, blocks = _walnut_blocks(spec)
-        rows = perm.reshape(blocks.shape[:2])
-        S = np.zeros((perm.size, perm.size), dtype=complex)
+        cos = _cosets(spec.lattice)
+        p = cos.carry
+        blocks = _walnut_blocks(spec)[cos.orbit[:, None, None],
+                                      p[:, :, None], p[:, None, :]]
+        blocks *= cos.twist[:, :, None] * cos.twist.conj()[:, None, :]
+        rows = cos.perm.reshape(p.shape)
+        S = np.zeros((cos.perm.size, cos.perm.size), dtype=complex)
         S[rows[:, :, None], rows[:, None, :]] = blocks
         spec._S = 0.5 * (S + S.conj().T)
     return spec._S
 
 
 def _eigendecomposition(spec: GaborFrameSpec):
-    """(perm, w, V): one batched Hermitian eigendecomposition of the blocks."""
+    """(perm, w, V) per coset: one batched Hermitian eigendecomposition of
+    the roots' blocks, carried to every coset of their orbits."""
     if spec._eig is None:
-        perm, blocks = _walnut_blocks(spec)
-        spec._eig = (perm, *np.linalg.eigh(blocks))
+        cos = _cosets(spec.lattice)
+        w, V = np.linalg.eigh(_walnut_blocks(spec))
+        V = V[cos.orbit[:, None], cos.carry] * cos.twist[:, :, None]
+        spec._eig = (cos.perm, w[cos.orbit], V)
     return spec._eig
 
 

@@ -4,6 +4,10 @@ No CLI run reaches these, so they live beside the tests that use them
 (pytest collects only test_*.py files, so this module is imported, not
 collected):
 
+- walnut_blocks and eigendecomposition build and decompose the Walnut
+  block of every coset directly.  The library builds one block per orbit
+  of the cosets under the lattice's translations and carries it to the
+  other cosets by a gather and a phase, which must agree with these.
 - GaborMultiplier, apply_multiplier and multiplier_matrix are the paper's
   elementary warped multipliers.  The library never applies one: its
   truncated sum T_L masks the Gabor matrix, A (cross o [|lambda -
@@ -32,11 +36,29 @@ from typing import Optional
 import numpy as np
 
 from gaborfio.core import Signal, Weight, TWO_PI
-from gaborfio.frames import GaborFrameSpec, Lattice, analysis, synthesis
+from gaborfio.frames import (GaborFrameSpec, Lattice, _coset_atoms, _cosets,
+                             analysis, synthesis)
 from gaborfio.phases import CanonicalMap, TamePhase, chi_prime_table
 from gaborfio.fio import GaborMatrix
 from gaborfio.multiplier import (MultiplierSymbolTable, _sandwich,
                                  commutation_factors)
+
+
+# ----------------------------------------------------------------- frames
+
+def walnut_blocks(spec: GaborFrameSpec):
+    """(perm, blocks): blocks[c] is S on the rows and columns of the c-th
+    coset, |M| G0 G0^H over one atom per translation, for every coset."""
+    G0 = _coset_atoms(spec)
+    return (_cosets(spec.lattice).perm,
+            G0.shape[0] * (G0 @ G0.conj().transpose(0, 2, 1)))
+
+
+def eigendecomposition(spec: GaborFrameSpec):
+    """(perm, w, V): one batched Hermitian eigendecomposition of every
+    coset's block."""
+    perm, blocks = walnut_blocks(spec)
+    return (perm, *np.linalg.eigh(blocks))
 
 
 # ------------------------------------------------------------ multipliers
