@@ -200,10 +200,13 @@ def _largest_array(command, grid, npoints):
     and hold one atom per translation, so for frame-check the count is
     conservative.  n^{2d} bounds the Walnut blocks of the frame operator
     and is warp-frame's Gram matrix.  N^2 is the Gabor matrix, which
-    approximate and dilation-demo hold.  decay-scan holds no array with N
-    columns of either: it makes T A only for the translations one column
-    block meets, n^d x |M| each, and streams A^H T A in column blocks of
-    about 1 MiB.  Its float64 distance tables and
+    approximate holds once, with its rows in coset order, beside per-block
+    temporaries and the n^d x N product A C of each truncation.
+    dilation-demo holds (K, N) tables, K <= N the shifts within nu_radius;
+    K is known only after the lattice is enumerated, so N^2 bounds them.
+    decay-scan holds no array with N columns of either: it makes T A only
+    for the translations one column block meets, n^d x |M| each, and
+    streams A^H T A in column blocks of about 1 MiB.  Its float64 distance tables and
     fio._max_squared_distance gather hold at most n^d N entries each,
     within the atoms' term.
     """

@@ -117,8 +117,9 @@ def bandlimited_symbol(grid: Grid, N: float, seed: int = 0) -> SymbolTable:
 def weighted_symbol(grid: Grid, s: float, seed: int = 0) -> SymbolTable:
     """Random symbol whose spectrum decays like <zeta>^{-(s+1)} in continuum units.
 
-    Discrete surrogate of membership in the weighted modulation-space symbol class
-    with weight v_s.
+    The envelope <zeta>^{-(s+1)} is in L^1_{v_r}(R^2) only for r < s - 1,
+    so it places the symbol in the Sjostrand class (r = 0) only for
+    s > 1, and in no weighted class with weight v_s.
     """
     h = grid.h
     return _random_symbol(
@@ -265,14 +266,8 @@ def gabor_matrix(T: FioOperator, spec: GaborFrameSpec) -> GaborMatrix:
 def gabor_cross(T: FioOperator, spec: GaborFrameSpec) -> np.ndarray:
     """A^H T A, indexed [lam, mu]: the blocks of gabor_columns, stored
     with their rows scattered to lattice order, so a stored column equals
-    the streamed one bit for bit.
-
-    The result is allocated once the first block is made, so it can take
-    the heap space that block's temporaries have freed.  Allocated before
-    them, it leaves them at the top of the heap, which glibc gives back to
-    the system and the next run faults in again: in the benchmark's
-    approximate-n56 loop that was 3,539 minor faults per execution
-    against 739.
+    the streamed one bit for bit.  The result is allocated once the first
+    block is made, for the reason multiplier.extract_symbols gives.
     """
     order = _cosets(spec.lattice).index.ravel()
     cross = None

@@ -67,12 +67,15 @@ _coset_fold, computes E (G0^H X_c) with its rows in that coset order
 (row k N_t + t is the point index[k, t]).  _coset_analysis runs it on a
 block of columns; analysis scatters the rows to lattice order, while fio
 streams the Gabor matrix A^H T A through the same column blocks in coset
-order, with no scatter, since its one reader permutes its distance
-tables once instead.  fio also runs the kernel with the atoms of a few
-translations only, to make T A translation by translation.  The shift
-index and phase columns of the atoms G0 depend on the lattice only and
-are kept with the coset tables, so a spec and its tightened spec share
-them.
+order, with no scatter, since its readers permute their distance tables
+once instead.  _coset_synthesis is the synthesis kernel on rows in that
+order: synthesis gathers each block of coefficients into it, while
+multiplier stores the Gabor matrix with its rows in it and synthesizes
+the masked blocks as they are.  fio also runs the analysis kernel with
+the atoms of a few translations only, to make T A translation by
+translation.  The shift index and phase columns of the atoms G0 depend
+on the lattice only and are kept with the coset tables, so a spec and
+its tightened spec share them.
 """
 
 from dataclasses import dataclass, field
@@ -517,6 +520,26 @@ def _coset_analysis(X: np.ndarray, spec: GaborFrameSpec,
     return _coset_fold(G0h, Xc, cos.E, Y)
 
 
+def _coset_synthesis(Xc: np.ndarray, spec: GaborFrameSpec,
+                     out: np.ndarray) -> np.ndarray:
+    """A X into out, (n^d, w), for one column block X, (N, w), given
+    with its rows in coset order: row k N_t + t is the lattice point
+    Cosets.index[k, t].  Returns out.
+
+    The mirror of _coset_analysis: G0_c (E^H X)_c per coset c, with the
+    signal's rows scattered from coset order to grid order.  synthesis
+    gathers its rows into coset order first; multiplier's table is
+    stored in that order.  out may be a view, such as a column block of
+    a larger array.
+    """
+    cos = _cosets(spec.lattice)
+    G0 = _coset_atoms(spec)
+    K, s, Nt = G0.shape
+    W = cos.E.conj().T @ Xc.reshape(K, -1)
+    out[cos.perm] = (G0 @ W.reshape(K, Nt, -1)).reshape(K * s, -1)
+    return out
+
+
 def analysis(f, spec: GaborFrameSpec) -> np.ndarray:
     """Coefficients <f, pi(lambda) g> over the lattice, A^H f.
 
@@ -542,15 +565,12 @@ def synthesis(c: np.ndarray, spec: GaborFrameSpec):
     N = spec.lattice.npoints
     if c.shape[:1] != (N,) or c.ndim > 2:
         raise ValueError(f"expected {N} coefficients, got {c.shape}")
-    cos = _cosets(spec.lattice)
-    G0 = _coset_atoms(spec)
-    K, s, Nt = G0.shape
-    EH = cos.E.conj().T
+    index = _cosets(spec.lattice).index
+    n_d = spec.window.grid.size
     cols = c.reshape(N, -1)
-    out = np.empty((K * s, cols.shape[1]), dtype=complex)
-    for b in _column_blocks(cols.shape[1], max(N, K * s)):
-        W = EH @ cols[cos.index, b].reshape(K, -1)
-        out[cos.perm, b] = (G0 @ W.reshape(K, Nt, -1)).reshape(K * s, -1)
+    out = np.empty((n_d, cols.shape[1]), dtype=complex)
+    for b in _column_blocks(cols.shape[1], max(N, n_d)):
+        _coset_synthesis(cols[index, b], spec, out[:, b])
     if c.ndim == 1:
         return Signal(spec.window.grid, out[:, 0])
     return out

@@ -12,10 +12,15 @@ collected):
   elementary warped multipliers.  The library never applies one: its
   truncated sum T_L masks the Gabor matrix, A (cross o [|lambda -
   chi'(mu)| <= L]) A^H, which the multiplier tests check against these.
+- sandwich and truncated_sum form that masked sum from the Gabor matrix
+  in lattice order, fio.gabor_cross: the whole masked N x N copy, then
+  A C A^H by two syntheses.  The library masks and synthesizes the
+  matrix in the coset order in which fio streams it, one column block at
+  a time, and must equal this bit for bit.
 - symbols reads a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu] from a
-  stored Gabor matrix, extract_symbols' table; the library's
-  shift_symbols reads the same entries from the column-block stream and
-  must equal it bit for bit.
+  stored Gabor matrix, extract_symbols' table, whose rows it finds
+  through Cosets.index; the library's shift_symbols reads the same
+  entries from the column-block stream and must equal it bit for bit.
 - dilation_integrand_quadrature is a fine Riemann sum of the integral the
   dilation closed form evaluates.  dilation_inner_product,
   dilation_commutation_factor and mass_set are the library's dilation
@@ -36,12 +41,11 @@ from typing import Optional
 import numpy as np
 
 from gaborfio.core import Signal, Weight, TWO_PI
-from gaborfio.frames import (GaborFrameSpec, Lattice, _coset_atoms, _cosets,
-                             analysis, synthesis)
+from gaborfio.frames import (GaborFrameSpec, Lattice, _column_blocks,
+                             _coset_atoms, _cosets, analysis, synthesis)
 from gaborfio.phases import CanonicalMap, TamePhase, chi_prime_table
-from gaborfio.fio import GaborMatrix
-from gaborfio.multiplier import (MultiplierSymbolTable, _sandwich,
-                                 commutation_factors)
+from gaborfio.fio import GaborMatrix, _distance_tables, _squared_distances
+from gaborfio.multiplier import MultiplierSymbolTable, commutation_factors
 
 
 # ----------------------------------------------------------------- frames
@@ -88,23 +92,46 @@ def apply_multiplier(M: GaborMultiplier, f: Signal) -> Signal:
     return synthesis(c, M.spec)
 
 
+def sandwich(C: np.ndarray, spec: GaborFrameSpec) -> np.ndarray:
+    """A C A^H by two syntheses: A C A^H = (A (A C)^H)^H."""
+    return synthesis(synthesis(C, spec).conj().T, spec).conj().T
+
+
 def multiplier_matrix(M: GaborMultiplier) -> np.ndarray:
     """A C A^H with C[chi'(lambda), lambda] = a_lambda."""
     N = M.a.size
     C = np.zeros((N, N), dtype=complex)
     C[M.warp_idx, np.arange(N)] = M.a
-    return _sandwich(C, M.spec)
+    return sandwich(C, M.spec)
+
+
+def truncated_sum(cross: np.ndarray, warp_idx: np.ndarray,
+                  spec: GaborFrameSpec, L: float) -> np.ndarray:
+    """A (cross o [|lambda - chi'(mu)| <= L]) A^H from the Gabor matrix
+    cross in lattice order, [lam, mu], as fio.gabor_cross stores it: the
+    distances from fio's tables in lattice order, masked per column block
+    into one F-order N x N copy, then sandwich."""
+    lat = spec.lattice
+    tables = _distance_tables(lat, lat.coords()[warp_idx])
+    C = np.empty_like(cross, order="F")   # synthesis reads its columns
+    for mus in _column_blocks(*C.shape):
+        d2 = _squared_distances(*tables, mus)
+        C[:, mus] = np.where(np.sqrt(d2) <= L + 1e-12, cross[:, mus], 0)
+    return sandwich(C, spec)
 
 
 def symbols(tsym: MultiplierSymbolTable, nu_indices: np.ndarray):
     """(a, c) for the K shifts nu_indices (lattice indices): the (K, N)
     symbols a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu] gathered from the
-    stored Gabor matrix, and the unit factors c_{nu,mu}.  The product is
-    a *= c, in shift_symbols' operand order."""
+    stored Gabor matrix, whose rows are in coset order, and the unit
+    factors c_{nu,mu}.  The product is a *= c, in shift_symbols' operand
+    order."""
     lat = tsym.spec.lattice
     ic = lat.int_coords
     c = commutation_factors(tsym.spec, ic[nu_indices], ic[tsym.warp_idx])
-    rows = lat.add(nu_indices[:, None], tsym.warp_idx[None, :])
+    pos = np.empty(lat.npoints, dtype=np.intp)   # lattice index -> row
+    pos[_cosets(lat).index.ravel()] = np.arange(lat.npoints)
+    rows = pos[lat.add(nu_indices[:, None], tsym.warp_idx[None, :])]
     a = tsym.cross[rows, np.arange(tsym.warp_idx.size)]
     a *= c
     return a, c

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gaborfio import cli
-from gaborfio.cli import MAX_DENSE_ENTRIES, _configure, _write_csv, main
+from gaborfio.cli import (MAX_DENSE_ENTRIES, THREAD_ENV_VARS, _configure,
+                          _write_csv, main)
 from gaborfio.core import Grid
 from gaborfio.dilation import compare_dilation_symbols
 from gaborfio import dilation, fio, frames, multiplier
@@ -217,6 +218,27 @@ def test_dilation_demo_holds_less_than_one_gabor_matrix(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 4096 ** 2 * 16
+
+
+# approximate's tracemalloc peak at n = 160, diag(4, 4), where one N x N
+# complex matrix takes 1600^2 x 16 B = 41 MB: 52-53 MB with the Gabor
+# matrix held once and masked and synthesized a column block at a time
+# (numpy 2, x86-64).  A masked N x N copy beside it peaked at 93-95 MB.
+APPROXIMATE_PEAK_BYTES = 1.6 * 1600 ** 2 * 16
+
+
+def test_approximate_holds_one_gabor_matrix(tmp_path):
+    doc = dict(approximate_cfg(), grid={"n": 160, "d": 1})
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    tracemalloc.start()
+    try:
+        code = main(["approximate", "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < APPROXIMATE_PEAK_BYTES
 
 
 def test_decay_scan_rerun_byte_identical(tmp_path):
@@ -830,12 +852,13 @@ def test_every_config_ends_in_a_documented_exit(case):
             assert all(math.isfinite(float(cell)) for cell in cells)
 
 
-def run_cli_process(command, cfg, out):
-    """python -m gaborfio.cli in a fresh interpreter; the CompletedProcess."""
+def run_cli_process(command, cfg, out, **env_vars):
+    """python -m gaborfio.cli in a fresh interpreter, with env_vars added
+    to its environment; the CompletedProcess."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["gaborfio"].__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+        [src, os.environ.get("PYTHONPATH", "")]), **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "gaborfio.cli", command, "--config", cfg,
          "--out", str(out)],
@@ -853,6 +876,41 @@ def test_rerun_in_fresh_processes_byte_identical(tmp_path, command):
     assert "report.json" in outs[0]
     assert any(name.endswith(".csv") for name in outs[0])
     assert outs[0] == outs[1]
+
+
+def test_approximate_agrees_across_blas_thread_counts(tmp_path):
+    # Byte-identity holds at a fixed BLAS thread count: with 2 threads in
+    # place of 1 the errors may move in their last digits (the BLAS
+    # splits its sums differently), but no verdict moves.  At n = 64
+    # OpenBLAS 0.3 splits none of these products, so the bits agree; at
+    # n = 160 they differ, and all four errors lie far above roundoff
+    # (0.32 to 2.9e-7), so a relative tolerance means something.  Two
+    # threads, no more, so that a 2-CPU host is not oversubscribed.
+    doc = dict(approximate_cfg(), grid={"n": 160, "d": 1},
+               phase={"kind": "perturbed", "params": {"eps": 0.1}},
+               L_list=[1, 2, 4, 8])
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    reports, curves = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        proc = run_cli_process("approximate", cfg, out,
+                               **{var: threads for var in THREAD_ENV_VARS})
+        assert proc.returncode == 0, proc.stderr
+        reports.append(json.loads((out / "report.json").read_text()))
+        curves.append(np.loadtxt(out / "truncation_error.csv", delimiter=",",
+                                 skiprows=1))
+    one, two = reports
+    assert one["provenance"]["thread_env"] == dict.fromkeys(THREAD_ENV_VARS,
+                                                            "1")
+    assert two["provenance"]["thread_env"] == dict.fromkeys(THREAD_ENV_VARS,
+                                                            "2")
+    assert one["verdicts"] == two["verdicts"]
+    assert np.array_equal(curves[0][:, 0], curves[1][:, 0])
+    np.testing.assert_allclose(curves[1][:, 1], curves[0][:, 1], rtol=1e-12,
+                               atol=0)
+    np.testing.assert_allclose(two["slopes"]["truncation_slope"],
+                               one["slopes"]["truncation_slope"], rtol=1e-12,
+                               atol=0)
 
 
 def test_error_exit_stderr_is_one_json_object_with_the_warnings(tmp_path):

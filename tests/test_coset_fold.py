@@ -114,9 +114,13 @@ def test_sandwiches_match_the_dense_atoms(gen, k, block, seed):
         # masked to |lambda - chi'(mu)| <= L, in integer coordinates.
         norms = lat.torus_norms()
         L = float(norms[rng.integers(N)])
+        # The table's rows are in coset order: row r is the point
+        # Cosets.index.ravel()[r].
+        cross = random_complex(rng, N, N)   # [lam, mu], lattice order
         tsym = MultiplierSymbolTable(
-            spec=spec, cross=random_complex(rng, N, N), warp_idx=warp_idx)
-        C = tsym.cross * integer_mask(lat, warp_idx, L)
+            spec=spec, cross=cross[frames._cosets(lat).index.ravel()],
+            warp_idx=warp_idx)
+        C = cross * integer_mask(lat, warp_idx, L)
         masked = assemble_truncated(tsym, L)   # the mask's blocks too
         assert rel_err(masked, atoms @ C @ atoms.conj().T) < RTOL
 

@@ -3,7 +3,8 @@
 multiplier.shift_symbols reads the symbols a_nu(mu) of the shifts a
 caller names from fio.gabor_columns' column blocks, whose rows are in
 coset order.  oracles.symbols reads them from the N x N matrix that
-extract_symbols stores in lattice order.  Both see the same blocks when
+extract_symbols stores, whose rows are in the same coset order, through
+Cosets.index.  Both see the same blocks when
 frames._BLOCK_BYTES is the same, so they must agree bit for bit, for
 every lattice, phase, shift set and block width.
 """
