@@ -227,7 +227,8 @@ def _fio_on_atoms(T: FioOperator, spec: GaborFrameSpec, blocks):
                 Y = np.empty(K * m * n, dtype=complex)
             # Row k m + j of the kernel's result is the point (a + j) K + k;
             # conjugated and put in lattice order, after the kept columns.
-            rows = _coset_fold(G0h[:, a:t1], THc, cos.E,
+            # Where cos.fft the result is Y itself, copied out at once.
+            rows = _coset_fold(G0h[:, a:t1], THc, cos,
                                Y[:K * m * n].reshape(K, m, n))
             keep = cols[(t0 - lo) * K:]   # the kept translation it meets
             cols = np.empty((len(keep) + m * K, n), dtype=complex)
@@ -247,13 +248,17 @@ def gabor_columns(T: FioOperator, spec: GaborFrameSpec):
     frames.analysis walks, so neither the N x N matrix nor the n x N
     matrix T A is ever held.  The rows stay in the kernel's coset order:
     row k N_t + t is lam = Cosets.index[k, t], so no block is scattered
-    to lattice order only to be read once.  The kernel's product G0^H X_c
-    goes into one buffer per call; each yielded block is a fresh array,
-    so it stays valid after the next one is drawn.
+    to lattice order only to be read once.  Each yielded block is a fresh
+    array, so it stays valid after the next one is drawn: where
+    frames.Cosets.fft, the kernel's FFT runs in place in the block's own
+    product G0^H X_c, which is then the block; otherwise the block is the
+    dense product E (G0^H X_c), and G0^H X_c goes into one buffer per
+    call.
     """
     N = spec.lattice.npoints
     blocks = _column_blocks(N, max(N, T.grid.size))
-    buf = np.empty(N * len(range(N)[blocks[0]]), dtype=complex)
+    buf = None if _cosets(spec.lattice).fft else \
+        np.empty(N * len(range(N)[blocks[0]]), dtype=complex)
     for mus, TA in _fio_on_atoms(T, spec, blocks):
         yield mus, _coset_analysis(TA, spec, buf)
 

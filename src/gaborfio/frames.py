@@ -60,7 +60,13 @@ conj(E[k, c]) with E[k, c] = e^{-2 pi i (j_c.M_k mod n) / n}.  So
 
 with the coefficients in the (k, t) order of the coset tables.  This is
 n^d N_t + |M| N operations per column instead of n^d N, for any d and any
-commensurate lattice; the dense n^d x N atom matrix is never formed.
+commensurate lattice; the dense n^d x N atom matrix is never formed.  For
+d = 1, M = q Z_n and E is the K-point DFT matrix, K = |M|, so the
+character product is an FFT of length K over the cosets: n^d N_t +
+N log K operations per column, where K is large enough for the FFT to
+beat the dense product and has only prime factors numpy's FFT has its
+own passes for (Cosets.fft, _FFT_MIN_K).  For d = 2, M can be
+non-cyclic, such as Z_4 x Z_4, and E stays a dense product.
 Columns are processed in blocks of about _BLOCK_BYTES, 1 MiB, so that a
 block and its products stay in a 2 MiB L2 cache.  One kernel,
 _coset_fold, computes E (G0^H X_c) with its rows in that coset order
@@ -95,8 +101,25 @@ PARSEVAL_TOL = 1e-8
 # Bytes of one complex column block of analysis, synthesis and fio's
 # stream of A^H T A.  Of 8, 2, 1, 0.5 and 0.25 MiB, 1 MiB gave the least
 # median CPU time of decay-scan at n = 160, diag(4, 4) (25 runs each, on
-# a Xeon with 2 MiB of L2 cache per core).
+# a Xeon with 2 MiB of L2 cache per core).  With the fold's FFT in place
+# in its own product (below), the benchmark's decay-scan-n160 workload
+# (6 rounds of 5 s runs each, 1 BLAS thread, same host) read a median
+# cli_s of 74.6 ms at 0.5 MiB, 68.4 ms at 1 MiB and 73.3 ms at 2 MiB.
 _BLOCK_BYTES = 2 ** 20
+
+# For d = 1 the character product E Y of the coset fold is the K-point DFT
+# of Y's rows, K = |M|; it runs as an FFT when K >= _FFT_MIN_K and every
+# prime factor of K is in _FFT_PRIMES.  On one 1 MiB block of the fold,
+# Y of shape (K, 2^16 // K), the in-place FFT took this share of the time
+# of E @ Y (medians of 300 calls, 1 BLAS thread, same host):
+#     K      14    16    20    28    32    40    64
+#     FFT  0.97  1.11  0.84  0.68  0.70  0.57  0.57
+# 18 gave 1.11 and 16 gave 0.88-1.11 in other runs, so the FFT starts at
+# 20.  numpy's pocketfft has its own passes for the prime factors 2, 3, 5,
+# 7 and 11 only: of the 23 K from 17 to 65 with another prime factor, 19
+# took 1.09-4.59 times as long as E @ Y, and 39, 52, 57, 65 took 0.66-0.98.
+_FFT_MIN_K = 20
+_FFT_PRIMES = (2, 3, 5, 7, 11)
 
 
 class LatticeError(ValueError):
@@ -281,6 +304,12 @@ class Cosets:
     order: they depend on the lattice only, so every window on it
     gathers its atoms G0 from them.
 
+    For d = 1, M is q Z_n in lattice order (M_k = k q, K = n / q) and
+    the first row of coset c is j_c = c, so E[k, c] = e^{-2 pi i k c / K}
+    is the K-point DFT matrix; fft says whether the folds apply it as
+    np.fft (d = 1 and K a size the FFT beats E @ Y at, see _FFT_MIN_K).
+    For d = 2, M can be non-cyclic, such as Z_4 x Z_4, and E stays dense.
+
     The orbit tables carry the Walnut block of each orbit's least coset
     (roots) to every coset c of the orbit (see the module docstring):
     with (x_t, m_t) the first point of reps that carries the root to c,
@@ -291,6 +320,7 @@ class Cosets:
     perm: np.ndarray     # (n^d,) rows grouped by coset
     reps: np.ndarray     # (N_t, 2d) the points (x_t, m_t)
     E: np.ndarray        # (|M|, |M|) [k, c] e^{-2 pi i (j_c.M_k mod n) / n}
+    fft: bool            # E is the |M|-point DFT and the folds use the FFT
     index: np.ndarray    # (|M|, N_t) lattice index of (x_t, m_t + M_k)
     shift: np.ndarray    # (n^d, N_t) sample of (j - x_t) mod n, perm rows
     phases: np.ndarray   # (n^d, N_t) e^{2 pi i j.m_t / n}, perm rows
@@ -334,10 +364,22 @@ def _cosets(lat: Lattice) -> Cosets:
         shift, phases = atom_tables(lat.grid, reps)
         shift, phases = shift[perm], phases[perm]
         lat._cosets = Cosets(perm=perm, reps=reps, E=E,
+                             fft=d == 1 and _fft_size(M.shape[0]),
                              index=lat.indices_of(pts), shift=shift,
                              phases=phases,
                              **_orbit_tables(perm, shift, phases, M.shape[0]))
     return lat._cosets
+
+
+def _fft_size(K: int) -> bool:
+    """Whether the K-point FFT beats the K x K product: K >= _FFT_MIN_K
+    with no prime factor outside _FFT_PRIMES."""
+    if K < _FFT_MIN_K:
+        return False
+    for p in _FFT_PRIMES:
+        while K % p == 0:
+            K //= p
+    return K == 1
 
 
 def _orbit_tables(perm, shift, phases, K) -> dict:
@@ -486,7 +528,7 @@ def _conj_coset_atoms(spec: GaborFrameSpec) -> np.ndarray:
     return spec._G0h
 
 
-def _coset_fold(G0h: np.ndarray, Xc: np.ndarray, E: np.ndarray,
+def _coset_fold(G0h: np.ndarray, Xc: np.ndarray, cos: Cosets,
                 Y: Optional[np.ndarray] = None) -> np.ndarray:
     """E (G0h Xc), (|M| N_t', w): the analysis kernel on rows in coset order.
 
@@ -495,10 +537,17 @@ def _coset_fold(G0h: np.ndarray, Xc: np.ndarray, E: np.ndarray,
     consecutive ones.  Row k N_t' + t is the point (x_t, m_t + M_k), x_t
     the t-th of those translations.  Y, if given, is a C-contiguous
     (|M|, N_t', w) buffer that takes G0h Xc.
+
+    Where cos.fft, E is the |M|-point DFT and runs as np.fft.fft over the
+    leading axis, in place in the product G0h Xc: the result is Y (or a
+    fresh product), reshaped.  Otherwise it is the dense product E @ Y, a
+    fresh array; d = 2 always takes it, since M can be non-cyclic there.
     """
     K, Nt = G0h.shape[:2]
-    Y = np.matmul(G0h, Xc, out=Y)
-    return (E @ Y.reshape(K, -1)).reshape(K * Nt, -1)
+    Y = np.matmul(G0h, Xc, out=Y).reshape(K, -1)
+    if cos.fft:
+        return np.fft.fft(Y, axis=0, out=Y).reshape(K * Nt, -1)
+    return (cos.E @ Y).reshape(K * Nt, -1)
 
 
 def _coset_analysis(X: np.ndarray, spec: GaborFrameSpec,
@@ -507,17 +556,19 @@ def _coset_analysis(X: np.ndarray, spec: GaborFrameSpec,
 
     Row k N_t + t is the lattice point Cosets.index[k, t], (x_t, m_t +
     M_k).  analysis scatters the rows to lattice order; fio's stream of
-    A^H T A reads them as they are.  buf, a flat complex array of at
-    least N w entries, takes the product G0^H X_c, so that a caller
-    walking many blocks allocates it once; the result is always fresh.
+    A^H T A reads them as they are.  The result is always fresh.  buf, a
+    flat complex array of at least N w entries, takes the product G0^H
+    X_c of the dense side, so that a caller walking many blocks allocates
+    it once; where Cosets.fft the FFT runs in place in a fresh product,
+    which is the result, and buf is not used.
     """
     cos = _cosets(spec.lattice)
     G0h = _conj_coset_atoms(spec)
     K, Nt, s = G0h.shape
     Xc = X[cos.perm].reshape(K, s, -1)
-    Y = None if buf is None else \
+    Y = None if buf is None or cos.fft else \
         buf[:K * Nt * Xc.shape[2]].reshape(K, Nt, -1)
-    return _coset_fold(G0h, Xc, cos.E, Y)
+    return _coset_fold(G0h, Xc, cos, Y)
 
 
 def _coset_synthesis(Xc: np.ndarray, spec: GaborFrameSpec,
@@ -530,12 +581,17 @@ def _coset_synthesis(Xc: np.ndarray, spec: GaborFrameSpec,
     signal's rows scattered from coset order to grid order.  synthesis
     gathers its rows into coset order first; multiplier's table is
     stored in that order.  out may be a view, such as a column block of
-    a larger array.
+    a larger array.  Where Cosets.fft, E^H is the unscaled inverse DFT,
+    np.fft.ifft with norm="forward"; it is not done in place, since Xc
+    can be a view of multiplier's table.  Otherwise E^H X is a dense
+    product, as for every d = 2 lattice.
     """
     cos = _cosets(spec.lattice)
     G0 = _coset_atoms(spec)
     K, s, Nt = G0.shape
-    W = cos.E.conj().T @ Xc.reshape(K, -1)
+    X = Xc.reshape(K, -1)
+    W = (np.fft.ifft(X, axis=0, norm="forward") if cos.fft
+         else cos.E.conj().T @ X)
     out[cos.perm] = (G0 @ W.reshape(K, Nt, -1)).reshape(K * s, -1)
     return out
 

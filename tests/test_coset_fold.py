@@ -9,8 +9,12 @@ blocks of 1, 7 and k + 3 columns.  The sandwiches A C A^H behind
 assemble_truncated and the oracle multiplier_matrix, and the scatter of
 the oracle apply_multiplier (tests/oracles.py), are checked the same way, with a warp that maps
 several points to one; assemble_truncated's mask is built from integer
-coordinates.  The coset tables themselves are checked bit for bit
-against the full character vectors they are labelled by.
+coordinates.  For d = 1 both sides of the character product run: the
+K-point FFT that Cosets.fft selects and the dense product with E,
+forced by patching frames._FFT_MIN_K before the lattice's cosets are
+made.  The coset tables themselves are checked bit for bit against the
+full character vectors they are labelled by, E for d = 1 against the
+DFT matrix the FFT stands for, and d = 2 always takes the dense product.
 """
 
 from unittest import mock
@@ -49,10 +53,15 @@ def block_bytes(spec, columns):
     return 16 * rows * columns
 
 
-def draw_spec(gen, seed):
+def draw_spec(gen, seed, fft):
+    """A spec on gen's lattice with a random window; its cosets are made
+    with the FFT forced on (every d = 1 size drawn here has the prime
+    factors 2 and 3 only) or off."""
     A, grid = gen
     lat = enumerate_lattice(A, grid)
     assume(lat.npoints <= MAX_POINTS)
+    with mock.patch.object(frames, "_FFT_MIN_K", 1 if fft else np.inf):
+        assert frames._cosets(lat).fft == (fft and grid.d == 1)
     rng = np.random.default_rng(seed)
     window = Signal(grid, random_complex(rng, grid.size))
     return GaborFrameSpec(window, lat), rng
@@ -61,7 +70,7 @@ def draw_spec(gen, seed):
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 CASES = given(commensurate_generators(sizes=((8, 12, 16, 24, 32), (8,))),
               st.integers(2, 6), st.sampled_from(["one", "seven", "k+3"]),
-              st.integers(0, 2 ** 16))
+              st.integers(0, 2 ** 16), st.booleans())
 
 
 def block_columns(block, k):
@@ -70,10 +79,14 @@ def block_columns(block, k):
 
 @SETTINGS
 @CASES
-@example(gen=SHEARED, k=3, block="one", seed=1)
-@example(gen=SHEARED_2D, k=4, block="seven", seed=2)
-def test_analysis_and_synthesis_match_the_dense_atoms(gen, k, block, seed):
-    spec, rng = draw_spec(gen, seed)
+@example(gen=SHEARED, k=3, block="one", seed=1, fft=True)
+@example(gen=SHEARED, k=3, block="one", seed=1, fft=False)
+@example(gen=(np.diag([1, 1]), Grid(24)), k=2, block="seven", seed=5,
+         fft=True)
+@example(gen=SHEARED_2D, k=4, block="seven", seed=2, fft=True)
+def test_analysis_and_synthesis_match_the_dense_atoms(gen, k, block, seed,
+                                                     fft):
+    spec, rng = draw_spec(gen, seed, fft)
     n_d, N = spec.window.grid.size, spec.lattice.npoints
     atoms = build_atoms(spec.window, spec.lattice.int_coords)
     with mock.patch.object(frames, "_BLOCK_BYTES",
@@ -92,10 +105,11 @@ def test_analysis_and_synthesis_match_the_dense_atoms(gen, k, block, seed):
 
 @SETTINGS
 @CASES
-@example(gen=SHEARED, k=2, block="k+3", seed=3)
-@example(gen=SHEARED_2D, k=5, block="one", seed=4)
-def test_sandwiches_match_the_dense_atoms(gen, k, block, seed):
-    spec, rng = draw_spec(gen, seed)
+@example(gen=SHEARED, k=2, block="k+3", seed=3, fft=True)
+@example(gen=SHEARED, k=2, block="k+3", seed=3, fft=False)
+@example(gen=SHEARED_2D, k=5, block="one", seed=4, fft=True)
+def test_sandwiches_match_the_dense_atoms(gen, k, block, seed, fft):
+    spec, rng = draw_spec(gen, seed, fft)
     lat = spec.lattice
     N = lat.npoints
     atoms = build_atoms(spec.window, lat.int_coords)
@@ -159,3 +173,34 @@ def test_coset_tables_follow_the_full_character_vectors(gen):
     assert np.array_equal(cos.reps, reps)
     assert np.array_equal(cos.E, E)
     assert np.array_equal(cos.index, index)
+
+
+@SETTINGS
+@given(commensurate_generators(sizes=((8, 12, 16, 20, 24, 28, 32, 46),
+                                      (8, 12))))
+@example(gen=SHEARED)
+@example(gen=(np.diag([1, 1]), Grid(46)))
+@example(gen=SHEARED_2D)
+@example(gen=(np.diag([1, 1, 1, 1]), Grid(12, 2)))
+def test_d1_characters_are_the_dft_and_d2_stays_dense(gen):
+    """For d = 1, E is the |M|-point DFT matrix, which is what lets the
+    folds run as FFTs; the FFT is chosen by the size rule alone, and never
+    for d = 2, where M can be non-cyclic."""
+    lat = enumerate_lattice(*gen)
+    cos = frames._cosets(lat)
+    K = cos.E.shape[0]
+    if lat.grid.d == 1:
+        assert np.max(np.abs(cos.E - np.fft.fft(np.eye(K), axis=0))) < 1e-12
+        assert cos.fft == frames._fft_size(K)
+    else:
+        assert not cos.fft
+        lat = enumerate_lattice(*gen)
+        with mock.patch.object(frames, "_FFT_MIN_K", 1):
+            assert not frames._cosets(lat).fft
+
+
+def test_fft_size_rule():
+    """At least _FFT_MIN_K, and no prime factor outside _FFT_PRIMES."""
+    fft = [K for K in range(1, 70) if frames._fft_size(K)]
+    assert fft == [20, 21, 22, 24, 25, 27, 28, 30, 32, 33, 35, 36, 40, 42,
+                   44, 45, 48, 49, 50, 54, 55, 56, 60, 63, 64, 66]
