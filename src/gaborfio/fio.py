@@ -11,21 +11,21 @@ The dense matrix is the row-wise FFT of the quadrature kernel.
 The Gabor matrix A^H T A comes as a stream: gabor_columns yields it one
 column block at a time, the 1 MiB blocks of frames.analysis, so
 decay-scan never holds the N x N matrix; gabor_matrix stores the same
-blocks.  Nor is T A held, an n x N matrix: _fio_on_atoms makes it
-translation by translation, the analysis kernel with those translations'
-atoms only, and each block is cut from the translations it meets.  A
-streamed block keeps the rows lam in the coset order the analysis kernel
-computes them in (row k N_t + t is frames.Cosets.index[k, t]): the scan
-reads each block once, so scattering it to lattice order would only be
-undone.  The decay and transport tests compare every |G[mu, lam]| with
-the torus distance |chi(mu) - lam|, the multiplier's mask with
-|chi'(mu) - lam|.  It is never held as an N x N x 2d tensor: it is the
-sum of one table per phase-space axis, wrap(chi_a(mu) - x_j)^2 over the
-grid indices j that some lattice point has on that axis, gathered at
-each lam's row for the same column blocks; scan_distances permutes
-those rows into coset order once.  It reads each block of |G| and of
-distances once for both tests; the largest distance, which sets the
-decay bins, comes from the lattice's cosets without a pass.
+blocks as they come, the one stored form of it.  Nor is T A held, an
+n x N matrix: _fio_on_atoms makes it translation by translation, the
+analysis kernel with those translations' atoms only, and each block is
+cut from the translations it meets.  A block keeps the rows lam in the
+coset order the analysis kernel computes them in (row k N_t + t is
+frames.Cosets.index[k, t]), streamed or stored: no path scatters it to
+lattice order.  The decay and transport tests compare every
+|G[mu, lam]| with the torus distance |chi(mu) - lam|, the multiplier's
+mask with |chi'(mu) - lam|.  It is never held as an N x N x 2d tensor:
+it is the sum of one table per phase-space axis, wrap(chi_a(mu) - x_j)^2
+over the grid indices j that some lattice point has on that axis,
+gathered at each lam's row, in the same coset order, for the same column
+blocks.  scan_distances reads each block of |G| and of distances once
+for both tests; the largest distance, which sets the decay bins, comes
+from the lattice's cosets without a pass.
 """
 
 from dataclasses import dataclass
@@ -170,18 +170,22 @@ def fio_matrix(T: FioOperator) -> np.ndarray:
 
 @dataclass
 class GaborMatrix:
-    """Coefficient table G[mu, lam] = <T pi(mu) g, pi(lam) g>."""
+    """The coefficients <T pi(mu) g, pi(lam) g> on spec's lattice, stored
+    as gabor_columns yields them.
 
-    lattice: Lattice
-    entries: np.ndarray
+    cross[r, mu] is (A^H T A)[lam, mu] with the rows in coset order: row
+    r = k N_t + t is the lattice point lam = frames.Cosets.index[k, t].
+    The columns mu are in lattice order.
+    """
+
+    spec: GaborFrameSpec
+    cross: np.ndarray          # (N, N) complex, F-order, coset-order rows
 
     def column_blocks(self):
-        """(mus, (A^H T A)[:, mus]) over frames._column_blocks slices,
-        rows gathered into coset order as gabor_columns yields them."""
-        cross = self.entries.T   # [lam, mu]
-        order = _cosets(self.lattice).index.ravel()
-        N = self.lattice.npoints
-        return ((mus, cross[order, mus]) for mus in _column_blocks(N, N))
+        """(mus, cross[:, mus]) over frames._column_blocks slices: views,
+        in the row order gabor_columns yields."""
+        N = self.cross.shape[1]
+        return ((mus, self.cross[:, mus]) for mus in _column_blocks(N, N))
 
 
 def _fio_on_atoms(T: FioOperator, spec: GaborFrameSpec, blocks):
@@ -264,74 +268,85 @@ def gabor_columns(T: FioOperator, spec: GaborFrameSpec):
 
 
 def gabor_matrix(T: FioOperator, spec: GaborFrameSpec) -> GaborMatrix:
-    """Gabor coefficient matrix of T over the frame atoms."""
-    return GaborMatrix(lattice=spec.lattice, entries=gabor_cross(T, spec).T)
+    """A^H T A: the column blocks of gabor_columns stored as they come,
+    rows in coset order, into one F-order table, so each write is
+    contiguous.
 
-
-def gabor_cross(T: FioOperator, spec: GaborFrameSpec) -> np.ndarray:
-    """A^H T A, indexed [lam, mu]: the blocks of gabor_columns, stored
-    with their rows scattered to lattice order, so a stored column equals
-    the streamed one bit for bit.  The result is allocated once the first
-    block is made, for the reason multiplier.extract_symbols gives.
+    The table is allocated once the first block is made, so it can take
+    the heap space that block's temporaries have freed.  Allocated before
+    them, it leaves them at the top of the heap, which glibc gives back
+    to the system and the next run faults in again: in the benchmark's
+    approximate-n56 loop that was 3,539 minor faults per execution
+    against 739.  gabor_columns warns when spec is not Parseval.
     """
-    order = _cosets(spec.lattice).index.ravel()
+    N = spec.lattice.npoints
     cross = None
     for mus, block in gabor_columns(T, spec):
         if cross is None:
-            cross = np.empty((order.size, order.size), dtype=complex)
-        cross[order, mus] = block
-    return cross
+            cross = np.empty((N, N), dtype=complex, order="F")
+        cross[:, mus] = block
+    return GaborMatrix(spec=spec, cross=cross)
 
 
 def pair_distances(G: GaborMatrix, cmap: CanonicalMap) -> np.ndarray:
-    """r[mu, lam] = <chi(mu) - lam> with the torus metric.
+    """r[mu, lam] = <chi(mu) - lam> with the torus metric, both indices in
+    lattice order.
 
     chi is evaluated on the symmetric representatives (raw continuum
     output, unwrapped); the difference to lam is wrapped back to the
     torus before taking the Japanese bracket.
     """
-    tables = _distance_tables(G.lattice, cmap.forward(G.lattice.coords()))
-    return np.sqrt(1.0 + _squared_distances(*tables, slice(None))).T
+    lat = G.spec.lattice
+    tables = _distance_tables(lat, cmap.forward(lat.coords()))
+    r = np.empty((lat.npoints, lat.npoints))
+    r[:, _cosets(lat).index.ravel()] = \
+        np.sqrt(1.0 + _squared_distances(*tables, slice(None))).T
+    return r
 
 
 def _distance_tables(lat: Lattice, points: np.ndarray):
-    """Per-axis tables wrap(z_a(mu) - x_j)^2 [row, mu], and each lam's rows.
+    """Per-axis tables wrap(z_a(mu) - x_j)^2 [row, mu], and each lam's rows,
+    lam in coset order.
 
     points holds one phase-space point z(mu) per lattice point, (N, 2d).
     The table of axis a has one row per grid index j that some lattice
-    point has on that axis (n / 4 of them at diag(4, 4)), and rows[a]
-    maps each lam to the row of its index p_a mod n.  Every lattice
-    coordinate p h equals grid.coords()[p mod n] bit for bit, so
-    |z(mu) - lam|^2, the difference wrapped to the torus, is the sum over
-    axes a of table_a[rows[a][lam], mu].  Lattice order is lexicographic
-    mod n, and every first coordinate carries the same number of points
-    (a coset of the kernel of that projection), so rows[0] runs through
-    the rows of axis 0 in equal consecutive runs.
+    point has on that axis (n / 4 of them at diag(4, 4)), and rows[a][r]
+    is the row of the index p_a mod n of lam = Cosets.index.ravel()[r],
+    the row order of gabor_columns' blocks.  Every lattice coordinate p h
+    equals grid.coords()[p mod n] bit for bit, so |z(mu) - lam|^2, the
+    difference wrapped to the torus, is the sum over axes a of
+    table_a[rows[a][r], mu].  Row k N_t + t is the point (x_t, m_t +
+    M_k), the translations x_t lexicographic, and every first coordinate
+    carries the same number of translations, so rows[0] is the same
+    N_t rows of axis 0 for each k, in equal consecutive runs (of 1 for
+    d = 1).
     """
     grid = lat.grid
     x = grid.coords()
+    index = _cosets(lat).index
+    K, Nt = index.shape
+    lams = np.mod(lat.int_coords[index.ravel()], grid.n)   # coset order
     tables, rows = [], []
-    for z, p in zip(points.T, np.mod(lat.int_coords, grid.n).T):
+    for z, p in zip(points.T, lams.T):
         used, row = np.unique(p, return_inverse=True)
         tables.append(np.square(grid.wrap_coord(z[None, :] - x[used, None])))
         rows.append(row)
     n0 = len(tables[0])
-    assert np.array_equal(rows[0], np.repeat(np.arange(n0), lat.npoints // n0))
+    assert np.array_equal(rows[0],
+                          np.tile(np.repeat(np.arange(n0), Nt // n0), K))
     return tables, np.array(rows)
 
 
 def _squared_distances(tables, rows, mus):
-    """d2[lam, i] = |z(mu_i) - lam|^2 for the columns mus, a fresh array.
+    """d2[r, i] = |z(mu_i) - lam|^2 for the columns mus, lam the point of
+    row r, a fresh array.
 
-    Blocks are [lam, mu] like A^H T A, so they line up with any column
-    block of it, with rows in lattice order (as _distance_tables gives
-    them) or in coset order (rows[:, Cosets.index.ravel()], as
-    gabor_columns yields them).  Axis 0's rows are arange(n0) in runs of
-    equal rows either way: one run of N / n0 per row in lattice order,
-    runs of 1 repeated |M| times in coset order, where row k N_t + t has
-    time row t.  So axis 0 is added by broadcast over the runs; a + b ==
-    b + a in floating point, so the sum is the axis-order sum
-    table_0 + table_1 + ... bit for bit.
+    Blocks are [lam, mu] with the rows in coset order, as _distance_tables
+    gives them, so they line up with any column block of A^H T A.  Axis
+    0's rows are arange(n0) in runs of equal rows, repeated |M| times, so
+    axis 0 is added by broadcast over the runs; a + b == b + a in
+    floating point, so the sum is the axis-order sum table_0 + table_1 +
+    ... bit for bit.
     """
     d2 = tables[1][:, mus][rows[1]]
     n0 = len(tables[0])
@@ -345,8 +360,7 @@ def _squared_distances(tables, rows, mus):
 
 
 def _max_squared_distance(tables, rows) -> float:
-    """The largest d2 of _squared_distances over all columns, bit for bit,
-    from rows in coset order.
+    """The largest d2 of _squared_distances over all columns, bit for bit.
 
     Row k N_t + t is the lattice point (x_t, m_t + M_k) (frames.Cosets),
     so its time row is t for every k: take the maximum over k of the
@@ -444,14 +458,12 @@ def scan_distances(lat: Lattice, blocks, cmap: CanonicalMap) -> DistanceScan:
 
     blocks yields (mus, (A^H T A)[:, mus]) over column slices that cover
     every mu once, with the rows lam in coset order: gabor_columns, or
-    GaborMatrix.column_blocks.  The distance tables are built once and
-    their lattice rows permuted once into the same order, so no block is
-    scattered back to lattice order.  r_max comes from the cosets, so the
+    GaborMatrix.column_blocks.  The distance tables are built once, with
+    their rows in the same order.  r_max comes from the cosets, so the
     bin edges are known before the pass, which takes |G| once per block
-    for both tests.  Min and max do not depend on the row order.
+    for both tests.
     """
     tables, rows = _distance_tables(lat, cmap.forward(lat.coords()))
-    rows = rows[:, _cosets(lat).index.ravel()]   # coset order
     # sqrt(1 + .) is monotone, so this is the largest r, bit for bit.
     r_max = float(np.sqrt(1.0 + _max_squared_distance(tables, rows)))
     edges = _decay_edges(r_max)
@@ -494,7 +506,7 @@ def decay_envelope_fit(G: GaborMatrix, cmap: CanonicalMap,
     scan_distances; raises InsufficientDecayRangeError when the range is
     empty or fills fewer than 4 bins.
     """
-    scan = scan_distances(G.lattice, G.column_blocks(), cmap)
+    scan = scan_distances(G.spec.lattice, G.column_blocks(), cmap)
     return scan.decay_fit(s_claim)
 
 
@@ -513,5 +525,5 @@ def transport_argmax_check(G: GaborMatrix, cmap: CanonicalMap):
     minimum over the block's columns (flat index mod block width) keeps
     the nearest per mu.
     """
-    scan = scan_distances(G.lattice, G.column_blocks(), cmap)
+    scan = scan_distances(G.spec.lattice, G.column_blocks(), cmap)
     return scan.dists, scan.bound

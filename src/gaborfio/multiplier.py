@@ -20,17 +20,16 @@ multiplier M_a is ever formed or applied: these masked sums are the
 modified Gabor multipliers, and the elementary ones serve the tests as
 an oracle (tests/oracles.py).
 
-The symbol table is cross itself, and each T_L masks it by the torus
-distance |lambda - chi'(mu)| from fio's distance tables; L = inf gives
-A cross A^H = T.  The table keeps its rows lam in the coset order in
-which fio.gabor_columns makes them (row k N_t + t is the lattice point
-frames.Cosets.index[k, t]): each column block of the stream is stored as
-it comes, the distance tables' rows are permuted into that order once,
-and each masked column block goes straight to the synthesis kernel
-frames._coset_synthesis.  So the table is never scattered to lattice
-order, gathered back, or copied whole; besides it a truncation holds the
-n^d x N product A (cross o mask) and one column block at a time.  The
-symbols a_nu and the factors c_{nu,mu} =
+The symbol table is fio's GaborMatrix, cross itself, and each T_L masks
+it by the torus distance |lambda - chi'(mu)| from fio's distance tables;
+L = inf gives A cross A^H = T.  The table keeps its rows lam in the
+coset order in which fio.gabor_columns makes them (row k N_t + t is the
+lattice point frames.Cosets.index[k, t]), and so do the distance
+tables, so each masked column block goes straight to the synthesis
+kernel frames._coset_synthesis: the table is never scattered to lattice
+order, gathered back, or copied whole.  Besides it a truncation holds
+the n^d x N product A (cross o mask) and one column block at a time.
+The symbols a_nu and the factors c_{nu,mu} =
 e^{2 pi i j_x m_eta / n} (looked up by the integer dot j_x m_eta) are
 read only for the shifts a caller names, by shift_symbols, straight from
 fio's stream of Gabor-matrix column blocks: K x N entries, never the
@@ -47,8 +46,8 @@ from .core import Weight, TWO_PI, random_signal
 from .frames import (GaborFrameSpec, _column_blocks, _coset_synthesis,
                      _cosets, gabor_mod_norm, synthesis)
 from .phases import CanonicalMap, chi_prime_table
-from .fio import (FioOperator, _distance_tables, _squared_distances,
-                  fio_matrix, gabor_columns)
+from .fio import (FioOperator, GaborMatrix, _distance_tables,
+                  _squared_distances, fio_matrix, gabor_columns, gabor_matrix)
 from .diagnostics import loglog_fit, operator_norm
 
 # truncation_error_curve: random signals per weighted norm estimate, and
@@ -68,27 +67,19 @@ def warp_indices(cm: CanonicalMap, spec: GaborFrameSpec) -> np.ndarray:
 
 @dataclass
 class MultiplierSymbolTable:
-    """The Gabor matrix of T and the warp chi', which every truncation
-    masks.
+    """The Gabor matrix G of T, rows in coset order, and the warp chi',
+    which every truncation masks."""
 
-    cross[r, mu] is (A^H T A)[lam, mu] with the rows in coset order, as
-    fio.gabor_columns yields them: row r = k N_t + t is the lattice
-    point lam = frames.Cosets.index[k, t].  The columns mu are in lattice
-    order, like warp_idx.
-    """
-
-    spec: GaborFrameSpec
-    cross: np.ndarray          # (N, N) complex, A^H T A, coset-order rows
+    G: GaborMatrix
     warp_idx: np.ndarray       # (N,) lattice index of chi'(mu)
 
     @cached_property
     def distance_tables(self):
         """fio's distance tables of the torus distances |lambda - chi'(mu)|,
-        with their rows permuted into cross's coset order, built on the
-        first call and shared by every truncation."""
-        lat = self.spec.lattice
-        tables, rows = _distance_tables(lat, lat.coords()[self.warp_idx])
-        return tables, rows[:, _cosets(lat).index.ravel()]
+        rows in G.cross's coset order, built on the first call and shared
+        by every truncation."""
+        lat = self.G.spec.lattice
+        return _distance_tables(lat, lat.coords()[self.warp_idx])
 
 
 def commutation_factors(spec: GaborFrameSpec, nu_int: np.ndarray,
@@ -109,24 +100,8 @@ def commutation_factors(spec: GaborFrameSpec, nu_int: np.ndarray,
 
 def extract_symbols(T: FioOperator, spec: GaborFrameSpec,
                     cmap: CanonicalMap) -> MultiplierSymbolTable:
-    """The Gabor matrix of T and the warp chi' of cmap on spec's lattice.
-
-    The column blocks of fio.gabor_columns are stored as they come, rows
-    in coset order, into one F-order table, so each write is contiguous.
-    The table is allocated once the first block is made, so it can take
-    the heap space that block's temporaries have freed.  Allocated before
-    them, it leaves them at the top of the heap, which glibc gives back
-    to the system and the next run faults in again: in the benchmark's
-    approximate-n56 loop that was 3,539 minor faults per execution
-    against 739.  fio.gabor_columns warns when spec is not Parseval.
-    """
-    N = spec.lattice.npoints
-    cross = None
-    for mus, block in gabor_columns(T, spec):
-        if cross is None:
-            cross = np.empty((N, N), dtype=complex, order="F")
-        cross[:, mus] = block
-    return MultiplierSymbolTable(spec=spec, cross=cross,
+    """fio.gabor_matrix of T and the warp chi' of cmap on spec's lattice."""
+    return MultiplierSymbolTable(G=gabor_matrix(T, spec),
                                  warp_idx=warp_indices(cmap, spec))
 
 
@@ -172,12 +147,12 @@ def assemble_truncated(tsym: MultiplierSymbolTable, L: float) -> np.ndarray:
     synthesis' own.  Then A C A^H = (A (A C)^H)^H, with (A C)^H
     conjugated in place.
     """
-    spec = tsym.spec
-    N = tsym.cross.shape[1]
+    spec, cross = tsym.G.spec, tsym.G.cross
+    N = cross.shape[1]
     n_d = spec.window.grid.size
     Y = np.empty((n_d, N), dtype=complex, order="F")    # A C
     for mus in _column_blocks(N, max(N, n_d)):
-        block = tsym.cross[:, mus]
+        block = cross[:, mus]
         if L != np.inf:
             d2 = _squared_distances(*tsym.distance_tables, mus)
             block = np.where(np.sqrt(d2) <= L + 1e-12, block, 0)
@@ -203,7 +178,7 @@ def truncation_error_curve(T: FioOperator, tsym: MultiplierSymbolTable,
         raise ValueError("need at least 3 truncation radii")
     if m is None:
         m = Weight()
-    spec = tsym.spec
+    spec = tsym.G.spec
     target = fio_matrix(T)
     exact_p2 = (p == 2 and m.s == 0.0)
     if not exact_p2:

@@ -11,7 +11,7 @@ Raw continuum outputs are kept unwrapped; torus wrapping is applied only
 when grid objects are built from them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -53,17 +53,6 @@ class TamePhase:
         return z[..., :self.d], z[..., self.d:]
 
 
-def linear_phase(d: int = 1) -> TamePhase:
-    """Phi = x.eta, the identity operator's phase."""
-    return TamePhase(
-        name="linear", d=d,
-        phi=lambda x, e: np.sum(x * e, axis=-1),
-        grad_x=lambda x, e: np.broadcast_to(e, np.broadcast(x, e).shape).copy(),
-        grad_eta=lambda x, e: np.broadcast_to(x, np.broadcast(x, e).shape).copy(),
-        mixed_hessian=lambda x, e: _const_hessian(x, e, np.eye(d)),
-        declared_delta=1.0, declared_deriv_bound=1.0)
-
-
 def dilation_phase(s: float, d: int = 1) -> TamePhase:
     """Phi = s x.eta, generating the dilation f -> f(s x)."""
     if s <= 0:
@@ -75,6 +64,12 @@ def dilation_phase(s: float, d: int = 1) -> TamePhase:
         grad_eta=lambda x, e: s * np.broadcast_to(x, np.broadcast(x, e).shape).copy(),
         mixed_hessian=lambda x, e: _const_hessian(x, e, s * np.eye(d)),
         declared_delta=s ** d, declared_deriv_bound=s)
+
+
+def linear_phase(d: int = 1) -> TamePhase:
+    """Phi = x.eta, the identity operator's phase: the dilation s = 1,
+    whose factor 1.0 leaves every value bit for bit the same."""
+    return replace(dilation_phase(1.0, d), name="linear")
 
 
 def chirp_phase(c: float, d: int = 1) -> TamePhase:

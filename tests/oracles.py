@@ -12,12 +12,16 @@ collected):
   elementary warped multipliers.  The library never applies one: its
   truncated sum T_L masks the Gabor matrix, A (cross o [|lambda -
   chi'(mu)| <= L]) A^H, which the multiplier tests check against these.
-- sandwich and truncated_sum form that masked sum from the Gabor matrix
-  in lattice order, fio.gabor_cross: the whole masked N x N copy, then
-  A C A^H by two syntheses.  The library masks and synthesizes the
-  matrix in the coset order in which fio streams it, one column block at
-  a time, and must equal this bit for bit.
-- symbols reads a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu] from a
+- gabor_cross is the Gabor matrix in lattice order: fio.GaborMatrix's
+  table, whose rows are in the coset order of fio's stream, scattered
+  through Cosets.index.  The library never scatters it; the dense
+  oracles compare against this form.
+- sandwich and truncated_sum form that masked sum from gabor_cross: the
+  mask's rows scattered to lattice order too, the whole masked N x N
+  copy, then A C A^H by two syntheses.  The library masks and
+  synthesizes the matrix in its coset order, one column block at a time,
+  and must equal this bit for bit.
+- symbols reads a_nu(mu) = c_{nu,mu} cross[chi'(mu) + nu, mu] from the
   stored Gabor matrix, extract_symbols' table, whose rows it finds
   through Cosets.index; the library's shift_symbols reads the same
   entries from the column-block stream and must equal it bit for bit.
@@ -31,8 +35,8 @@ collected):
 - tameness_audit, chi_prime_multiplicity and envelope_function_audit
   sample the paper's hypotheses (a tame phase, an almost-injective chi',
   a Gabor-matrix envelope in L^1_v).  envelope_function_audit builds
-  N x N x 2 displacement tables: the dense form that a per-axis rebuild
-  is to be checked against.
+  N x N x 2 displacement tables in lattice order, against gabor_cross:
+  the dense form that a per-axis rebuild is to be checked against.
 """
 
 from dataclasses import dataclass
@@ -108,14 +112,16 @@ def multiplier_matrix(M: GaborMultiplier) -> np.ndarray:
 def truncated_sum(cross: np.ndarray, warp_idx: np.ndarray,
                   spec: GaborFrameSpec, L: float) -> np.ndarray:
     """A (cross o [|lambda - chi'(mu)| <= L]) A^H from the Gabor matrix
-    cross in lattice order, [lam, mu], as fio.gabor_cross stores it: the
-    distances from fio's tables in lattice order, masked per column block
-    into one F-order N x N copy, then sandwich."""
+    cross in lattice order, [lam, mu], as gabor_cross gives it: the
+    distances from fio's tables with their rows scattered to lattice
+    order, masked per column block into one F-order N x N copy, then
+    sandwich."""
     lat = spec.lattice
     tables = _distance_tables(lat, lat.coords()[warp_idx])
+    pos = np.argsort(_cosets(lat).index.ravel())   # lattice index -> row
     C = np.empty_like(cross, order="F")   # synthesis reads its columns
     for mus in _column_blocks(*C.shape):
-        d2 = _squared_distances(*tables, mus)
+        d2 = _squared_distances(*tables, mus)[pos]
         C[:, mus] = np.where(np.sqrt(d2) <= L + 1e-12, cross[:, mus], 0)
     return sandwich(C, spec)
 
@@ -126,13 +132,13 @@ def symbols(tsym: MultiplierSymbolTable, nu_indices: np.ndarray):
     stored Gabor matrix, whose rows are in coset order, and the unit
     factors c_{nu,mu}.  The product is a *= c, in shift_symbols' operand
     order."""
-    lat = tsym.spec.lattice
+    lat = tsym.G.spec.lattice
     ic = lat.int_coords
-    c = commutation_factors(tsym.spec, ic[nu_indices], ic[tsym.warp_idx])
+    c = commutation_factors(tsym.G.spec, ic[nu_indices], ic[tsym.warp_idx])
     pos = np.empty(lat.npoints, dtype=np.intp)   # lattice index -> row
     pos[_cosets(lat).index.ravel()] = np.arange(lat.npoints)
     rows = pos[lat.add(nu_indices[:, None], tsym.warp_idx[None, :])]
-    a = tsym.cross[rows, np.arange(tsym.warp_idx.size)]
+    a = tsym.G.cross[rows, np.arange(tsym.warp_idx.size)]
     a *= c
     return a, c
 
@@ -283,6 +289,14 @@ def chi_prime_multiplicity(cm: CanonicalMap, lattice: Lattice) -> int:
 
 # ------------------------------------------------------------------- fio
 
+def gabor_cross(G: GaborMatrix) -> np.ndarray:
+    """A^H T A in lattice order, [lam, mu]: G.cross with its rows scattered
+    through Cosets.index, so a column equals the stored one bit for bit."""
+    cross = np.empty_like(G.cross)
+    cross[_cosets(G.spec.lattice).index.ravel()] = G.cross
+    return cross
+
+
 def polynomial_weight(m: Weight, z) -> np.ndarray:
     """v_s(z) = (1+|z|^2)^(s/2) at phase-space vectors z of shape (..., 2d)."""
     z = np.asarray(z, dtype=float)
@@ -308,7 +322,7 @@ def envelope_function_audit(G: GaborMatrix, phase: TamePhase,
     """
     if m is None:
         m = Weight()
-    lat = G.lattice
+    lat = G.spec.lattice
     grid = lat.grid
     d = grid.d
     c = lat.coords()
@@ -325,7 +339,8 @@ def envelope_function_audit(G: GaborMatrix, phase: TamePhase,
     flat, inverse = np.unique(np.ravel_multi_index(tuple((keys - lo).T), span),
                               return_inverse=True)
     env = np.zeros(flat.size)
-    np.maximum.at(env, inverse.reshape(-1), np.abs(G.entries).reshape(-1))
+    mag = np.abs(gabor_cross(G).T)   # [mu, lam], like u
+    np.maximum.at(env, inverse.reshape(-1), mag.reshape(-1))
     centers = (np.column_stack(np.unravel_index(flat, span)) + lo) * bin_width
     mass = float(np.sum(env * polynomial_weight(m, centers)))
     return EnvelopeReport(bins=centers, envelope=env, l1_mass=mass)

@@ -128,6 +128,15 @@ def test_decay_scan_insufficient_range_exit_3(tmp_path):
         "error": "usable distance range [2, 1.5] is empty"}
 
 
+def refuse_gabor_matrix(monkeypatch):
+    """Make every binding of fio.gabor_matrix, the one store of the N x N
+    Gabor matrix, raise."""
+    def refuse(*args):
+        raise AssertionError("the run stored the N x N Gabor matrix")
+    for module in (fio, multiplier):
+        monkeypatch.setattr(module, "gabor_matrix", refuse)
+
+
 def test_decay_scan_reads_the_blocks_once(tmp_path, monkeypatch):
     # One set of distance tables; one coset-order analysis kernel call per
     # column block of A^H T A, each block computed once and every mu in
@@ -148,10 +157,7 @@ def test_decay_scan_reads_the_blocks_once(tmp_path, monkeypatch):
         return _f(G0h, *args)
     monkeypatch.setattr(fio, "_coset_fold", fold)
 
-    def refuse(*args):
-        raise AssertionError("decay-scan formed the N x N Gabor matrix")
-    monkeypatch.setattr(fio, "gabor_matrix", refuse)
-    monkeypatch.setattr(fio, "gabor_cross", refuse)
+    refuse_gabor_matrix(monkeypatch)
     columns, chunks = [], []
 
     def recorded(*args, _f=fio.gabor_columns):
@@ -275,10 +281,13 @@ def test_approximate_gathers_no_symbols(tmp_path, monkeypatch):
 
 
 def test_approximate_builds_the_distance_tables_once(tmp_path, monkeypatch):
-    # One set of distance tables |lambda - chi'(mu)| per symbol table,
-    # masked once per L and once more for the full reconstruction.
-    calls = {"_distance_tables": 0, "assemble_truncated": 0}
-    for modules, name in (((multiplier,), "_distance_tables"),
+    # One stored Gabor matrix, and one set of distance tables
+    # |lambda - chi'(mu)| for it, masked once per L and once more for the
+    # full reconstruction.
+    calls = {"gabor_matrix": 0, "_distance_tables": 0,
+             "assemble_truncated": 0}
+    for modules, name in (((multiplier,), "gabor_matrix"),
+                          ((multiplier,), "_distance_tables"),
                           ((multiplier, cli), "assemble_truncated")):
         def counted(*args, _name=name, _f=getattr(multiplier, name)):
             calls[_name] += 1
@@ -289,7 +298,7 @@ def test_approximate_builds_the_distance_tables_once(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, "c.json", doc)
     assert main(["approximate", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 0
-    assert calls == {"_distance_tables": 1,
+    assert calls == {"gabor_matrix": 1, "_distance_tables": 1,
                      "assemble_truncated": len(doc["L_list"]) + 1}
 
 
@@ -361,7 +370,10 @@ def first_near_max(values, tol):
 
 
 @pytest.mark.parametrize("nu_radius", [0.0, 1.5, 3.0])
-def test_dilation_demo_rows_are_the_per_shift_maxima(tmp_path, nu_radius):
+def test_dilation_demo_rows_are_the_per_shift_maxima(tmp_path, monkeypatch,
+                                                    nu_radius):
+    # The shifts' symbols come from the stream: no N x N matrix is stored.
+    refuse_gabor_matrix(monkeypatch)
     doc = dict(DILATION_CFG, grid={"n": 64, "d": 1}, nu_radius=nu_radius)
     cfg = write_cfg(tmp_path, "c.json", doc)
     assert main(["dilation-demo", "--config", cfg,

@@ -24,6 +24,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from gaborfio import frames
 from gaborfio.core import TWO_PI, Grid, Signal, build_atoms
+from gaborfio.fio import GaborMatrix
 from gaborfio.frames import (GaborFrameSpec, analysis, enumerate_lattice,
                              synthesis)
 from gaborfio.multiplier import MultiplierSymbolTable, assemble_truncated
@@ -132,7 +133,7 @@ def test_sandwiches_match_the_dense_atoms(gen, k, block, seed, fft):
         # Cosets.index.ravel()[r].
         cross = random_complex(rng, N, N)   # [lam, mu], lattice order
         tsym = MultiplierSymbolTable(
-            spec=spec, cross=cross[frames._cosets(lat).index.ravel()],
+            G=GaborMatrix(spec, cross[frames._cosets(lat).index.ravel()]),
             warp_idx=warp_idx)
         C = cross * integer_mask(lat, warp_idx, L)
         masked = assemble_truncated(tsym, L)   # the mask's blocks too

@@ -1,14 +1,14 @@
 """The coset-order truncation against the lattice-order oracle, bit for bit.
 
 multiplier.extract_symbols stores fio.gabor_columns' blocks with their
-rows in coset order, and assemble_truncated masks each column block of
-that table in the same order and hands it to frames._coset_synthesis,
-the kernel frames.synthesis gathers its coefficients into.
-oracles.truncated_sum masks the lattice-order matrix fio.gabor_cross
-into a whole N x N copy and sandwiches it by two syntheses.  The two
-see the same entries, the same mask and the same synthesis blocks, so
-they must agree bit for bit, for every lattice, phase, radius and block
-width.
+rows in coset order (fio.gabor_matrix), and assemble_truncated masks
+each column block of that table in the same order and hands it to
+frames._coset_synthesis, the kernel frames.synthesis gathers its
+coefficients into.  oracles.truncated_sum masks the same table scattered
+to lattice order, oracles.gabor_cross, into a whole N x N copy and
+sandwiches it by two syntheses.  The two see the same entries, the same
+mask and the same synthesis blocks, so they must agree bit for bit, for
+every lattice, phase, radius and block width.
 """
 
 import warnings
@@ -19,13 +19,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from gaborfio import frames
 from gaborfio.core import Grid
-from gaborfio.fio import bandlimited_symbol, gabor_cross, make_fio
+from gaborfio.fio import bandlimited_symbol, make_fio
 from gaborfio.frames import (GaborFrameSpec, _coset_synthesis, _cosets,
                              enumerate_lattice, synthesis)
 from gaborfio.multiplier import assemble_truncated, extract_symbols
 from gaborfio.phases import canonical_map
 from gaborfio.windows import gaussian_window
-from oracles import truncated_sum
+from oracles import gabor_cross, truncated_sum
 from test_lattice_algebra import commensurate_generators
 from test_shift_symbols import PHASES
 
@@ -55,7 +55,7 @@ def test_coset_order_truncation_equals_the_lattice_order_oracle(
             warnings.catch_warnings():
         warnings.simplefilter("ignore")   # the spec need not be Parseval
         tsym = extract_symbols(T, spec, cm)
-        cross = gabor_cross(T, spec)
+        cross = gabor_cross(tsym.G)
         for L in RADII + (radius,):
             assert np.array_equal(
                 assemble_truncated(tsym, L),

@@ -8,9 +8,9 @@ blocks of a stored Gabor matrix or the stream of gabor_columns.  Each is
 checked here, bit for bit, against the dense oracle kept below: the
 N x N x 2 wrapped displacement tensor and the ten boolean bin masks.
 The stream's blocks keep their rows in the analysis kernel's coset
-order, checked against the stored matrix and analysis, and the T A they
-are made from, translation by translation, is checked against the dense
-atoms.
+order, checked against analysis and against the stored matrix, which is
+those blocks side by side, and the T A they are made from, translation
+by translation, is checked against the dense atoms.
 """
 
 import warnings
@@ -24,7 +24,7 @@ from gaborfio.core import Grid, build_atoms, random_signal
 from gaborfio.diagnostics import DecayReport, loglog_fit
 from gaborfio.fio import (InsufficientDecayRangeError, bandlimited_symbol,
                           constant_symbol, decay_envelope_fit, fio_matrix,
-                          gabor_columns, gabor_cross, gabor_matrix, make_fio,
+                          gabor_columns, gabor_matrix, make_fio,
                           pair_distances, scan_distances,
                           transport_argmax_check)
 from gaborfio.frames import (GaborFrameSpec, analysis, enumerate_lattice,
@@ -32,6 +32,7 @@ from gaborfio.frames import (GaborFrameSpec, analysis, enumerate_lattice,
 from gaborfio.phases import (CanonicalMap, canonical_map, chirp_phase,
                              dilation_phase, perturbed_phase)
 from gaborfio.windows import gaussian_window
+from oracles import gabor_cross
 from test_lattice_algebra import commensurate_generators
 
 MAX_POINTS = 512
@@ -45,16 +46,16 @@ def dense_squared_displacements(lat, cmap):
 
 
 def dense_transport(G, cmap, tie_rtol=1e-9):
-    mag = np.abs(G.entries)
-    alldists = np.sqrt(dense_squared_displacements(G.lattice, cmap))
+    mag = np.abs(gabor_cross(G).T)   # [mu, lam]
+    alldists = np.sqrt(dense_squared_displacements(G.spec.lattice, cmap))
     rowmax = np.max(mag, axis=1, keepdims=True)
     tied = mag >= (1.0 - tie_rtol) * rowmax
     return np.min(np.where(tied, alldists, np.inf), axis=1)
 
 
 def dense_decay_fit(G, cmap, s_claim, nbins=10, tolerance=0.75):
-    r = np.sqrt(1.0 + dense_squared_displacements(G.lattice, cmap))
-    mag = np.abs(G.entries)
+    r = np.sqrt(1.0 + dense_squared_displacements(G.spec.lattice, cmap))
+    mag = np.abs(gabor_cross(G).T)
     r_max = float(np.max(r))
     lo, hi = 2.0, r_max / 2.0
     if hi <= lo:
@@ -152,7 +153,9 @@ def test_distance_blocks_match_the_dense_oracle(gen, phase, symbol, columns,
 @example((np.array([[2, 0], [1, 4]]), Grid(32)), "bandlimited", "seven", 0)
 def test_stream_blocks_are_in_coset_order(gen, symbol, columns, seed):
     # gabor_columns yields the analysis kernel's blocks unscattered: row
-    # k N_t + t is the lattice point Cosets.index[k, t].
+    # k N_t + t is the lattice point Cosets.index[k, t].  gabor_matrix
+    # stores them as they come, and column_blocks gives back views of
+    # that one table; the distance tables' rows are in the same order.
     A, grid = gen
     lat = enumerate_lattice(A, grid)
     N = lat.npoints
@@ -169,7 +172,7 @@ def test_stream_blocks_are_in_coset_order(gen, symbol, columns, seed):
     with warnings.catch_warnings(), mock.patch.object(
             frames, "_BLOCK_BYTES", block_bytes(height, width)):
         warnings.simplefilter("ignore")   # most draws are not tight frames
-        cross = gabor_cross(T, spec)
+        G = gabor_matrix(T, spec)
         blocks = list(gabor_columns(T, spec))
         coeffs = analysis(X, spec)
         kernel = [(b, frames._coset_analysis(X[:, b], spec))
@@ -177,14 +180,16 @@ def test_stream_blocks_are_in_coset_order(gen, symbol, columns, seed):
     covered = np.concatenate([np.arange(N)[mus] for mus, _ in blocks])
     assert np.array_equal(np.sort(covered), np.arange(N))
     for mus, block in blocks:
-        assert np.array_equal(block, cross[:, mus][order])
+        assert np.array_equal(block, G.cross[:, mus])
+    for _, view in G.column_blocks():
+        assert np.shares_memory(view, G.cross)
     scattered = np.empty_like(coeffs)
     for b, Y in kernel:
         scattered[order, b] = Y
     assert np.array_equal(coeffs, scattered)
     _, rows = fio._distance_tables(lat, lat.coords())
     Nt = cos.reps.shape[0]
-    assert np.array_equal(rows[0][order], np.tile(np.arange(Nt), N // Nt))
+    assert np.array_equal(rows[0], np.tile(np.arange(Nt), N // Nt))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -247,8 +252,7 @@ def test_coset_maximum_is_the_block_maximum(gen, phase):
     tables, rows = fio._distance_tables(
         lat, canonical_map(phase).forward(lat.coords()))
     oracle = float(np.max(fio._squared_distances(tables, rows, slice(None))))
-    coset_rows = rows[:, frames._cosets(lat).index.ravel()]
-    assert fio._max_squared_distance(tables, coset_rows) == oracle
+    assert fio._max_squared_distance(tables, rows) == oracle
 
 
 def test_constant_symbol_ties_reach_the_tie_rule():
@@ -264,7 +268,7 @@ def test_constant_symbol_ties_reach_the_tie_rule():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         G = gabor_matrix(T, spec)
-    mag = np.abs(G.entries)
+    mag = np.abs(gabor_cross(G).T)
     tied = mag >= (1.0 - 1e-9) * np.max(mag, axis=1, keepdims=True)
     assert np.all(np.sum(tied, axis=1) >= 2)
     oracle = dense_transport(G, cm)

@@ -20,12 +20,12 @@ from gaborfio.frames import (GaborFrameSpec, enumerate_lattice,
                              separable_lattice, tighten)
 from gaborfio.phases import (dilation_phase, perturbed_phase, canonical_map,
                              chi_prime_table)
-from gaborfio.fio import bandlimited_symbol, fio_matrix, gabor_cross, make_fio
+from gaborfio.fio import bandlimited_symbol, fio_matrix, gabor_matrix, make_fio
 from gaborfio.multiplier import (extract_symbols, assemble_truncated,
                                  commutation_factors, shift_symbols,
                                  warp_indices)
 from gaborfio.windows import gaussian_window
-from oracles import symbols
+from oracles import gabor_cross, symbols
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -177,7 +177,7 @@ def test_row_table_indexes_the_shifted_curve(gen, phase, radius, seed):
         warnings.simplefilter("ignore")   # the spec need not be Parseval
         a, c = shift_symbols(T, spec, cm, nu_indices)
         # A second Gabor matrix is compared to roundoff, not bit for bit.
-        cross = gabor_cross(T, spec)
+        cross = gabor_cross(gabor_matrix(T, spec))
     chi_int = chi_prime_table(cm, lat)
     nu_int = lat.int_coords[nu_indices]
     rows = lat.indices_of(chi_int[None, :, :] + nu_int[:, None, :])
@@ -189,10 +189,10 @@ def test_row_table_indexes_the_shifted_curve(gen, phase, radius, seed):
 
 def per_shift_sum(tsym, L):
     """sum_{|nu| <= L} pi(nu) M_{a_nu}, one atom product per shift."""
-    lat = tsym.spec.lattice
+    lat = tsym.G.spec.lattice
     n = lat.grid.n
     where = {tuple(row): i for i, row in enumerate(np.mod(lat.int_coords, n))}
-    atoms = build_atoms(tsym.spec.window, lat.int_coords)
+    atoms = build_atoms(tsym.G.spec.window, lat.int_coords)
     chi_int = lat.int_coords[tsym.warp_idx]
     out = np.zeros((atoms.shape[0], atoms.shape[0]), dtype=complex)
     nu_indices = np.flatnonzero(lat.torus_norms() <= L + 1e-12)
