@@ -1,6 +1,6 @@
 """Finite-dimensional Gabor frames, FIOs, and warped Gabor multipliers."""
 
-from .core import Grid, Signal, Weight, random_signal
+from .core import Grid, Signal, random_signal
 from .frames import (Lattice, GaborFrameSpec, enumerate_lattice,
                      separable_lattice, frame_operator, frame_bounds,
                      canonical_tight_window, dual_window, tighten, analysis,

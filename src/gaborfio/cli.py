@@ -32,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .core import Grid, Weight, random_signal
+from .core import Grid, random_signal
 from .windows import WINDOW_KINDS
 from .frames import (GaborFrameSpec, enumerate_lattice, frame_bounds,
                      is_frame, bounds_make_frame, tighten, dual_window,
@@ -83,9 +83,9 @@ SYMBOL_KINDS = {
     "constant": lambda grid, seed, params: constant_symbol(
         grid, complex(params.get("value", 1.0))),
     "bandlimited": lambda grid, seed, params: bandlimited_symbol(
-        grid, float(params["N"]), seed=int(params.get("seed", seed))),
+        grid, float(params["N"]), seed=seed),
     "weighted": lambda grid, seed, params: weighted_symbol(
-        grid, float(params["s"]), seed=int(params.get("seed", seed))),
+        grid, float(params["s"]), seed=seed),
 }
 
 
@@ -204,11 +204,11 @@ def _largest_array(command, grid, npoints):
     temporaries and the n^d x N product A C of each truncation.
     dilation-demo holds (K, N) tables, K <= N the shifts within nu_radius;
     K is known only after the lattice is enumerated, so N^2 bounds them.
-    decay-scan holds no array with N columns of either: it makes T A only
-    for the translations one column block meets, n^d x |M| each, and
-    streams A^H T A in column blocks of about 1 MiB.  Its float64 distance tables and
-    fio._max_squared_distance gather hold at most n^d N entries each,
-    within the atoms' term.
+    decay-scan holds no array with N columns of either: it makes T A a
+    group of whole translations at a time, n^d x |M| each, as many as one
+    column block of about 1 MiB takes, and streams A^H T A in those
+    blocks.  Its float64 distance tables and fio._max_squared_distance
+    gather hold at most n^d N entries each, within the atoms' term.
     """
     sizes = [3 * grid.size * npoints, grid.size ** 2]
     if command in ("approximate", "dilation-demo"):
@@ -417,7 +417,7 @@ def cmd_approximate(args, run):
     T = make_fio(run.phase, run.symbol, run.grid)
     tsym = extract_symbols(T, spec, cm)
     curve, slope = truncation_error_curve(T, tsym, run.L_list, p=run.p,
-                                          m=Weight(run.weight_s),
+                                          weight_s=run.weight_s,
                                           seed=run.seed)
     full = assemble_truncated(tsym, np.inf)     # every shift: A cross A^H
     resid = float(np.max(np.abs(fio_matrix(T) - full)))

@@ -134,17 +134,6 @@ def build_atoms(window: Signal, int_coords: np.ndarray) -> np.ndarray:
     return window.values[index] * phases
 
 
-@dataclass
-class Weight:
-    """Polynomial phase-space weight v_s(z) = (1+|z|^2)^(s/2)."""
-
-    s: float = 0.0
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("polynomial weight needs s >= 0")
-
-
 def random_signal(grid: Grid, rng, count=None):
     """Complex standard normal test signal, or count of them.
 

@@ -9,23 +9,24 @@ for every norm measurement.
 The dense matrix is the row-wise FFT of the quadrature kernel.
 
 The Gabor matrix A^H T A comes as a stream: gabor_columns yields it one
-column block at a time, the 1 MiB blocks of frames.analysis, so
-decay-scan never holds the N x N matrix; gabor_matrix stores the same
-blocks as they come, the one stored form of it.  Nor is T A held, an
-n x N matrix: _fio_on_atoms makes it translation by translation, the
-analysis kernel with those translations' atoms only, and each block is
-cut from the translations it meets.  A block keeps the rows lam in the
-coset order the analysis kernel computes them in (row k N_t + t is
-frames.Cosets.index[k, t]), streamed or stored: no path scatters it to
-lattice order.  The decay and transport tests compare every
-|G[mu, lam]| with the torus distance |chi(mu) - lam|, the multiplier's
-mask with |chi'(mu) - lam|.  It is never held as an N x N x 2d tensor:
-it is the sum of one table per phase-space axis, wrap(chi_a(mu) - x_j)^2
-over the grid indices j that some lattice point has on that axis,
-gathered at each lam's row, in the same coset order, for the same column
-blocks.  scan_distances reads each block of |G| and of distances once
-for both tests; the largest distance, which sets the decay bins, comes
-from the lattice's cosets without a pass.
+column block of about 1 MiB at a time, so decay-scan never holds the
+N x N matrix; gabor_matrix stores the same blocks as they come, the one
+stored form of it.  Nor is T A held, an n x N matrix: gabor_columns
+makes it a group of whole translations at a time, the analysis kernel
+with those translations' atoms only, and a block is one group, or a
+piece of one translation where a translation is wider than a block.  A
+block keeps the rows lam in the coset order the analysis kernel
+computes them in (row k N_t + t is frames.Cosets.index[k, t]), streamed
+or stored: no path scatters it to lattice order.  The decay and
+transport tests compare every |G[mu, lam]| with the torus distance
+|chi(mu) - lam|, the multiplier's mask with |chi'(mu) - lam|.  It is
+never held as an N x N x 2d tensor: it is the sum of one table per
+phase-space axis, wrap(chi_a(mu) - x_j)^2 over the grid indices j that
+some lattice point has on that axis, gathered at each lam's row, in the
+same coset order, for the same column blocks.  scan_distances reads each
+block of |G| and of distances once for both tests; the largest
+distance, which sets the decay bins, comes from the lattice's cosets
+without a pass.
 """
 
 from dataclasses import dataclass
@@ -182,89 +183,72 @@ class GaborMatrix:
     cross: np.ndarray          # (N, N) complex, F-order, coset-order rows
 
     def column_blocks(self):
-        """(mus, cross[:, mus]) over frames._column_blocks slices: views,
-        in the row order gabor_columns yields."""
+        """(mus, cross[:, mus]) over frames._column_blocks slices at height
+        max(N, n^d), as frames.synthesis walks them: views, in the row
+        order gabor_columns yields."""
         N = self.cross.shape[1]
-        return ((mus, self.cross[:, mus]) for mus in _column_blocks(N, N))
-
-
-def _fio_on_atoms(T: FioOperator, spec: GaborFrameSpec, blocks):
-    """Yield (mus, (T A)[:, mus]) for each slice mus of blocks, in turn.
-
-    blocks are ascending slices of the lattice indices, as
-    frames._column_blocks gives them.  T A = (A^H T^H)^H is made a few
-    translations at a time: T^H's rows are gathered into coset order once,
-    and the analysis kernel with only the conjugate atoms G0^H[:, t] of a
-    translation x_t gives the |M| rows of A^H T^H at the points
-    Cosets.index[:, t].  For d = 1 these are the lattice indices t |M|,
-    ..., (t + 1) |M| - 1 in order: the points over x_t are consecutive in
-    lexicographic order, and their modulations m_t + M_k, with M = q Z_n
-    and m_t < q the least of them, do not wrap.  So a slice is cut from
-    the n x |M| columns of the translations it meets: those it meets
-    first are made in one kernel call, and the last is kept for the next
-    slice.  Each translation is made once, and only the current slice's
-    translations are held, never an n x N array.  Warns when spec is not
-    Parseval.
-    """
-    if not is_parseval(spec):
-        warnings.warn("Gabor matrix of a non-Parseval frame spec",
-                      stacklevel=3)
-    cos = _cosets(spec.lattice)
-    G0h = _conj_coset_atoms(spec)
-    K, Nt, s = G0h.shape
-    N = K * Nt
-    assert np.array_equal(cos.index, np.arange(N).reshape(Nt, K).T)
-    THc = fio_matrix(T).T[cos.perm]     # T^H's rows in coset order, once
-    np.conjugate(THc, out=THc)
-    THc = THc.reshape(K, s, -1)
-    n = THc.shape[2]
-    Y = np.empty(0, dtype=complex)      # the kernel's product, reused
-    lo, cols = 0, np.empty((0, n), dtype=complex)  # T A's columns from lo K
-    for mus in blocks:
-        start, stop = mus.start, min(mus.stop, N)
-        t0, t1 = start // K, -(-stop // K)    # the translations it meets
-        hi = lo + len(cols) // K
-        if t1 > hi:
-            a = max(t0, hi)
-            m = t1 - a
-            if Y.size < K * m * n:
-                Y = np.empty(K * m * n, dtype=complex)
-            # Row k m + j of the kernel's result is the point (a + j) K + k;
-            # conjugated and put in lattice order, after the kept columns.
-            # Where cos.fft the result is Y itself, copied out at once.
-            rows = _coset_fold(G0h[:, a:t1], THc, cos,
-                               Y[:K * m * n].reshape(K, m, n))
-            keep = cols[(t0 - lo) * K:]   # the kept translation it meets
-            cols = np.empty((len(keep) + m * K, n), dtype=complex)
-            cols[:len(keep)] = keep
-            np.conjugate(rows.reshape(K, m, n).transpose(1, 0, 2),
-                         out=cols[len(keep):].reshape(m, K, n))
-            lo = t0
-        yield mus, cols[start - lo * K:stop - lo * K].T
+        blocks = _column_blocks(N, max(N, self.spec.window.grid.size))
+        return ((mus, self.cross[:, mus]) for mus in blocks)
 
 
 def gabor_columns(T: FioOperator, spec: GaborFrameSpec):
     """Yield (mus, (A^H T A)[:, mus]), indexed [lam, mu], block by block,
     with the rows lam in coset order.
 
-    Each block is one frames._coset_analysis of the columns (T A)[:, mus]
-    that _fio_on_atoms makes for it, over the column slices
-    frames.analysis walks, so neither the N x N matrix nor the n x N
-    matrix T A is ever held.  The rows stay in the kernel's coset order:
-    row k N_t + t is lam = Cosets.index[k, t], so no block is scattered
-    to lattice order only to be read once.  Each yielded block is a fresh
-    array, so it stays valid after the next one is drawn: where
-    frames.Cosets.fft, the kernel's FFT runs in place in the block's own
-    product G0^H X_c, which is then the block; otherwise the block is the
-    dense product E (G0^H X_c), and G0^H X_c goes into one buffer per
-    call.
+    T A = (A^H T^H)^H is made a group of whole translations at a time:
+    T^H's rows are gathered into coset order once, and the analysis
+    kernel with only the conjugate atoms G0^H[:, t] of a translation x_t
+    gives the |M| rows of A^H T^H at the points Cosets.index[:, t].  For
+    d = 1 these are the lattice indices t |M|, ..., (t + 1) |M| - 1 in
+    order: the points over x_t are consecutive in lexicographic order,
+    and their modulations m_t + M_k, with M = q Z_n and m_t < q the least
+    of them, do not wrap.  So a group's columns of T A are one range of
+    mu.  A group holds as many translations as fit one block of
+    frames._column_blocks at height max(N, n), at least one, and a
+    translation wider than a block is cut into blocks of that width.
+    Each block is one frames._coset_analysis, so every translation is
+    made once, and neither the N x N matrix nor the n x N matrix T A is
+    ever held.  The rows stay in the kernel's coset order: row k N_t + t
+    is lam = Cosets.index[k, t], so no block is scattered to lattice
+    order only to be read once.
+
+    Each yielded block is a fresh array, so it stays valid after the next
+    one is drawn: where frames.Cosets.fft, the kernel's FFT runs in place
+    in the block's own product G0^H X_c, which is then the block;
+    otherwise the block is the dense product E (G0^H X_c), and G0^H X_c
+    goes into one buffer per call.  Warns when spec is not Parseval.
     """
+    cos = _cosets(spec.lattice)
     N = spec.lattice.npoints
-    blocks = _column_blocks(N, max(N, T.grid.size))
-    buf = None if _cosets(spec.lattice).fft else \
-        np.empty(N * len(range(N)[blocks[0]]), dtype=complex)
-    for mus, TA in _fio_on_atoms(T, spec, blocks):
-        yield mus, _coset_analysis(TA, spec, buf)
+    step = _column_blocks(N, max(N, T.grid.size))[0].stop   # block width
+    # buf before THc: the order of these allocations sets how much of the
+    # heap each run faults in again (see gabor_matrix).
+    buf = None if cos.fft else np.empty(N * min(step, N), dtype=complex)
+    if not is_parseval(spec):
+        warnings.warn("Gabor matrix of a non-Parseval frame spec",
+                      stacklevel=2)
+    G0h = _conj_coset_atoms(spec)
+    K, Nt, s = G0h.shape
+    assert np.array_equal(cos.index, np.arange(N).reshape(Nt, K).T)
+    THc = fio_matrix(T).T[cos.perm]     # T^H's rows in coset order, once
+    np.conjugate(THc, out=THc)
+    THc = THc.reshape(K, s, -1)
+    n = THc.shape[2]
+    per = min(Nt, max(1, step // K))    # the translations of a group
+    Y = np.empty(K * per * n, dtype=complex)    # the kernel's product, reused
+    for a in range(0, Nt, per):
+        m = min(per, Nt - a)
+        # Row k m + j of the kernel's result is the point (a + j) K + k;
+        # conjugated and put in lattice order, it is T A's columns from
+        # a K.  Where cos.fft the result is Y itself, copied out at once.
+        rows = _coset_fold(G0h[:, a:a + m], THc, cos,
+                           Y[:K * m * n].reshape(K, m, n))
+        cols = np.empty((m * K, n), dtype=complex)
+        np.conjugate(rows.reshape(K, m, n).transpose(1, 0, 2),
+                     out=cols.reshape(m, K, n))
+        for i in range(0, m * K, step):
+            yield (slice(a * K + i, a * K + min(i + step, m * K)),
+                   _coset_analysis(cols[i:i + step].T, spec, buf))
 
 
 def gabor_matrix(T: FioOperator, spec: GaborFrameSpec) -> GaborMatrix:

@@ -25,26 +25,26 @@ it by the torus distance |lambda - chi'(mu)| from fio's distance tables;
 L = inf gives A cross A^H = T.  The table keeps its rows lam in the
 coset order in which fio.gabor_columns makes them (row k N_t + t is the
 lattice point frames.Cosets.index[k, t]), and so do the distance
-tables, so each masked column block goes straight to the synthesis
-kernel frames._coset_synthesis: the table is never scattered to lattice
-order, gathered back, or copied whole.  Besides it a truncation holds
-the n^d x N product A (cross o mask) and one column block at a time.
-The symbols a_nu and the factors c_{nu,mu} =
+tables, so each masked block of GaborMatrix.column_blocks goes straight
+to the synthesis kernel frames._coset_synthesis: the table is never
+scattered to lattice order, gathered back, or copied whole.  Besides it
+a truncation holds the n^d x N product A (cross o mask) and one column
+block at a time.  The symbols a_nu and the factors c_{nu,mu} =
 e^{2 pi i j_x m_eta / n} (looked up by the integer dot j_x m_eta) are
 read only for the shifts a caller names, by shift_symbols, straight from
-fio's stream of Gabor-matrix column blocks: K x N entries, never the
-N x N matrix.
+fio.gabor_columns' stream of Gabor-matrix column blocks: K x N entries,
+never the N x N matrix.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Weight, TWO_PI, random_signal
-from .frames import (GaborFrameSpec, _column_blocks, _coset_synthesis,
-                     _cosets, gabor_mod_norm, synthesis)
+from .core import TWO_PI, random_signal
+from .frames import (GaborFrameSpec, _coset_synthesis, _cosets,
+                     gabor_mod_norm, synthesis)
 from .phases import CanonicalMap, chi_prime_table
 from .fio import (FioOperator, GaborMatrix, _distance_tables,
                   _squared_distances, fio_matrix, gabor_columns, gabor_matrix)
@@ -141,18 +141,16 @@ def assemble_truncated(tsym: MultiplierSymbolTable, L: float) -> np.ndarray:
     M_{a_nu} puts cross[chi'(mu) + nu, mu] back at its entry, and the sum
     is A (cross o [|lambda - chi'(mu)| <= L]) A^H.
 
-    A C is made one column block of the table at a time, over the blocks
+    A C is made one of the table's column_blocks at a time, the blocks
     frames.synthesis walks: masked in the table's coset row order and
     synthesized by the kernel synthesis gathers into, so its bits are
     synthesis' own.  Then A C A^H = (A (A C)^H)^H, with (A C)^H
     conjugated in place.
     """
-    spec, cross = tsym.G.spec, tsym.G.cross
-    N = cross.shape[1]
-    n_d = spec.window.grid.size
-    Y = np.empty((n_d, N), dtype=complex, order="F")    # A C
-    for mus in _column_blocks(N, max(N, n_d)):
-        block = cross[:, mus]
+    spec = tsym.G.spec
+    Y = np.empty((spec.window.grid.size, spec.lattice.npoints),
+                 dtype=complex, order="F")    # A C
+    for mus, block in tsym.G.column_blocks():
         if L != np.inf:
             d2 = _squared_distances(*tsym.distance_tables, mus)
             block = np.where(np.sqrt(d2) <= L + 1e-12, block, 0)
@@ -162,11 +160,12 @@ def assemble_truncated(tsym: MultiplierSymbolTable, L: float) -> np.ndarray:
 
 def truncation_error_curve(T: FioOperator, tsym: MultiplierSymbolTable,
                            L_list: Sequence[float], p: float = 2.0,
-                           m: Optional[Weight] = None, seed: int = 0):
+                           weight_s: float = 0.0, seed: int = 0):
     """Empirical operator-norm error ||T - T_L|| for each L, plus log-log slope.
 
-    p = 2 with trivial weight uses the largest singular value of the dense
-    difference; other (p, m) use the largest ratio over PROBES random
+    The weight is the polynomial m(z) = (1+|z|^2)^(s/2), s = weight_s >= 0.
+    p = 2 with s = 0 uses the largest singular value of the dense
+    difference; other (p, s) use the largest ratio over PROBES random
     signals of the norm from M^p_{m o chi'} to M^p_m, a lower-bound
     estimate.  m enters divided by its maximum over the lattice, as
     ((1+|z|^2)/(1+R^2))^(s/2): the ratio is unchanged, and a large s does
@@ -176,15 +175,15 @@ def truncation_error_curve(T: FioOperator, tsym: MultiplierSymbolTable,
     L_list = list(L_list)
     if len(L_list) < 3:
         raise ValueError("need at least 3 truncation radii")
-    if m is None:
-        m = Weight()
+    if weight_s < 0:
+        raise ValueError("polynomial weight needs s >= 0")
     spec = tsym.G.spec
     target = fio_matrix(T)
-    exact_p2 = (p == 2 and m.s == 0.0)
+    exact_p2 = (p == 2 and weight_s == 0.0)
     if not exact_p2:
         z = spec.lattice.coords()
         q = 1.0 + np.sum(z * z, axis=-1)
-        m_out = (q / np.max(q)) ** (m.s / 2.0)
+        m_out = (q / np.max(q)) ** (weight_s / 2.0)
         m_in = m_out[tsym.warp_idx]       # m(chi'(mu)) per point mu, scaled
         rng = np.random.default_rng(seed)
         probes = random_signal(spec.window.grid, rng, count=PROBES)

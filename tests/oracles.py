@@ -40,11 +40,10 @@ collected):
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from gaborfio.core import Signal, Weight, TWO_PI
+from gaborfio.core import Signal, TWO_PI
 from gaborfio.frames import (GaborFrameSpec, Lattice, _column_blocks,
                              _coset_atoms, _cosets, analysis, synthesis)
 from gaborfio.phases import CanonicalMap, TamePhase, chi_prime_table
@@ -297,10 +296,10 @@ def gabor_cross(G: GaborMatrix) -> np.ndarray:
     return cross
 
 
-def polynomial_weight(m: Weight, z) -> np.ndarray:
+def polynomial_weight(s: float, z) -> np.ndarray:
     """v_s(z) = (1+|z|^2)^(s/2) at phase-space vectors z of shape (..., 2d)."""
     z = np.asarray(z, dtype=float)
-    return (1.0 + np.sum(z * z, axis=-1)) ** (m.s / 2.0)
+    return (1.0 + np.sum(z * z, axis=-1)) ** (s / 2.0)
 
 
 @dataclass
@@ -311,17 +310,15 @@ class EnvelopeReport:
 
 
 def envelope_function_audit(G: GaborMatrix, phase: TamePhase,
-                            m: Optional[Weight] = None,
+                            weight_s: float = 0.0,
                             bin_width: float = 0.5) -> EnvelopeReport:
     """Empirical envelope H(u) over the displacement u(mu, lam).
 
     u = (eta' - grad_x Phi(x', eta), x - grad_eta Phi(x', eta)) with
     mu = (x, eta) the input point and lam = (x', eta') the output point;
     displacements are wrapped to the torus and binned on a cubic mesh of
-    the given width.
+    the given width; the mass weighs each bin by v_s, s = weight_s.
     """
-    if m is None:
-        m = Weight()
     lat = G.spec.lattice
     grid = lat.grid
     d = grid.d
@@ -342,5 +339,5 @@ def envelope_function_audit(G: GaborMatrix, phase: TamePhase,
     mag = np.abs(gabor_cross(G).T)   # [mu, lam], like u
     np.maximum.at(env, inverse.reshape(-1), mag.reshape(-1))
     centers = (np.column_stack(np.unravel_index(flat, span)) + lo) * bin_width
-    mass = float(np.sum(env * polynomial_weight(m, centers)))
+    mass = float(np.sum(env * polynomial_weight(weight_s, centers)))
     return EnvelopeReport(bins=centers, envelope=env, l1_mass=mass)

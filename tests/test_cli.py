@@ -140,16 +140,23 @@ def refuse_gabor_matrix(monkeypatch):
 def test_decay_scan_reads_the_blocks_once(tmp_path, monkeypatch):
     # One set of distance tables; one coset-order analysis kernel call per
     # column block of A^H T A, each block computed once and every mu in
-    # exactly one block.  T A comes translation by translation, each
-    # translation's columns made once (the fio._coset_fold calls that make
-    # them take N_t translations in all), in chunks as wide as their
-    # block: no n x N matrix T A, and no N x N Gabor matrix.
-    calls = {"_distance_tables": 0, "_coset_analysis": 0}
-    for name in calls:
-        def counted(*args, _name=name, _f=getattr(fio, name)):
-            calls[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(fio, name, counted)
+    # exactly one block.  T A comes a group of whole translations at a
+    # time, each translation's columns made once (the fio._coset_fold
+    # calls that make them take N_t translations in all), and each kernel
+    # call takes columns of T A as wide as its block: no n x N matrix
+    # T A, and no N x N Gabor matrix.
+    calls = {"_distance_tables": 0}
+
+    def counted(*args, _f=fio._distance_tables):
+        calls["_distance_tables"] += 1
+        return _f(*args)
+    monkeypatch.setattr(fio, "_distance_tables", counted)
+    chunks = []   # the shape of T A's columns at each kernel call
+
+    def analysed(TA, *args, _f=fio._coset_analysis):
+        chunks.append(TA.shape)
+        return _f(TA, *args)
+    monkeypatch.setattr(fio, "_coset_analysis", analysed)
     made = []
 
     def fold(G0h, *args, _f=fio._coset_fold):
@@ -158,19 +165,13 @@ def test_decay_scan_reads_the_blocks_once(tmp_path, monkeypatch):
     monkeypatch.setattr(fio, "_coset_fold", fold)
 
     refuse_gabor_matrix(monkeypatch)
-    columns, chunks = [], []
+    columns = []
 
     def recorded(*args, _f=fio.gabor_columns):
         for mus, block in _f(*args):
             columns.append(mus)
             yield mus, block
     monkeypatch.setattr(cli, "gabor_columns", recorded)
-
-    def producer(*args, _f=fio._fio_on_atoms):
-        for mus, TA in _f(*args):
-            chunks.append((mus, TA.shape))
-            yield mus, TA
-    monkeypatch.setattr(fio, "_fio_on_atoms", producer)
     cfg = write_cfg(tmp_path, "c.json", decay_cfg())
     assert main(["decay-scan", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 0
@@ -178,9 +179,8 @@ def test_decay_scan_reads_the_blocks_once(tmp_path, monkeypatch):
     assert len(columns) > 1
     assert np.array_equal(np.concatenate([np.arange(N)[mus]
                                           for mus in columns]), np.arange(N))
-    assert calls == {"_distance_tables": 1, "_coset_analysis": len(columns)}
-    assert [mus for mus, _ in chunks] == columns
-    assert all(shape == (n, len(range(N)[mus])) for mus, shape in chunks)
+    assert calls == {"_distance_tables": 1}
+    assert chunks == [(n, len(range(N)[mus])) for mus in columns]
     lat = enumerate_lattice(np.diag([2, 2]), Grid(n))
     assert sum(made) == frames._cosets(lat).reps.shape[0]
 

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from gaborfio.core import Grid, Signal, Weight, build_atoms, random_signal
-from gaborfio.frames import GaborFrameSpec, analysis, enumerate_lattice
+from gaborfio.core import Grid, Signal, build_atoms, random_signal
+from gaborfio.fio import constant_symbol, make_fio
+from gaborfio.frames import (GaborFrameSpec, analysis, enumerate_lattice,
+                             separable_lattice, tighten)
+from gaborfio.multiplier import extract_symbols, truncation_error_curve
+from gaborfio.phases import canonical_map, linear_phase
+from gaborfio.windows import gaussian_window
 from oracles import polynomial_weight
 
 NS = [16, 32, 64]
@@ -111,11 +116,17 @@ def test_stft_rejects_zero_window():
 
 
 def test_weight_polynomial():
-    v1 = Weight(1.0)
     z = np.array([[3.0, 4.0]])
-    assert abs(polynomial_weight(v1, z)[0] - np.sqrt(26.0)) < 1e-12
-    with pytest.raises(ValueError):
-        Weight(-1.0)
+    assert abs(polynomial_weight(1.0, z)[0] - np.sqrt(26.0)) < 1e-12
+    # The error curve takes the weight's exponent s and refuses s < 0.
+    grid = Grid(16)
+    spec = tighten(GaborFrameSpec(gaussian_window(grid),
+                                  separable_lattice(2, 2, grid)))
+    phase = linear_phase()
+    T = make_fio(phase, constant_symbol(grid), grid)
+    tsym = extract_symbols(T, spec, canonical_map(phase))
+    with pytest.raises(ValueError, match="s >= 0"):
+        truncation_error_curve(T, tsym, [1, 2, 4], weight_s=-1.0)
 
 
 @pytest.mark.parametrize("grid", grids([16], [8]))

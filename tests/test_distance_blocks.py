@@ -9,8 +9,9 @@ checked here, bit for bit, against the dense oracle kept below: the
 N x N x 2 wrapped displacement tensor and the ten boolean bin masks.
 The stream's blocks keep their rows in the analysis kernel's coset
 order, checked against analysis and against the stored matrix, which is
-those blocks side by side, and the T A they are made from, translation
-by translation, is checked against the dense atoms.
+those blocks side by side.  The T A they are made from, a group of
+whole translations at a time, is checked against the dense atoms, and
+each translation is checked to be made once, at every block width.
 """
 
 import warnings
@@ -201,10 +202,11 @@ def test_stream_blocks_are_in_coset_order(gen, symbol, columns, seed):
          "one", 0)
 def test_translation_stream_is_t_times_the_atoms(gen, phase, symbol, columns,
                                                  seed):
-    # fio._fio_on_atoms makes T A translation by translation and cuts it to
-    # the column slices it is given; side by side, its chunks are T A from
-    # the dense atoms, to 1e-12 relative, one chunk per slice and each as
-    # wide as its slice.
+    # gabor_columns makes T A a group of whole translations at a time and
+    # hands each block's columns to one frames._coset_analysis call; side
+    # by side, those chunks are T A from the dense atoms, to 1e-12
+    # relative, one chunk per block and each as wide as its block, the
+    # blocks covering 0..N in order.
     A, grid = gen
     lat = enumerate_lattice(A, grid)
     N = lat.npoints
@@ -215,17 +217,64 @@ def test_translation_stream_is_t_times_the_atoms(gen, phase, symbol, columns,
     spec = GaborFrameSpec(gaussian_window(grid), lat)
     height = max(N, grid.size)   # the stream's block height
     width = {"one": 1, "seven": 7, "all": N + 3}[columns]
+    chunks = []
+
+    def analysed(TA, *args, _f=fio._coset_analysis):
+        chunks.append(TA)
+        return _f(TA, *args)
     with warnings.catch_warnings(), mock.patch.object(
-            frames, "_BLOCK_BYTES", block_bytes(height, width)):
+            frames, "_BLOCK_BYTES", block_bytes(height, width)), \
+            mock.patch.object(fio, "_coset_analysis", analysed):
         warnings.simplefilter("ignore")   # most draws are not tight frames
-        slices = frames._column_blocks(N, height)
-        chunks = list(fio._fio_on_atoms(T, spec, slices))
-    assert [mus for mus, _ in chunks] == slices
-    for mus, TA in chunks:
-        assert TA.shape == (grid.size, len(range(N)[mus]))
+        blocks = [mus for mus, _ in gabor_columns(T, spec)]
+    assert np.array_equal(np.concatenate([np.arange(N)[mus]
+                                          for mus in blocks]), np.arange(N))
+    assert [TA.shape for TA in chunks] == [(grid.size, len(range(N)[mus]))
+                                           for mus in blocks]
     oracle = fio_matrix(T) @ build_atoms(spec.window, lat.int_coords)
-    stream = np.hstack([TA for _, TA in chunks])
+    stream = np.hstack(chunks)
     assert np.max(np.abs(stream - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(commensurate_generators(dims=(1,)),
+       st.sampled_from(["1", "7", "K-1", "K", "K+3", "all"]))
+@example((np.diag([2, 2]), Grid(16)), "K-1")
+@example((np.array([[2, 0], [1, 4]]), Grid(32)), "K+3")
+def test_each_translation_is_folded_once(gen, columns):
+    # At any block width, each block of gabor_columns lies within one
+    # translation's |M| columns or is a whole number of translations, and
+    # each translation's conjugate atoms reach fio._coset_fold once.
+    A, grid = gen
+    lat = enumerate_lattice(A, grid)
+    N = lat.npoints
+    assume(N <= MAX_POINTS)
+    K, Nt = frames._cosets(lat).index.shape
+    T = make_fio(dilation_phase(2.0), constant_symbol(grid), grid)
+    spec = GaborFrameSpec(gaussian_window(grid), lat)
+    G0h = frames._conj_coset_atoms(spec)   # cached: the stream's own
+    width = {"1": 1, "7": 7, "K-1": K - 1, "K": K, "K+3": K + 3,
+             "all": N}[columns]
+    folded = []
+
+    def fold(atoms, *args, _f=fio._coset_fold):
+        # atoms is the view G0h[:, a:a + m], a the first translation.
+        offset = (atoms.__array_interface__["data"][0]
+                  - G0h.__array_interface__["data"][0])
+        a = offset // G0h.strides[1]
+        folded.extend(range(a, a + atoms.shape[1]))
+        return _f(atoms, *args)
+    with warnings.catch_warnings(), mock.patch.object(
+            frames, "_BLOCK_BYTES", block_bytes(max(N, grid.size), width)), \
+            mock.patch.object(fio, "_coset_fold", fold):
+        warnings.simplefilter("ignore")   # most draws are not tight frames
+        blocks = [mus for mus, _ in gabor_columns(T, spec)]
+    assert sorted(folded) == list(range(Nt))
+    assert np.array_equal(np.concatenate([np.arange(N)[mus]
+                                          for mus in blocks]), np.arange(N))
+    for mus in blocks:
+        within = mus.start // K == (mus.stop - 1) // K
+        assert within or (mus.start % K == 0 and mus.stop % K == 0)
 
 
 @settings(max_examples=200, deadline=None, database=None)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaborfio.core import Grid, Signal, Weight, TWO_PI, build_atoms
+from gaborfio.core import Grid, Signal, TWO_PI, build_atoms
 from gaborfio.frames import GaborFrameSpec, separable_lattice, tighten
 from gaborfio.phases import (linear_phase, dilation_phase, chirp_phase,
                              perturbed_phase, canonical_map)
@@ -147,5 +147,5 @@ def test_probe_sup_truncation_curve_runs():
     T = make_fio(phase, constant_symbol(grid), grid)
     tsym = extract_symbols(T, spec, cm)
     curve, slope = truncation_error_curve(
-        T, tsym, [1, 2, 4], p=np.inf, m=Weight(1.0))
+        T, tsym, [1, 2, 4], p=np.inf, weight_s=1.0)
     assert len(curve) == 3 and all(e >= 0 for _, e in curve)
