@@ -29,7 +29,7 @@ from .core import Signal, TWO_PI
 from .frames import GaborFrameSpec, Lattice, NotAFrameError, is_frame
 from .phases import canonical_map, dilation_phase
 from .fio import constant_symbol, make_fio
-from .multiplier import shift_symbols
+from .multiplier import _RADIUS_SLACK, shift_symbols
 
 # The gates of compare_dilation_symbols' two numbers: the largest relative
 # error on the 99%-mass entries, and the deviation of |c_{nu,mu}| from 1.
@@ -125,7 +125,8 @@ def compare_dilation_symbols(window: Signal, lattice: Lattice, s: float,
         raise NotAFrameError("lower frame bound vanishes")
     phase = dilation_phase(s)
     T = make_fio(phase, constant_symbol(grid), grid)
-    nu_indices = np.flatnonzero(lattice.torus_norms() <= nu_radius + 1e-12)
+    nu_indices = np.flatnonzero(lattice.torus_norms()
+                                <= nu_radius + _RADIUS_SLACK)
     with warnings.catch_warnings():
         # Not Parseval on purpose: the closed form is the inner product of
         # the raw Gaussian atoms, not of the canonical tight ones.

@@ -29,7 +29,7 @@ distance, which sets the decay bins, comes from the lattice's cosets
 without a pass.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,8 +37,7 @@ import numpy as np
 from .core import Grid, TWO_PI
 from . import frames
 from .frames import (GaborFrameSpec, Lattice, _column_blocks,
-                     _conj_coset_atoms, _coset_analysis, _coset_fold,
-                     _cosets, is_parseval)
+                     _coset_analysis, _coset_fold, _cosets, is_parseval)
 from .phases import CanonicalMap, TamePhase, chi_prime_displacement_bound
 from .diagnostics import loglog_fit, DecayReport, MAX_DENSE_SIZE
 
@@ -80,8 +79,8 @@ def constant_symbol(grid: Grid, value: complex = 1.0) -> SymbolTable:
 
 
 def bandlimit_for(N: float, grid: Grid) -> float:
-    """Index band limit B(N) = n / (4N), the W^inf_2N smoothness surrogate."""
-    return grid.n / (4.0 * N)
+    """Index band B(N) = 2 sqrt(n) / N: 2 / N in continuum units, any n."""
+    return 2.0 * grid.n ** 0.5 / N
 
 
 def _random_symbol(grid: Grid, seed: int, envelope) -> SymbolTable:
@@ -135,7 +134,8 @@ class FioOperator:
     phase: TamePhase
     symbol: SymbolTable
     grid: Grid
-    _matrix: Optional[np.ndarray] = None
+    _matrix: Optional[np.ndarray] = field(default=None, init=False,
+                                          repr=False)
 
     def __post_init__(self):
         if self.symbol.grid.n != self.grid.n or self.symbol.grid.d != self.grid.d:
@@ -227,7 +227,7 @@ def gabor_columns(T: FioOperator, spec: GaborFrameSpec):
     if not is_parseval(spec):
         warnings.warn("Gabor matrix of a non-Parseval frame spec",
                       stacklevel=2)
-    G0h = _conj_coset_atoms(spec)
+    G0h = spec._conj_atoms
     K, Nt, s = G0h.shape
     assert np.array_equal(cos.index, np.arange(N).reshape(Nt, K).T)
     THc = fio_matrix(T).T[cos.perm]     # T^H's rows in coset order, once

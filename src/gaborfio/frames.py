@@ -81,10 +81,14 @@ the masked blocks as they are.  fio also runs the analysis kernel with
 the atoms of a few translations only, to make T A translation by
 translation.  The shift index and phase columns of the atoms G0 depend
 on the lattice only and are kept with the coset tables, so a spec and
-its tightened spec share them.
+its tightened spec share them.  A spec keeps only what a run reads more
+than once: its atoms G0, their conjugates and the Walnut eigenpairs.
+The dense frame operator, which only tests form, is A A^H from the two
+kernels; the orbit tables serve the eigenpairs alone.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -268,12 +272,17 @@ def separable_lattice(a: int, b: int, grid: Grid) -> Lattice:
 
 
 class GaborFrameSpec:
-    """Window + lattice bundle with cached frame machinery.
+    """Window + lattice bundle.
 
     The input window is normalized to unit l2 norm on construction, unless
     normalize is False, which keeps its scale (a tightened window keeps
     ||g_t||^2 = 1/redundancy, and dilation-demo's sampled unit Gaussian
     keeps its grid norm, so its symbols are Riemann sums).
+
+    The tables a run reads more than once are cached properties, each made
+    on first use: the atoms G0 per coset, their conjugates G0^H and the
+    Walnut eigenpairs.  The frame operator and the tight and dual windows
+    are computed on each call.
     """
 
     def __init__(self, window: Signal, lattice: Lattice, normalize: bool = True):
@@ -283,13 +292,29 @@ class GaborFrameSpec:
         scale = nrm if normalize else 1.0
         self.window = Signal(window.grid, window.values / scale)
         self.lattice = lattice
-        self._G0 = None
-        self._G0h = None
-        self._blocks = None
-        self._S = None
-        self._eig = None
-        self._tight = None
-        self._dual = None
+
+    @cached_property
+    def _atoms(self) -> np.ndarray:
+        """G0: one atom pi(x_t, m_t) g per translation, rows grouped by
+        coset, shape (|M|, s, N_t); core.build_atoms' product, from the
+        lattice's tables."""
+        cos = _cosets(self.lattice)
+        G0 = self.window.values[cos.shift] * cos.phases
+        return G0.reshape(cos.E.shape[0], -1, G0.shape[1])
+
+    @cached_property
+    def _conj_atoms(self) -> np.ndarray:
+        """G0^H per coset, (|M|, N_t, s): the analysis kernel's atoms."""
+        return self._atoms.conj().transpose(0, 2, 1)
+
+    @cached_property
+    def _eigenpairs(self):
+        """(perm, w, V) per coset: one batched Hermitian eigendecomposition
+        of the roots' blocks, carried to every coset of their orbits."""
+        cos = _cosets(self.lattice)
+        w, V = np.linalg.eigh(_walnut_blocks(self))
+        V = V[cos.orbit[:, None], cos.carry] * cos.twist[:, :, None]
+        return cos.perm, w[cos.orbit], V
 
 
 @dataclass
@@ -401,63 +426,30 @@ def _orbit_tables(perm, shift, phases, K) -> dict:
                 twist=phases.reshape(K, s, -1)[cs, :, t])
 
 
-def _coset_atoms(spec: GaborFrameSpec) -> np.ndarray:
-    """G0: one atom pi(x_t, m_t) g per translation, rows grouped by coset,
-    shape (|M|, s, N_t); core.build_atoms' product, from the lattice's
-    tables."""
-    if spec._G0 is None:
-        cos = _cosets(spec.lattice)
-        G0 = spec.window.values[cos.shift] * cos.phases
-        spec._G0 = G0.reshape(cos.E.shape[0], -1, G0.shape[1])
-    return spec._G0
-
-
 def _walnut_blocks(spec: GaborFrameSpec) -> np.ndarray:
     """The diagonal blocks of the frame operator on the orbits' least
     cosets, (R, s, s): blocks[r] is S on the rows and columns of the coset
     Cosets.roots[r], |M| G0 G0^H over one atom per translation.
     """
-    if spec._blocks is None:
-        G0 = _coset_atoms(spec)
-        Gr = G0[_cosets(spec.lattice).roots]
-        spec._blocks = G0.shape[0] * (Gr @ Gr.conj().transpose(0, 2, 1))
-    return spec._blocks
+    G0 = spec._atoms
+    Gr = G0[_cosets(spec.lattice).roots]
+    return G0.shape[0] * (Gr @ Gr.conj().transpose(0, 2, 1))
 
 
 def frame_operator(spec: GaborFrameSpec) -> np.ndarray:
     """Dense frame operator S = sum_lambda pi(lambda) g (pi(lambda) g)^H.
 
-    Every coset's block is carried from its root's by the orbit tables
-    and scattered; the frame computations below work on the roots' blocks
-    and never form S.
+    The Hermitian part of A A^H, the synthesis of the analysis of the
+    identity; the frame computations below work on the Walnut blocks and
+    never form S.
     """
-    if spec._S is None:
-        cos = _cosets(spec.lattice)
-        p = cos.carry
-        blocks = _walnut_blocks(spec)[cos.orbit[:, None, None],
-                                      p[:, :, None], p[:, None, :]]
-        blocks *= cos.twist[:, :, None] * cos.twist.conj()[:, None, :]
-        rows = cos.perm.reshape(p.shape)
-        S = np.zeros((cos.perm.size, cos.perm.size), dtype=complex)
-        S[rows[:, :, None], rows[:, None, :]] = blocks
-        spec._S = 0.5 * (S + S.conj().T)
-    return spec._S
-
-
-def _eigendecomposition(spec: GaborFrameSpec):
-    """(perm, w, V) per coset: one batched Hermitian eigendecomposition of
-    the roots' blocks, carried to every coset of their orbits."""
-    if spec._eig is None:
-        cos = _cosets(spec.lattice)
-        w, V = np.linalg.eigh(_walnut_blocks(spec))
-        V = V[cos.orbit[:, None], cos.carry] * cos.twist[:, :, None]
-        spec._eig = (cos.perm, w[cos.orbit], V)
-    return spec._eig
+    S = synthesis(analysis(np.eye(spec.window.grid.size), spec), spec)
+    return 0.5 * (S + S.conj().T)
 
 
 def frame_bounds(spec: GaborFrameSpec):
     """Extremal eigenvalues (A_lo, B_hi) of the frame operator."""
-    _, evals, _ = _eigendecomposition(spec)
+    _, evals, _ = spec._eigenpairs
     lo = float(max(evals.min(), 0.0))
     hi = float(evals.max())
     return lo, hi
@@ -479,7 +471,7 @@ def is_parseval(spec: GaborFrameSpec) -> bool:
 
 def _frame_power_window(spec: GaborFrameSpec, p: float) -> Signal:
     """S^p g, blockwise V diag(w^p) V^H over the cosets."""
-    perm, w, V = _eigendecomposition(spec)
+    perm, w, V = spec._eigenpairs
     g = spec.window.values[perm].reshape(w.shape)
     c = np.einsum("kji,kj->ki", V.conj(), g)
     y = np.einsum("kij,kj->ki", V, w ** p * c)
@@ -490,20 +482,16 @@ def _frame_power_window(spec: GaborFrameSpec, p: float) -> Signal:
 
 def canonical_tight_window(spec: GaborFrameSpec) -> Signal:
     """Parseval window g_t = S^{-1/2} g via Hermitian eigendecomposition."""
-    if spec._tight is None:
-        if not is_frame(spec):
-            raise NotAFrameError("lower frame bound vanishes; cannot tighten")
-        spec._tight = _frame_power_window(spec, -0.5)
-    return spec._tight
+    if not is_frame(spec):
+        raise NotAFrameError("lower frame bound vanishes; cannot tighten")
+    return _frame_power_window(spec, -0.5)
 
 
 def dual_window(spec: GaborFrameSpec) -> Signal:
     """Canonical dual gamma = S^{-1} g."""
-    if spec._dual is None:
-        if not is_frame(spec):
-            raise NotAFrameError("lower frame bound vanishes; no dual window")
-        spec._dual = _frame_power_window(spec, -1.0)
-    return spec._dual
+    if not is_frame(spec):
+        raise NotAFrameError("lower frame bound vanishes; no dual window")
+    return _frame_power_window(spec, -1.0)
 
 
 def tighten(spec: GaborFrameSpec) -> GaborFrameSpec:
@@ -519,13 +507,6 @@ def _column_blocks(ncols: int, rows: int):
     """Slices of about _BLOCK_BYTES of complex columns of the given height."""
     step = max(1, _BLOCK_BYTES // (16 * rows))
     return [slice(i, i + step) for i in range(0, ncols, step)]
-
-
-def _conj_coset_atoms(spec: GaborFrameSpec) -> np.ndarray:
-    """G0^H per coset, (|M|, N_t, s): the analysis kernel's atoms."""
-    if spec._G0h is None:
-        spec._G0h = _coset_atoms(spec).conj().transpose(0, 2, 1)
-    return spec._G0h
 
 
 def _coset_fold(G0h: np.ndarray, Xc: np.ndarray, cos: Cosets,
@@ -563,7 +544,7 @@ def _coset_analysis(X: np.ndarray, spec: GaborFrameSpec,
     which is the result, and buf is not used.
     """
     cos = _cosets(spec.lattice)
-    G0h = _conj_coset_atoms(spec)
+    G0h = spec._conj_atoms
     K, Nt, s = G0h.shape
     Xc = X[cos.perm].reshape(K, s, -1)
     Y = None if buf is None or cos.fft else \
@@ -587,7 +568,7 @@ def _coset_synthesis(Xc: np.ndarray, spec: GaborFrameSpec,
     product, as for every d = 2 lattice.
     """
     cos = _cosets(spec.lattice)
-    G0 = _coset_atoms(spec)
+    G0 = spec._atoms
     K, s, Nt = G0.shape
     X = Xc.reshape(K, -1)
     W = (np.fft.ifft(X, axis=0, norm="forward") if cos.fft

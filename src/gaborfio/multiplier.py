@@ -59,6 +59,9 @@ ERROR_FLOOR = 1e-16
 # the dense T that counts as an exact representation.
 RECONSTRUCTION_TOL = 1e-9
 
+# The slack of every shift-radius test |nu| <= L, for roundoff in |nu|.
+_RADIUS_SLACK = 1e-12
+
 
 def warp_indices(cm: CanonicalMap, spec: GaborFrameSpec) -> np.ndarray:
     """Lattice index of chi'(lambda) for every lattice point."""
@@ -153,7 +156,7 @@ def assemble_truncated(tsym: MultiplierSymbolTable, L: float) -> np.ndarray:
     for mus, block in tsym.G.column_blocks():
         if L != np.inf:
             d2 = _squared_distances(*tsym.distance_tables, mus)
-            block = np.where(np.sqrt(d2) <= L + 1e-12, block, 0)
+            block = np.where(np.sqrt(d2) <= L + _RADIUS_SLACK, block, 0)
         _coset_synthesis(block, spec, Y[:, mus])
     return synthesis(np.conjugate(Y, out=Y).T, spec).conj().T
 

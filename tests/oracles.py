@@ -45,7 +45,7 @@ import numpy as np
 
 from gaborfio.core import Signal, TWO_PI
 from gaborfio.frames import (GaborFrameSpec, Lattice, _column_blocks,
-                             _coset_atoms, _cosets, analysis, synthesis)
+                             _cosets, analysis, synthesis)
 from gaborfio.phases import CanonicalMap, TamePhase, chi_prime_table
 from gaborfio.fio import GaborMatrix, _distance_tables, _squared_distances
 from gaborfio.multiplier import MultiplierSymbolTable, commutation_factors
@@ -56,7 +56,7 @@ from gaborfio.multiplier import MultiplierSymbolTable, commutation_factors
 def walnut_blocks(spec: GaborFrameSpec):
     """(perm, blocks): blocks[c] is S on the rows and columns of the c-th
     coset, |M| G0 G0^H over one atom per translation, for every coset."""
-    G0 = _coset_atoms(spec)
+    G0 = spec._atoms
     return (_cosets(spec.lattice).perm,
             G0.shape[0] * (G0 @ G0.conj().transpose(0, 2, 1)))
 

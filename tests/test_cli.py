@@ -118,6 +118,20 @@ def test_decay_scan_success_and_csv(tmp_path):
     assert b"\r" not in body
 
 
+def test_decay_scan_transports_the_linear_phase_at_n256(tmp_path):
+    # With the symbol's band fixed in continuum units, the band-limited
+    # symbol moves no packet off chi(mu) at n = 256: the largest row
+    # maximum lies 1.25 from chi(mu), within the bound 1.354 (2.016 with
+    # the band in index units, n / 4N).
+    doc = decay_cfg(n=256, gen=((4, 0), (0, 4)))
+    doc["phase"] = {"kind": "linear"}
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    assert main(["decay-scan", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    rep = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert rep["verdicts"]["transport_ok"]
+
+
 def test_decay_scan_insufficient_range_exit_3(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", decay_cfg(n=16))
     assert main(["decay-scan", "--config", cfg,
@@ -895,9 +909,10 @@ def test_approximate_agrees_across_blas_thread_counts(tmp_path):
     # place of 1 the errors may move in their last digits (the BLAS
     # splits its sums differently), but no verdict moves.  At n = 64
     # OpenBLAS 0.3 splits none of these products, so the bits agree; at
-    # n = 160 they differ, and all four errors lie far above roundoff
-    # (0.32 to 2.9e-7), so a relative tolerance means something.  Two
-    # threads, no more, so that a 2-CPU host is not oversubscribed.
+    # n = 160 they differ (OpenBLAS 0.3.31 on 2 CPUs: by relative 6.1e-16,
+    # 1.1e-16, 0 and 0), and all four errors lie far above roundoff (0.18
+    # to 2.7e-6), so a relative tolerance means something.  Two threads,
+    # no more, so that a 2-CPU host is not oversubscribed.
     doc = dict(approximate_cfg(), grid={"n": 160, "d": 1},
                phase={"kind": "perturbed", "params": {"eps": 0.1}},
                L_list=[1, 2, 4, 8])

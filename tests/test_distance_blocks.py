@@ -252,7 +252,7 @@ def test_each_translation_is_folded_once(gen, columns):
     K, Nt = frames._cosets(lat).index.shape
     T = make_fio(dilation_phase(2.0), constant_symbol(grid), grid)
     spec = GaborFrameSpec(gaussian_window(grid), lat)
-    G0h = frames._conj_coset_atoms(spec)   # cached: the stream's own
+    G0h = spec._conj_atoms   # cached: the stream's own
     width = {"1": 1, "7": 7, "K-1": K - 1, "K": K, "K+3": K + 3,
              "all": N}[columns]
     folded = []

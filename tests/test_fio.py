@@ -5,9 +5,9 @@ from gaborfio.core import Grid, build_atoms
 from gaborfio.frames import GaborFrameSpec, separable_lattice, tighten
 from gaborfio.phases import (linear_phase, dilation_phase, chirp_phase,
                              perturbed_phase, canonical_map)
-from gaborfio.fio import (SymbolTable, constant_symbol, bandlimited_symbol,
-                          weighted_symbol, bandlimit_for, make_fio,
-                          fio_matrix, gabor_matrix,
+from gaborfio.fio import (FioOperator, SymbolTable, constant_symbol,
+                          bandlimited_symbol, weighted_symbol, bandlimit_for,
+                          make_fio, fio_matrix, gabor_matrix,
                           pair_distances, decay_envelope_fit,
                           transport_argmax_check,
                           InsufficientDecayRangeError, MAX_DENSE_SIZE)
@@ -42,6 +42,18 @@ def test_bandlimit_surrogate_value():
     assert bandlimit_for(1.0, grid) == 16.0
 
 
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_symbol_band_is_fixed_in_continuum_units(n):
+    # N = 2 is the continuum band 2 / N = 1 at every n: the symbol's modes
+    # reach radius 1, to within one frequency step h, and no further.
+    grid = Grid(n)
+    modes = np.abs(np.fft.fft2(bandlimited_symbol(grid, 2).values))
+    p = grid.wrap_index(np.arange(n))
+    radius = grid.h * np.hypot(p[:, None], p[None, :])
+    top = np.max(radius[modes > 1e-9 * np.max(modes)])
+    assert 1 - grid.h < top <= 1
+
+
 def test_symbol_generators_are_seeded_and_normalized():
     grid = Grid(32)
     s1 = bandlimited_symbol(grid, 2, seed=0)
@@ -52,6 +64,13 @@ def test_symbol_generators_are_seeded_and_normalized():
     assert abs(np.max(np.abs(s1.values)) - 1.0) < 1e-12
     w = weighted_symbol(grid, 1.0, seed=0)
     assert abs(np.max(np.abs(w.values)) - 1.0) < 1e-12
+
+
+def test_fio_matrix_cache_is_not_a_parameter():
+    grid = Grid(16)
+    with pytest.raises(TypeError):
+        FioOperator(linear_phase(), constant_symbol(grid), grid,
+                    _matrix=np.eye(16))
 
 
 def test_symbol_generators_reject_d2():

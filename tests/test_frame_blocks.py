@@ -1,8 +1,9 @@
 """Property tests of the block-diagonal (Walnut) frame machinery.
 
-The frame operator, its bounds and the tight and dual windows come from
-small per-coset blocks; each is checked here against the dense oracle
-S = G G^H over all atoms, its eigendecomposition and a linear solve.
+The frame bounds and the tight and dual windows come from small
+per-coset blocks, the dense frame operator from analysis and synthesis;
+each is checked here against the dense oracle S = G G^H over all atoms,
+its eigendecomposition and a linear solve.
 Only one block per orbit of the cosets under the lattice's translations
 is built and decomposed; the orbit tables that carry it to the other
 cosets are checked against every coset's block built directly.
@@ -15,10 +16,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from gaborfio import frames
 from gaborfio.cli import main
 from gaborfio.core import Signal
 from gaborfio.frames import (GaborFrameSpec, NotAFrameError, _cosets,
-                             _eigendecomposition, _walnut_blocks, build_atoms,
+                             _walnut_blocks, build_atoms,
                              canonical_tight_window, dual_window,
                              enumerate_lattice, frame_bounds, frame_operator,
                              is_frame)
@@ -92,7 +94,7 @@ def test_orbit_tables_carry_the_root_blocks(gen, kind, seed):
     assert roots.shape[0] == cos.roots.size
     assert np.max(np.abs(roots - direct[cos.roots])) <= 1e-13 * scale
     _, w_direct, _ = eigendecomposition(spec)
-    _, w, V = _eigendecomposition(spec)
+    _, w, V = spec._eigenpairs
     for c in range(direct.shape[0]):
         B, p, phi = roots[cos.orbit[c]], cos.carry[c], cos.twist[c]
         carried = np.outer(phi, phi.conj()) * B[p][:, p]
@@ -121,3 +123,29 @@ def test_frame_check_decomposes_one_block_per_orbit(tmp_path, monkeypatch):
     assert main(["frame-check", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert shapes == [(8, 16, 16)] * 2
+
+
+@pytest.mark.parametrize("command", ["decay-scan", "frame-check"])
+def test_a_spec_makes_its_eigenpairs_once(tmp_path, monkeypatch, command):
+    # A run has two specs, its own and the tightened one.  Each builds its
+    # Walnut blocks once: the eigenpairs are cached on the spec, and every
+    # frame bound, Parseval test and window after the first reads them.
+    specs = []
+    blocks = frames._walnut_blocks
+
+    def counting_blocks(spec):
+        specs.append(spec)
+        return blocks(spec)
+
+    monkeypatch.setattr(frames, "_walnut_blocks", counting_blocks)
+    cfg = {"grid": {"n": 64, "d": 1}, "window": {"kind": "gaussian"},
+           "lattice": {"generator": [[4, 0], [0, 4]]}, "seed": 0}
+    if command == "decay-scan":
+        cfg.update(phase={"kind": "dilation", "params": {"s": 2.0}},
+                   symbol={"kind": "bandlimited", "params": {"N": 2}},
+                   s_claim=4.0)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(specs) == 2 and specs[0] is not specs[1]
