@@ -29,7 +29,8 @@ distance, which sets the decay bins, comes from the lattice's cosets
 without a pass.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,7 +38,7 @@ import numpy as np
 from .core import Grid, TWO_PI
 from . import frames
 from .frames import (GaborFrameSpec, Lattice, _column_blocks,
-                     _coset_analysis, _coset_fold, _cosets, is_parseval)
+                     _coset_analysis, _coset_fold, is_parseval)
 from .phases import CanonicalMap, TamePhase, chi_prime_displacement_bound
 from .diagnostics import loglog_fit, DecayReport, MAX_DENSE_SIZE
 
@@ -129,19 +130,33 @@ def weighted_symbol(grid: Grid, s: float, seed: int = 0) -> SymbolTable:
 
 @dataclass
 class FioOperator:
-    """Phase + symbol bundle applied by frequency-grid quadrature."""
+    """Phase + symbol bundle applied by frequency-grid quadrature; its
+    dense matrix (fio_matrix) is made once per operator, on first use."""
 
     phase: TamePhase
     symbol: SymbolTable
     grid: Grid
-    _matrix: Optional[np.ndarray] = field(default=None, init=False,
-                                          repr=False)
 
     def __post_init__(self):
         if self.symbol.grid.n != self.grid.n or self.symbol.grid.d != self.grid.d:
             raise ValueError("phase/symbol grid mismatch")
         if self.grid.d != 1:
             raise ValueError("the FIO engine supports d = 1")
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        grid = self.grid
+        if grid.size > MAX_DENSE_SIZE:
+            raise ValueError(
+                f"dense FIO matrix limited to n^d <= {MAX_DENSE_SIZE}")
+        X, E = np.meshgrid(grid.coords(), grid.coords(), indexing="ij")
+        phi = self.phase.phi(X[..., None], E[..., None])
+        kernel = np.exp(TWO_PI * 1j * phi) * self.symbol.values * grid.h
+        # T = kernel @ F with F the unitary DFT, row m of F mapping f to
+        # fhat(eta_m): the symmetric frequency order is absorbed because
+        # the kernel uses the same index m for eta_m.  kernel @ F is the
+        # FFT of each kernel row.
+        return np.fft.fft(kernel, axis=1) / np.sqrt(grid.n)
 
 
 def make_fio(phase: TamePhase, symbol: SymbolTable, grid: Grid) -> FioOperator:
@@ -150,22 +165,6 @@ def make_fio(phase: TamePhase, symbol: SymbolTable, grid: Grid) -> FioOperator:
 
 def fio_matrix(T: FioOperator) -> np.ndarray:
     """Dense n^d x n^d matrix of T (column k = T e_k)."""
-    if T._matrix is not None:
-        return T._matrix
-    grid = T.grid
-    n = grid.n
-    if grid.size > MAX_DENSE_SIZE:
-        raise ValueError(f"dense FIO matrix limited to n^d <= {MAX_DENSE_SIZE}")
-    x = grid.coords()
-    eta = grid.coords()
-    X, E = np.meshgrid(x, eta, indexing="ij")
-    phi = T.phase.phi(X[..., None], E[..., None])
-    kernel = np.exp(TWO_PI * 1j * phi) * T.symbol.values * grid.h
-    # T = kernel @ F with F the unitary DFT, row m of F mapping f to
-    # fhat(eta_m): the symmetric frequency order is absorbed because the
-    # kernel uses the same index m for eta_m.  kernel @ F is the FFT of
-    # each kernel row.
-    T._matrix = np.fft.fft(kernel, axis=1) / np.sqrt(n)
     return T._matrix
 
 
@@ -218,7 +217,7 @@ def gabor_columns(T: FioOperator, spec: GaborFrameSpec):
     otherwise the block is the dense product E (G0^H X_c), and G0^H X_c
     goes into one buffer per call.  Warns when spec is not Parseval.
     """
-    cos = _cosets(spec.lattice)
+    cos = spec.lattice.cosets
     N = spec.lattice.npoints
     step = _column_blocks(N, max(N, T.grid.size))[0].stop   # block width
     # buf before THc: the order of these allocations sets how much of the
@@ -283,7 +282,7 @@ def pair_distances(G: GaborMatrix, cmap: CanonicalMap) -> np.ndarray:
     lat = G.spec.lattice
     tables = _distance_tables(lat, cmap.forward(lat.coords()))
     r = np.empty((lat.npoints, lat.npoints))
-    r[:, _cosets(lat).index.ravel()] = \
+    r[:, lat.cosets.index.ravel()] = \
         np.sqrt(1.0 + _squared_distances(*tables, slice(None))).T
     return r
 
@@ -307,7 +306,7 @@ def _distance_tables(lat: Lattice, points: np.ndarray):
     """
     grid = lat.grid
     x = grid.coords()
-    index = _cosets(lat).index
+    index = lat.cosets.index
     K, Nt = index.shape
     lams = np.mod(lat.int_coords[index.ravel()], grid.n)   # coset order
     tables, rows = [], []

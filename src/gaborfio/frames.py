@@ -80,11 +80,12 @@ multiplier stores the Gabor matrix with its rows in it and synthesizes
 the masked blocks as they are.  fio also runs the analysis kernel with
 the atoms of a few translations only, to make T A translation by
 translation.  The shift index and phase columns of the atoms G0 depend
-on the lattice only and are kept with the coset tables, so a spec and
-its tightened spec share them.  A spec keeps only what a run reads more
-than once: its atoms G0, their conjugates and the Walnut eigenpairs.
-The dense frame operator, which only tests form, is A A^H from the two
-kernels; the orbit tables serve the eigenpairs alone.
+on the lattice only and live in its coset tables, Lattice.cosets, made
+once per lattice on first use, so a spec and its tightened spec share
+them.  A spec keeps only what a run reads more than once: its atoms G0,
+their conjugates and the Walnut eigenpairs.  The dense frame operator,
+which only tests form, is A A^H from the two kernels; the orbit tables
+serve the eigenpairs alone.
 """
 
 from dataclasses import dataclass, field
@@ -127,11 +128,7 @@ _FFT_PRIMES = (2, 3, 5, 7, 11)
 
 
 class LatticeError(ValueError):
-    def __init__(self, message, suggestion=None):
-        self.suggestion = suggestion
-        if suggestion is not None:
-            message += f"; nearest commensurate generator: {suggestion.tolist()}"
-        super().__init__(message)
+    pass
 
 
 class NotAFrameError(ValueError):
@@ -148,8 +145,6 @@ class Lattice:
     hnf: np.ndarray = field(repr=False)   # Hermite normal form of n A^{-1}
     rank: np.ndarray = field(repr=False)  # mixed-radix value -> point index
     digits: np.ndarray = field(repr=False)  # (N, 2d) reduced B p / n per point
-    _cosets: Optional["Cosets"] = field(default=None, init=False,
-                                        repr=False, compare=False)
 
     @property
     def npoints(self) -> int:
@@ -159,6 +154,29 @@ class Lattice:
     def density(self) -> float:
         """Redundancy: number of atoms per signal dimension."""
         return self.npoints / self.grid.size
+
+    @cached_property
+    def cosets(self) -> "Cosets":
+        """The coset tables, made on first use."""
+        n, d = self.grid.n, self.grid.d
+        ic = np.mod(self.int_coords, n)
+        M = ic[~np.any(ic[:, :d], axis=1), d:]
+        # Points are in lexicographic mod-n order, so the first point over
+        # each translation is where the translation changes.
+        first = np.flatnonzero(np.any(np.diff(ic[:, :d], axis=0,
+                                              prepend=-1), axis=1))
+        reps = self.int_coords[first]
+        j = self.grid.multi_index()
+        perm = np.argsort(_coset_labels(j, M, n), kind="stable")
+        jc = j[perm[::perm.size // M.shape[0]]]
+        E = np.exp(-TWO_PI * 1j * ((M @ jc.T) % n) / n)
+        pts = np.concatenate(np.broadcast_arrays(
+            reps[None, :, :d], reps[None, :, d:] + M[:, None, :]), axis=-1)
+        shift, phases = atom_tables(self.grid, reps)
+        shift, phases = shift[perm], phases[perm]
+        return Cosets(perm=perm, E=E, fft=d == 1 and _fft_size(M.shape[0]),
+                      index=self.indices_of(pts), shift=shift, phases=phases,
+                      **_orbit_tables(perm, shift, phases, M.shape[0]))
 
     def coords(self) -> np.ndarray:
         """Continuum coordinates, shape (N, 2d)."""
@@ -239,8 +257,9 @@ def enumerate_lattice(A, grid: Grid) -> Lattice:
         raise LatticeError("generator entries must be below 2**53")
     Ar = np.round(A)
     if np.max(np.abs(A - Ar)) > 1e-9:
-        raise LatticeError("generator entries must be integers in grid units",
-                           suggestion=Ar.astype(int))
+        raise LatticeError("generator entries must be integers in grid units"
+                           "; nearest integer generator: "
+                           f"{Ar.astype(int).tolist()}")
     Ai = Ar.astype(int)
     closure = grid.n * np.linalg.inv(Ar)
     # n A^{-1} is integral iff A B = n I for the rounded B, checked in
@@ -252,8 +271,7 @@ def enumerate_lattice(A, grid: Grid) -> Lattice:
             Ai.astype(object) @ B.astype(np.int64).astype(object),
             grid.n * np.eye(td, dtype=np.int64))):
         raise LatticeError(
-            "lattice is incommensurate with the torus (n A^{-1} not integral)",
-            suggestion=Ar.astype(int))
+            "lattice is incommensurate with the torus (n A^{-1} not integral)")
     H = _hermite_normal_form(B)
     m = np.indices(np.diag(H)).reshape(td, -1).T     # mixed-radix order
     pts = np.mod(m @ Ai.T, grid.n)
@@ -281,8 +299,9 @@ class GaborFrameSpec:
 
     The tables a run reads more than once are cached properties, each made
     on first use: the atoms G0 per coset, their conjugates G0^H and the
-    Walnut eigenpairs.  The frame operator and the tight and dual windows
-    are computed on each call.
+    Walnut eigenpairs.  The coset tables they are made from are the
+    lattice's, Lattice.cosets, shared by every spec on it.  The frame
+    operator and the tight and dual windows are computed on each call.
     """
 
     def __init__(self, window: Signal, lattice: Lattice, normalize: bool = True):
@@ -298,7 +317,7 @@ class GaborFrameSpec:
         """G0: one atom pi(x_t, m_t) g per translation, rows grouped by
         coset, shape (|M|, s, N_t); core.build_atoms' product, from the
         lattice's tables."""
-        cos = _cosets(self.lattice)
+        cos = self.lattice.cosets
         G0 = self.window.values[cos.shift] * cos.phases
         return G0.reshape(cos.E.shape[0], -1, G0.shape[1])
 
@@ -311,7 +330,7 @@ class GaborFrameSpec:
     def _eigenpairs(self):
         """(perm, w, V) per coset: one batched Hermitian eigendecomposition
         of the roots' blocks, carried to every coset of their orbits."""
-        cos = _cosets(self.lattice)
+        cos = self.lattice.cosets
         w, V = np.linalg.eigh(_walnut_blocks(self))
         V = V[cos.orbit[:, None], cos.carry] * cos.twist[:, :, None]
         return cos.perm, w[cos.orbit], V
@@ -337,13 +356,12 @@ class Cosets:
 
     The orbit tables carry the Walnut block of each orbit's least coset
     (roots) to every coset c of the orbit (see the module docstring):
-    with (x_t, m_t) the first point of reps that carries the root to c,
-    row i of c minus x_t is row carry[c, i] of the root, and twist[c] is
+    with x_t the first translation that carries the root to c, row i of
+    c minus x_t is row carry[c, i] of the root, and twist[c] is
     e^{2 pi i j.m_t / n} over c's rows j.
     """
 
     perm: np.ndarray     # (n^d,) rows grouped by coset
-    reps: np.ndarray     # (N_t, 2d) the points (x_t, m_t)
     E: np.ndarray        # (|M|, |M|) [k, c] e^{-2 pi i (j_c.M_k mod n) / n}
     fft: bool            # E is the |M|-point DFT and the folds use the FFT
     index: np.ndarray    # (|M|, N_t) lattice index of (x_t, m_t + M_k)
@@ -367,33 +385,6 @@ def _coset_labels(j: np.ndarray, M: np.ndarray, n: int) -> np.ndarray:
         used, label = np.unique(label * n + (j @ m) % n, return_inverse=True)
         count = used.size
     return label
-
-
-def _cosets(lat: Lattice) -> Cosets:
-    """The coset tables of lat, computed once per lattice."""
-    if lat._cosets is None:
-        n, d = lat.grid.n, lat.grid.d
-        ic = np.mod(lat.int_coords, n)
-        M = ic[~np.any(ic[:, :d], axis=1), d:]
-        # Points are in lexicographic mod-n order, so the first point over
-        # each translation is where the translation changes.
-        first = np.flatnonzero(np.any(np.diff(ic[:, :d], axis=0,
-                                              prepend=-1), axis=1))
-        reps = lat.int_coords[first]
-        j = lat.grid.multi_index()
-        perm = np.argsort(_coset_labels(j, M, n), kind="stable")
-        jc = j[perm[::perm.size // M.shape[0]]]
-        E = np.exp(-TWO_PI * 1j * ((M @ jc.T) % n) / n)
-        pts = np.concatenate(np.broadcast_arrays(
-            reps[None, :, :d], reps[None, :, d:] + M[:, None, :]), axis=-1)
-        shift, phases = atom_tables(lat.grid, reps)
-        shift, phases = shift[perm], phases[perm]
-        lat._cosets = Cosets(perm=perm, reps=reps, E=E,
-                             fft=d == 1 and _fft_size(M.shape[0]),
-                             index=lat.indices_of(pts), shift=shift,
-                             phases=phases,
-                             **_orbit_tables(perm, shift, phases, M.shape[0]))
-    return lat._cosets
 
 
 def _fft_size(K: int) -> bool:
@@ -432,7 +423,7 @@ def _walnut_blocks(spec: GaborFrameSpec) -> np.ndarray:
     Cosets.roots[r], |M| G0 G0^H over one atom per translation.
     """
     G0 = spec._atoms
-    Gr = G0[_cosets(spec.lattice).roots]
+    Gr = G0[spec.lattice.cosets.roots]
     return G0.shape[0] * (Gr @ Gr.conj().transpose(0, 2, 1))
 
 
@@ -543,7 +534,7 @@ def _coset_analysis(X: np.ndarray, spec: GaborFrameSpec,
     it once; where Cosets.fft the FFT runs in place in a fresh product,
     which is the result, and buf is not used.
     """
-    cos = _cosets(spec.lattice)
+    cos = spec.lattice.cosets
     G0h = spec._conj_atoms
     K, Nt, s = G0h.shape
     Xc = X[cos.perm].reshape(K, s, -1)
@@ -567,7 +558,7 @@ def _coset_synthesis(Xc: np.ndarray, spec: GaborFrameSpec,
     can be a view of multiplier's table.  Otherwise E^H X is a dense
     product, as for every d = 2 lattice.
     """
-    cos = _cosets(spec.lattice)
+    cos = spec.lattice.cosets
     G0 = spec._atoms
     K, s, Nt = G0.shape
     X = Xc.reshape(K, -1)
@@ -584,7 +575,7 @@ def analysis(f, spec: GaborFrameSpec) -> np.ndarray:
     the result has N rows in lattice order and the same columns.
     """
     X = f.values if isinstance(f, Signal) else np.asarray(f)
-    order = _cosets(spec.lattice).index.ravel()
+    order = spec.lattice.cosets.index.ravel()
     cols = X.reshape(X.shape[0], -1)
     out = np.empty((order.size, cols.shape[1]), dtype=complex)
     for b in _column_blocks(cols.shape[1], max(order.size, cols.shape[0])):
@@ -602,7 +593,7 @@ def synthesis(c: np.ndarray, spec: GaborFrameSpec):
     N = spec.lattice.npoints
     if c.shape[:1] != (N,) or c.ndim > 2:
         raise ValueError(f"expected {N} coefficients, got {c.shape}")
-    index = _cosets(spec.lattice).index
+    index = spec.lattice.cosets.index
     n_d = spec.window.grid.size
     cols = c.reshape(N, -1)
     out = np.empty((n_d, cols.shape[1]), dtype=complex)

@@ -43,8 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import TWO_PI, random_signal
-from .frames import (GaborFrameSpec, _coset_synthesis, _cosets,
-                     gabor_mod_norm, synthesis)
+from .frames import (GaborFrameSpec, _coset_synthesis, gabor_mod_norm,
+                     synthesis)
 from .phases import CanonicalMap, chi_prime_table
 from .fio import (FioOperator, GaborMatrix, _distance_tables,
                   _squared_distances, fio_matrix, gabor_columns, gabor_matrix)
@@ -128,7 +128,7 @@ def shift_symbols(T: FioOperator, spec: GaborFrameSpec, cmap: CanonicalMap,
     ic = lat.int_coords
     c = commutation_factors(spec, ic[nu_indices], ic[warp_idx])
     pos = np.empty(lat.npoints, dtype=np.intp)   # lattice index -> block row
-    pos[_cosets(lat).index.ravel()] = np.arange(lat.npoints)
+    pos[lat.cosets.index.ravel()] = np.arange(lat.npoints)
     rows = pos[lat.add(nu_indices[:, None], warp_idx[None, :])]
     a = np.empty(rows.shape, dtype=complex)
     for mus, block in gabor_columns(T, spec):

@@ -45,7 +45,7 @@ import numpy as np
 
 from gaborfio.core import Signal, TWO_PI
 from gaborfio.frames import (GaborFrameSpec, Lattice, _column_blocks,
-                             _cosets, analysis, synthesis)
+                             analysis, synthesis)
 from gaborfio.phases import CanonicalMap, TamePhase, chi_prime_table
 from gaborfio.fio import GaborMatrix, _distance_tables, _squared_distances
 from gaborfio.multiplier import MultiplierSymbolTable, commutation_factors
@@ -57,7 +57,7 @@ def walnut_blocks(spec: GaborFrameSpec):
     """(perm, blocks): blocks[c] is S on the rows and columns of the c-th
     coset, |M| G0 G0^H over one atom per translation, for every coset."""
     G0 = spec._atoms
-    return (_cosets(spec.lattice).perm,
+    return (spec.lattice.cosets.perm,
             G0.shape[0] * (G0 @ G0.conj().transpose(0, 2, 1)))
 
 
@@ -117,7 +117,7 @@ def truncated_sum(cross: np.ndarray, warp_idx: np.ndarray,
     sandwich."""
     lat = spec.lattice
     tables = _distance_tables(lat, lat.coords()[warp_idx])
-    pos = np.argsort(_cosets(lat).index.ravel())   # lattice index -> row
+    pos = np.argsort(lat.cosets.index.ravel())   # lattice index -> row
     C = np.empty_like(cross, order="F")   # synthesis reads its columns
     for mus in _column_blocks(*C.shape):
         d2 = _squared_distances(*tables, mus)[pos]
@@ -135,7 +135,7 @@ def symbols(tsym: MultiplierSymbolTable, nu_indices: np.ndarray):
     ic = lat.int_coords
     c = commutation_factors(tsym.G.spec, ic[nu_indices], ic[tsym.warp_idx])
     pos = np.empty(lat.npoints, dtype=np.intp)   # lattice index -> row
-    pos[_cosets(lat).index.ravel()] = np.arange(lat.npoints)
+    pos[lat.cosets.index.ravel()] = np.arange(lat.npoints)
     rows = pos[lat.add(nu_indices[:, None], tsym.warp_idx[None, :])]
     a = tsym.G.cross[rows, np.arange(tsym.warp_idx.size)]
     a *= c
@@ -292,7 +292,7 @@ def gabor_cross(G: GaborMatrix) -> np.ndarray:
     """A^H T A in lattice order, [lam, mu]: G.cross with its rows scattered
     through Cosets.index, so a column equals the stored one bit for bit."""
     cross = np.empty_like(G.cross)
-    cross[_cosets(G.spec.lattice).index.ravel()] = G.cross
+    cross[G.spec.lattice.cosets.index.ravel()] = G.cross
     return cross
 
 

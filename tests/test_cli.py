@@ -196,7 +196,7 @@ def test_decay_scan_reads_the_blocks_once(tmp_path, monkeypatch):
     assert calls == {"_distance_tables": 1}
     assert chunks == [(n, len(range(N)[mus])) for mus in columns]
     lat = enumerate_lattice(np.diag([2, 2]), Grid(n))
-    assert sum(made) == frames._cosets(lat).reps.shape[0]
+    assert sum(made) == lat.cosets.index.shape[1]
 
 
 # decay-scan's tracemalloc peak at n = 160, diag(4, 4), with T A made one
@@ -350,6 +350,26 @@ DILATION_CFG = {
     "nu_radius": 3.0,
     "seed": 0,
 }
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("frame-check", BASE), ("decay-scan", decay_cfg()),
+    ("approximate", approximate_cfg()),
+    ("dilation-demo", dict(DILATION_CFG, grid={"n": 64, "d": 1}))])
+def test_a_run_builds_its_coset_tables_once(tmp_path, monkeypatch, command,
+                                            doc):
+    # Lattice.cosets is made once per lattice: every spec on it, the
+    # tightened one included, and every fold of the run share it.
+    calls = []
+
+    def counted(*args, _f=frames._coset_labels):
+        calls.append(1)
+        return _f(*args)
+    monkeypatch.setattr(frames, "_coset_labels", counted)
+    cfg = write_cfg(tmp_path, "c.json", doc)
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n,step", [(64, 4), (80, 4), (256, 4), (1024, 16)])

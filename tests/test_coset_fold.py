@@ -62,7 +62,7 @@ def draw_spec(gen, seed, fft):
     lat = enumerate_lattice(A, grid)
     assume(lat.npoints <= MAX_POINTS)
     with mock.patch.object(frames, "_FFT_MIN_K", 1 if fft else np.inf):
-        assert frames._cosets(lat).fft == (fft and grid.d == 1)
+        assert lat.cosets.fft == (fft and grid.d == 1)
     rng = np.random.default_rng(seed)
     window = Signal(grid, random_complex(rng, grid.size))
     return GaborFrameSpec(window, lat), rng
@@ -133,7 +133,7 @@ def test_sandwiches_match_the_dense_atoms(gen, k, block, seed, fft):
         # Cosets.index.ravel()[r].
         cross = random_complex(rng, N, N)   # [lam, mu], lattice order
         tsym = MultiplierSymbolTable(
-            G=GaborMatrix(spec, cross[frames._cosets(lat).index.ravel()]),
+            G=GaborMatrix(spec, cross[lat.cosets.index.ravel()]),
             warp_idx=warp_idx)
         C = cross * integer_mask(lat, warp_idx, L)
         masked = assemble_truncated(tsym, L)   # the mask's blocks too
@@ -141,7 +141,7 @@ def test_sandwiches_match_the_dense_atoms(gen, k, block, seed, fft):
 
 
 def full_vector_cosets(lat):
-    """(perm, reps, E, index) ordered by np.unique over the rows' whole
+    """(perm, E, index) ordered by np.unique over the rows' whole
     character vectors (j.M_k mod n)_k, one column per pure modulation."""
     n, d = lat.grid.n, lat.grid.d
     ic = np.mod(lat.int_coords, n)
@@ -155,7 +155,7 @@ def full_vector_cosets(lat):
     E = np.exp(-TWO_PI * 1j * ((M @ jc.T) % n) / n)
     pts = np.concatenate(np.broadcast_arrays(
         reps[None, :, :d], reps[None, :, d:] + M[:, None, :]), axis=-1)
-    return perm, reps, E, lat.indices_of(pts)
+    return perm, E, lat.indices_of(pts)
 
 
 @SETTINGS
@@ -168,10 +168,9 @@ def full_vector_cosets(lat):
 @example(gen=(np.diag([4, 2, 1, 1]), Grid(16, 2)))
 def test_coset_tables_follow_the_full_character_vectors(gen):
     lat = enumerate_lattice(*gen)
-    cos = frames._cosets(lat)
-    perm, reps, E, index = full_vector_cosets(lat)
+    cos = lat.cosets
+    perm, E, index = full_vector_cosets(lat)
     assert np.array_equal(cos.perm, perm)
-    assert np.array_equal(cos.reps, reps)
     assert np.array_equal(cos.E, E)
     assert np.array_equal(cos.index, index)
 
@@ -188,7 +187,7 @@ def test_d1_characters_are_the_dft_and_d2_stays_dense(gen):
     folds run as FFTs; the FFT is chosen by the size rule alone, and never
     for d = 2, where M can be non-cyclic."""
     lat = enumerate_lattice(*gen)
-    cos = frames._cosets(lat)
+    cos = lat.cosets
     K = cos.E.shape[0]
     if lat.grid.d == 1:
         assert np.max(np.abs(cos.E - np.fft.fft(np.eye(K), axis=0))) < 1e-12
@@ -197,7 +196,7 @@ def test_d1_characters_are_the_dft_and_d2_stays_dense(gen):
         assert not cos.fft
         lat = enumerate_lattice(*gen)
         with mock.patch.object(frames, "_FFT_MIN_K", 1):
-            assert not frames._cosets(lat).fft
+            assert not lat.cosets.fft
 
 
 def test_fft_size_rule():

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from gaborfio import frames
 from gaborfio.core import Grid
 from gaborfio.fio import bandlimited_symbol, make_fio
-from gaborfio.frames import (GaborFrameSpec, _coset_synthesis, _cosets,
+from gaborfio.frames import (GaborFrameSpec, _coset_synthesis,
                              enumerate_lattice, synthesis)
 from gaborfio.multiplier import assemble_truncated, extract_symbols
 from gaborfio.phases import canonical_map
@@ -66,5 +66,5 @@ def test_coset_order_truncation_equals_the_lattice_order_oracle(
         C = rng.standard_normal((N, width)) \
             + 1j * rng.standard_normal((N, width))
         out = np.empty((grid.size, width), dtype=complex)
-        _coset_synthesis(C[_cosets(lat).index.ravel()], spec, out)
+        _coset_synthesis(C[lat.cosets.index.ravel()], spec, out)
         assert np.array_equal(synthesis(C, spec), out)

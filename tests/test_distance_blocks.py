@@ -161,7 +161,7 @@ def test_stream_blocks_are_in_coset_order(gen, symbol, columns, seed):
     lat = enumerate_lattice(A, grid)
     N = lat.npoints
     assume(N <= MAX_POINTS)
-    cos = frames._cosets(lat)
+    cos = lat.cosets
     order = cos.index.ravel()
     S = constant_symbol(grid) if symbol == "constant" \
         else bandlimited_symbol(grid, 2, seed=seed)
@@ -189,7 +189,7 @@ def test_stream_blocks_are_in_coset_order(gen, symbol, columns, seed):
         scattered[order, b] = Y
     assert np.array_equal(coeffs, scattered)
     _, rows = fio._distance_tables(lat, lat.coords())
-    Nt = cos.reps.shape[0]
+    Nt = cos.index.shape[1]
     assert np.array_equal(rows[0], np.tile(np.arange(Nt), N // Nt))
 
 
@@ -249,7 +249,7 @@ def test_each_translation_is_folded_once(gen, columns):
     lat = enumerate_lattice(A, grid)
     N = lat.npoints
     assume(N <= MAX_POINTS)
-    K, Nt = frames._cosets(lat).index.shape
+    K, Nt = lat.cosets.index.shape
     T = make_fio(dilation_phase(2.0), constant_symbol(grid), grid)
     spec = GaborFrameSpec(gaussian_window(grid), lat)
     G0h = spec._conj_atoms   # cached: the stream's own

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from gaborfio import frames
 from gaborfio.cli import main
 from gaborfio.core import Signal
-from gaborfio.frames import (GaborFrameSpec, NotAFrameError, _cosets,
+from gaborfio.frames import (GaborFrameSpec, NotAFrameError,
                              _walnut_blocks, build_atoms,
                              canonical_tight_window, dual_window,
                              enumerate_lattice, frame_bounds, frame_operator,
@@ -87,7 +87,7 @@ def test_blocks_match_dense_oracle(gen, kind, seed):
 def test_orbit_tables_carry_the_root_blocks(gen, kind, seed):
     A, grid = gen
     spec = GaborFrameSpec(window(grid, kind, seed), enumerate_lattice(A, grid))
-    cos = _cosets(spec.lattice)
+    cos = spec.lattice.cosets
     perm, direct = walnut_blocks(spec)
     scale = np.max(np.abs(direct))
     roots = _walnut_blocks(spec)

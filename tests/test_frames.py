@@ -26,8 +26,19 @@ def test_lattice_rejects_non_integer_with_suggestion():
     grid = Grid(16)
     with pytest.raises(LatticeError) as exc:
         enumerate_lattice(np.array([[2.3, 0.0], [0.0, 4.0]]), grid)
-    assert exc.value.suggestion is not None
-    assert exc.value.suggestion[0, 0] == 2
+    assert str(exc.value).endswith("; nearest integer generator: "
+                                   "[[2, 0], [0, 4]]")
+
+
+def test_lattice_errors_claim_no_commensurate_generator():
+    # At n = 64, [[3, 0], [0, 4]] is incommensurate, and it is also the
+    # nearest integer generator to [[3.2, 0], [0, 4]].
+    grid = Grid(64)
+    for A in ([[3, 0], [0, 4]], [[3.2, 0], [0, 4]]):
+        with pytest.raises(LatticeError) as exc:
+            enumerate_lattice(np.array(A), grid)
+        assert "commensurate generator" not in str(exc.value)
+    assert str(exc.value).startswith("generator entries must be integers")
 
 
 def test_lattice_rejects_incommensurate():

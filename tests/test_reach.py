@@ -27,13 +27,14 @@ import pathlib
 import pkgutil
 import re
 import sys
+from functools import cached_property
 
 import pytest
 
 import gaborfio
 from gaborfio import cli
 from gaborfio.fio import InsufficientDecayRangeError
-from gaborfio.frames import NotAFrameError
+from gaborfio.frames import LatticeError, NotAFrameError
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -45,6 +46,7 @@ BENCH_PINNED = (
 
 # Exception class -> the exit code of a run that raises it.
 EXIT_MAPPED = {
+    LatticeError: cli.EXIT_CONFIG,
     NotAFrameError: cli.EXIT_NOT_A_FRAME,
     InsufficientDecayRangeError: cli.EXIT_DECAY_RANGE,
 }
@@ -147,9 +149,10 @@ def own_code(obj):
 
 
 def member_code(member):
-    """The code objects of one class member, a method or a property; none
-    for data."""
-    fn = member.fget if isinstance(member, property) else member
+    """The code objects of one class member, a method or a (cached)
+    property; none for data."""
+    fn = (member.fget if isinstance(member, property) else
+          member.func if isinstance(member, cached_property) else member)
     return {fn.__code__} if inspect.isfunction(fn) else set()
 
 
